@@ -116,8 +116,10 @@ void BM_McDelayed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
+// The replications run on the MC pool, so the rate must come from wall
+// time: main-thread CPU time would count only the wait.
 BENCHMARK(BM_McDelayed)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // DES core microbenches. The event callbacks capture a payload sized like
 // the real hot events (ComputingElement's completion lambda: object pointer
@@ -347,8 +349,8 @@ BENCHMARK(BM_CeSubmitCancel);
 
 void BM_DelayedTuneFit(benchmark::State& state) {
   // One campaign fit-stage unit: build the strategy evaluator (survival
-  // prefix grids) and tune (t0, t_inf) — the Nelder-Mead objective calls
-  // product_integrals a few hundred times.
+  // prefix grids) and tune (t0, t_inf): a 96 x 40 grid read off one overlap
+  // row per t0, then a few hundred one-shot Nelder-Mead evaluations.
   const auto& m = model_2006();
   for (auto _ : state) {
     const core::DelayedResubmission d(m);

@@ -82,46 +82,49 @@ CostEvaluation CostModel::optimize_delayed_cost(
   if (!(hi > lo)) {
     throw std::invalid_argument("optimize_delayed_cost: bad bounds");
   }
-  const auto score = [this, definition](double t0, double t_inf) {
-    if (!delayed_.feasible(t0, t_inf)) return kInf;
-    const double ej = delayed_.expectation(t0, t_inf);
-    if (!std::isfinite(ej)) return kInf;
+  // Scores read the Row of the current t0 and equal evaluate_delayed()'s
+  // bit for bit; infeasible points are skipped.
+  DelayedResubmission::Row row(delayed_);
+  const bool fleet = definition == CostDefinition::kFleet;
+  double best_t0 = 0.0, best_tinf = 0.0, best = kInf;
+  const auto visit = [&](double t_inf) {
+    const double ej = row.expectation(t_inf);
+    if (!std::isfinite(ej)) return;
     const double n_par =
-        definition == CostDefinition::kFleet
-            ? delayed_.fleet_parallel_jobs(t0, t_inf)
-            : DelayedResubmission::parallel_jobs_at(ej, t0, t_inf);
-    return delta_cost(n_par, ej);
+        fleet ? row.expected_job_seconds(t_inf) / ej
+              : DelayedResubmission::parallel_jobs_at(ej, row.t0(), t_inf);
+    const double v = delta_cost(n_par, ej);
+    if (v < best) {
+      best = v;
+      best_t0 = row.t0();
+      best_tinf = t_inf;
+    }
   };
   // Coarse integer scan (8 s lattice).
   constexpr double kCoarse = 8.0;
-  double best_t0 = 0.0, best_tinf = 0.0, best = kInf;
   for (double t0 = std::ceil(lo); t0 <= hi; t0 += kCoarse) {
+    row.reset(t0);
     const double tinf_hi = std::min(2.0 * t0, model_.horizon());
     for (double t_inf = t0 + 1.0; t_inf <= tinf_hi; t_inf += kCoarse) {
-      const double v = score(t0, t_inf);
-      if (v < best) {
-        best = v;
-        best_t0 = t0;
-        best_tinf = t_inf;
-      }
+      visit(t_inf);
     }
   }
   if (!std::isfinite(best)) {
     throw std::runtime_error("optimize_delayed_cost: no feasible point");
   }
-  // Exhaustive integer refinement around the coarse optimum.
+  // Integer refinement in a window of ±r around the best point. The loop
+  // bounds are re-read on every pass, so the window follows the running
+  // best: an improvement near the upper edge extends both ranges, and the
+  // t∞ range of each later t0 is centred on the best t∞ so far. The search
+  // is therefore local, not exhaustive over a fixed square.
   const double r = kCoarse + 2.0;
   for (double t0 = std::max(std::ceil(lo), best_t0 - r);
        t0 <= std::min(hi, best_t0 + r); t0 += 1.0) {
+    row.reset(t0);
     for (double t_inf = std::max(t0 + 1.0, best_tinf - r);
          t_inf <= std::min({2.0 * t0, model_.horizon(), best_tinf + r});
          t_inf += 1.0) {
-      const double v = score(t0, t_inf);
-      if (v < best) {
-        best = v;
-        best_t0 = t0;
-        best_tinf = t_inf;
-      }
+      visit(t_inf);
     }
   }
   return evaluate_delayed(best_t0, best_tinf);

@@ -75,8 +75,9 @@ class CostModel {
   /// Scores the single-resubmission baseline (Δcost = 1 by construction).
   [[nodiscard]] CostEvaluation evaluate_single() const;
 
-  /// Minimizes Δcost of the delayed strategy over *integer* (t0, t∞):
-  /// coarse grid scan then exhaustive integer refinement. Bounds default
+  /// Minimizes Δcost of the delayed strategy over *integer* (t0, t∞): an
+  /// 8 s lattice scan, then a ±10 s integer refinement window that follows
+  /// the running best; one DelayedResubmission::Row per t0. Bounds default
   /// to t0 in [16 s, min(horizon/2, 4 × baseline E_J)]. `definition`
   /// selects which Δcost accounting is minimized.
   [[nodiscard]] CostEvaluation optimize_delayed_cost(

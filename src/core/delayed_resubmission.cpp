@@ -18,6 +18,47 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // equality; allow roundoff past it).
 constexpr double kBoundaryEps = 1e-9;
 
+// Overlap-quadrature helpers shared by the one-shot sweep and Row, so the
+// two run identical arithmetic (see "Overlap quadrature" in the header).
+
+// t0 = (index + frac)·step: s(u_k + t0) lerps F̃ at node k + index.
+struct NodeShift {
+  std::size_t index = 0;
+  double frac = 0.0;
+};
+
+NodeShift shift_of(double t0, double step) {
+  const double x = t0 / step;
+  const auto index = static_cast<std::size_t>(x);
+  return {index, x - static_cast<double>(index)};
+}
+
+// m = ⌊length/step⌋: the last node at or below `length`.
+std::size_t node_below(double length, double step) {
+  return static_cast<std::size_t>(length / step);
+}
+
+double node_u(std::size_t k, double step) {
+  return static_cast<double>(k) * step;
+}
+
+// Φ(u_k) = s(u_k + t0)·s(u_k), both read from the F̃ grid by index; past
+// the last node s is clamped like DiscretizedLatencyModel::ftilde.
+double phi_at_node(std::span<const double> fg, NodeShift shift,
+                   std::size_t k) {
+  const std::size_t last = fg.size() - 1;
+  const double s_u = 1.0 - fg[std::min(k, last)];
+  const std::size_t i = k + shift.index;
+  const double s_shifted =
+      i >= last ? 1.0 - fg[last]
+                : 1.0 - (fg[i] + shift.frac * (fg[i + 1] - fg[i]));
+  return s_shifted * s_u;
+}
+
+double cell(double width, double left, double right) {
+  return 0.5 * width * (left + right);
+}
+
 double interp_prefix(const std::vector<double>& prefix, double step,
                      double t) {
   const double s = t / step;
@@ -58,61 +99,57 @@ double DelayedResubmission::integral_us(double t) const {
   return interp_prefix(prefix_us_, model_.step(), t);
 }
 
-void DelayedResubmission::product_integrals(double t0, double length,
-                                            double& plain,
-                                            double& weighted) const {
-  plain = 0.0;
-  weighted = 0.0;
-  if (!(length > 0.0)) return;
+double DelayedResubmission::overlap(double t0, double length, double q,
+                                    double* weighted) const {
   const double step = model_.step();
-  const auto n = std::max<std::size_t>(
-      2, static_cast<std::size_t>(std::ceil(length / step)));
-  const double h = length / static_cast<double>(n);
-  // Hot path of every (t0, t_inf) tuning objective: a Nelder-Mead fit
-  // calls this hundreds of times, each a sweep of ~length/step samples.
-  // Evaluate survival by an indexed lerp over the tabulated F̃ grid
-  // captured at construction instead of two virtual survival_at() calls
-  // per sample. The arithmetic (t/step, same lerp form, then 1 - F̃) is
-  // kept identical to DiscretizedLatencyModel::ftilde, so results are
-  // bit-for-bit what the virtual path produced; u increases monotonically,
-  // making the grid accesses a cache-friendly forward scan.
-  const double* fg = fgrid_.data();
-  const auto last_index = fgrid_.size() - 1;
-  const double last = static_cast<double>(last_index);
-  const auto surv = [&](double t) {
-    if (t <= 0.0) return 1.0;
-    const double s = t / step;
-    if (s >= last) return 1.0 - fg[last_index];
-    const auto i = static_cast<std::size_t>(s);
-    const double frac = s - static_cast<double>(i);
-    return 1.0 - (fg[i] + frac * (fg[i + 1] - fg[i]));
-  };
-  numerics::KahanAccumulator acc_plain, acc_weighted;
-  double prev_g = surv(t0) * surv(0.0);
-  double prev_u = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    const double u = static_cast<double>(i) * h;
-    const double g = surv(u + t0) * surv(u);
-    acc_plain.add(0.5 * h * (prev_g + g));
-    acc_weighted.add(0.5 * h * (prev_u * prev_g + u * g));
-    prev_g = g;
-    prev_u = u;
+  const NodeShift shift = shift_of(t0, step);
+  const auto m = node_below(length, step);
+  numerics::KahanAccumulator plain, moment;
+  double phi = phi_at_node(fgrid_, shift, 0);
+  for (std::size_t k = 1; k <= m; ++k) {
+    const double next = phi_at_node(fgrid_, shift, k);
+    plain.add(cell(step, phi, next));
+    if (weighted) {
+      moment.add(
+          cell(step, node_u(k - 1, step) * phi, node_u(k, step) * next));
+    }
+    phi = next;
   }
-  plain = acc_plain.value();
-  weighted = acc_weighted.value();
+  const double u_m = node_u(m, step);
+  const double phi_end = q * model_.survival_at(length);
+  if (weighted) {
+    *weighted =
+        moment.value() + cell(length - u_m, u_m * phi, length * phi_end);
+  }
+  return plain.value() + cell(length - u_m, phi, phi_end);
 }
 
-double DelayedResubmission::expectation(double t0, double t_inf) const {
+template <class Overlap>
+double DelayedResubmission::expectation_with(double t0, double t_inf,
+                                             Overlap&& overlap) const {
   if (!feasible(t0, t_inf)) return kInf;
   const double q = model_.survival_at(t_inf);
   const double p = 1.0 - q;
   if (!(p > 0.0)) return kInf;
   const double length = t_inf - t0;
-  double p0, p1;
-  product_integrals(t0, length, p0, p1);
   const double h_total =
-      p0 + q * (integral_s(t0) - integral_s(length));
+      overlap(length, q) + q * (integral_s(t0) - integral_s(length));
   return integral_s(t0) + h_total / p;
+}
+
+template <class Overlap>
+double DelayedResubmission::job_seconds_with(double t0, double t_inf,
+                                             Overlap&& overlap) const {
+  const double ej = expectation_with(t0, t_inf, overlap);
+  if (!std::isfinite(ej)) return kInf;
+  const double q = model_.survival_at(t_inf);
+  return ej + overlap(t_inf - t0, q) / (1.0 - q);
+}
+
+double DelayedResubmission::expectation(double t0, double t_inf) const {
+  return expectation_with(t0, t_inf, [&](double length, double q) {
+    return overlap(t0, length, q);
+  });
 }
 
 double DelayedResubmission::second_moment(double t0, double t_inf) const {
@@ -121,11 +158,52 @@ double DelayedResubmission::second_moment(double t0, double t_inf) const {
   const double p = 1.0 - q;
   if (!(p > 0.0)) return kInf;
   const double length = t_inf - t0;
-  double p0, p1;
-  product_integrals(t0, length, p0, p1);
-  const double h_total = p0 + q * (integral_s(t0) - integral_s(length));
-  const double u_total = p1 + q * (integral_us(t0) - integral_us(length));
+  double weighted = 0.0;
+  const double plain = overlap(t0, length, q, &weighted);
+  const double h_total = plain + q * (integral_s(t0) - integral_s(length));
+  const double u_total =
+      weighted + q * (integral_us(t0) - integral_us(length));
   return 2.0 * (integral_us(t0) + u_total / p + t0 * h_total / (p * p));
+}
+
+void DelayedResubmission::Row::reset(double t0) {
+  t0_ = t0;
+  nodes_.clear();
+}
+
+double DelayedResubmission::Row::overlap(double length, double q) {
+  const double step = d_.model_.step();
+  if (nodes_.empty()) {
+    // First read since reset(). Reads come only after the feasibility
+    // check, so 0 < t0 < horizon here.
+    const NodeShift shift = shift_of(t0_, step);
+    shift_ = shift.index;
+    shift_frac_ = shift.frac;
+    acc_.reset();
+    nodes_.push_back({phi_at_node(d_.fgrid_, shift, 0), acc_.value()});
+  }
+  const auto m = node_below(length, step);
+  while (nodes_.size() <= m) {
+    const double next =
+        phi_at_node(d_.fgrid_, {shift_, shift_frac_}, nodes_.size());
+    acc_.add(cell(step, nodes_.back().phi, next));
+    nodes_.push_back({next, acc_.value()});
+  }
+  const Node& node = nodes_[m];
+  return node.prefix + cell(length - node_u(m, step), node.phi,
+                            q * d_.model_.survival_at(length));
+}
+
+double DelayedResubmission::Row::expectation(double t_inf) {
+  return d_.expectation_with(t0_, t_inf, [this](double length, double q) {
+    return overlap(length, q);
+  });
+}
+
+double DelayedResubmission::Row::expected_job_seconds(double t_inf) {
+  return d_.job_seconds_with(t0_, t_inf, [this](double length, double q) {
+    return overlap(length, q);
+  });
 }
 
 double DelayedResubmission::std_deviation(double t0, double t_inf) const {
@@ -236,12 +314,9 @@ double DelayedResubmission::expected_parallel_jobs(double t0,
 
 double DelayedResubmission::expected_job_seconds(double t0,
                                                  double t_inf) const {
-  const double ej = expectation(t0, t_inf);
-  if (!std::isfinite(ej)) return kInf;
-  const double q = model_.survival_at(t_inf);
-  double overlap, unused;
-  product_integrals(t0, t_inf - t0, overlap, unused);
-  return ej + overlap / (1.0 - q);
+  return job_seconds_with(t0, t_inf, [&](double length, double q) {
+    return overlap(t0, length, q);
+  });
 }
 
 double DelayedResubmission::fleet_parallel_jobs(double t0,
@@ -286,14 +361,44 @@ DelayedOptimum DelayedResubmission::optimize(double t0_max) const {
     throw std::invalid_argument("DelayedResubmission::optimize: bad bounds");
   }
   // Parameterize by (t0, ratio) so the feasible region is a rectangle.
-  const auto objective = [this](double t0, double ratio) {
-    return expectation(t0, ratio * t0);
-  };
-  const auto res = numerics::grid_then_nelder_mead(
-      objective, lo, hi, 1.02, 2.0, 96, 40, 1e-10);
-  const double t0 = res.x;
-  const double t_inf = std::min(res.y * res.x, model_.horizon());
-  return pack_optimum(t0, t_inf);
+  // Grid scan first, t0-major: every ratio column of a t0 reads one Row.
+  constexpr std::size_t kT0Points = 96;
+  constexpr std::size_t kRatioPoints = 40;
+  constexpr double kRatioLo = 1.02;
+  constexpr double kRatioHi = 2.0;
+  const double h_t0 = (hi - lo) / static_cast<double>(kT0Points - 1);
+  const double h_ratio =
+      (kRatioHi - kRatioLo) / static_cast<double>(kRatioPoints - 1);
+  double best = kInf, best_t0 = 0.0, best_ratio = 0.0;
+  Row row(*this);
+  for (std::size_t i = 0; i < kT0Points; ++i) {
+    const double t0 = lo + static_cast<double>(i) * h_t0;
+    row.reset(t0);
+    for (std::size_t j = 0; j < kRatioPoints; ++j) {
+      const double ratio = kRatioLo + static_cast<double>(j) * h_ratio;
+      const double v = row.expectation(ratio * t0);
+      if (v < best) {
+        best = v;
+        best_t0 = t0;
+        best_ratio = ratio;
+      }
+    }
+  }
+  // Nelder–Mead from the best cell, on one-shot evaluations.
+  if (std::isfinite(best)) {
+    const auto refined = numerics::nelder_mead(
+        [this](double t0, double ratio) {
+          return expectation(t0, ratio * t0);
+        },
+        {best_t0, best_ratio}, {0.5 * h_t0 + 1e-9, 0.5 * h_ratio + 1e-9},
+        1e-10);
+    if (refined.value <= best && std::isfinite(refined.value)) {
+      best_t0 = refined.x;
+      best_ratio = refined.y;
+    }
+  }
+  return pack_optimum(best_t0,
+                      std::min(best_ratio * best_t0, model_.horizon()));
 }
 
 DelayedOptimum DelayedResubmission::optimize_with_ratio(

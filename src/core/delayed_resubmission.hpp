@@ -23,22 +23,76 @@
 //   expectation_paper_eq5(), and cross-checked against the survival form
 //   and Monte Carlo in the test suite.
 //
+// * Overlap quadrature. With L = t∞ - t0, Φ = q·s on [L, t0], so H and U
+//   reduce to prefix integrals of s plus the overlap integrals ∫₀^L Φ and
+//   ∫₀^L u·Φ(u) du (the first is also E[W]'s duplicated occupancy). Both
+//   are trapezoids on the model grid's nodes u_k = k·step, k = 0…m with
+//   m = ⌊L/step⌋, plus one partial cell [m·step, L]. At a node,
+//   s(u_k) = 1 - F̃_k and s(u_k + t0) is the model's lerp read by index:
+//   with t0/step = j + φ it interpolates F̃_{k+j} and F̃_{k+j+1} at the
+//   fixed fraction φ. The end point is Φ(L) = q·survival_at(L). Cells are
+//   added in node order with Kahan compensation. The nodes depend on t0
+//   only, never on L, so one forward sweep per t0 (a Row) yields every t∞
+//   column as a prefix read plus the partial cell, and each column equals
+//   the one-shot expectation() / expected_job_seconds() bit for bit.
+//
 // * N∥: the paper's case-by-case §6.1 formulas collapse to
 //     N∥(l) = ( Σ_{k=0}^{⌊l/t0⌋} min(l - k·t0, t∞) ) / l,
 //   which reproduces every printed case and the t∞/t0 asymptote. The
 //   paper evaluates N∥ at l = E_J (parallel_jobs()); the distribution-
 //   averaged E[N∥(J)] is provided as expected_parallel_jobs().
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "core/strategy.hpp"
 #include "model/discretized.hpp"
+#include "numerics/kahan.hpp"
 
 namespace gridsub::core {
 
 class DelayedResubmission {
  public:
+  /// The overlap integral of one t0, swept once and read at any t∞ (see
+  /// "Overlap quadrature" above). The sweep extends lazily to the longest
+  /// L = t∞ - t0 read so far; reset() starts the next t0 and keeps the
+  /// buffer. A Row is working storage for one caller: optimizers keep one on
+  /// the stack, so concurrent calls on a shared const DelayedResubmission
+  /// share nothing mutable.
+  class Row {
+   public:
+    /// Keeps a reference to `d` (must outlive this row).
+    explicit Row(const DelayedResubmission& d) : d_(d) {}
+
+    /// Starts the row of `t0`, discarding the previous sweep; the new
+    /// sweep begins at the first feasible read.
+    void reset(double t0);
+    [[nodiscard]] double t0() const { return t0_; }
+
+    /// Equals d.expectation(t0(), t_inf) bit for bit.
+    [[nodiscard]] double expectation(double t_inf);
+    /// Equals d.expected_job_seconds(t0(), t_inf) bit for bit.
+    [[nodiscard]] double expected_job_seconds(double t_inf);
+
+   private:
+    /// ∫₀^length Φ given q = S(t0 + length), extending the sweep to node
+    /// ⌊length/step⌋ first.
+    [[nodiscard]] double overlap(double length, double q);
+
+    struct Node {
+      double phi;     ///< Φ(u_k)
+      double prefix;  ///< ∫₀^{u_k} Φ
+    };
+
+    const DelayedResubmission& d_;
+    double t0_ = 0.0;
+    std::size_t shift_ = 0;    ///< j = ⌊t0/step⌋
+    double shift_frac_ = 0.0;  ///< φ = t0/step - j
+    numerics::KahanAccumulator acc_;
+    std::vector<Node> nodes_;  ///< u_0 … u_k swept so far
+  };
+
   /// Keeps a reference to `m` (must outlive this object).
   explicit DelayedResubmission(const model::DiscretizedLatencyModel& m);
 
@@ -88,7 +142,8 @@ class DelayedResubmission {
   [[nodiscard]] double expected_submissions(double t0, double t_inf) const;
 
   /// Global minimization of E_J over the feasible triangle, parameterized
-  /// as (t0, ratio = t∞/t0) with ratio in (1, 2]. `t0_max` < 0 selects
+  /// as (t0, ratio = t∞/t0) with ratio in (1, 2]: a 96 × 40 grid scan, one
+  /// Row per t0, then Nelder–Mead from the best cell. `t0_max` < 0 selects
   /// horizon/2.
   [[nodiscard]] DelayedOptimum optimize(double t0_max = -1.0) const;
 
@@ -104,15 +159,24 @@ class DelayedResubmission {
   /// Interpolated prefix integrals ∫₀^t s and ∫₀^t u·s(u) du.
   [[nodiscard]] double integral_s(double t) const;
   [[nodiscard]] double integral_us(double t) const;
-  /// ∫₀^L s(u+t0)·s(u) du and ∫₀^L u·s(u+t0)·s(u) du (trapezoid).
-  void product_integrals(double t0, double length, double& plain,
-                         double& weighted) const;
+  /// One-shot sweep of a Row's nodes: ∫₀^L Φ given q = S(t0 + L), and
+  /// ∫₀^L u·Φ(u) du stored in `*weighted` when it is non-null.
+  [[nodiscard]] double overlap(double t0, double length, double q,
+                               double* weighted = nullptr) const;
+  /// E_J and E[W] at (t0, t∞) from `overlap(L, q)` = ∫₀^L Φ. The one-shot
+  /// calls and the Row reads both go through these, so they share every
+  /// operation but the overlap source.
+  template <class Overlap>
+  [[nodiscard]] double expectation_with(double t0, double t_inf,
+                                        Overlap&& overlap) const;
+  template <class Overlap>
+  [[nodiscard]] double job_seconds_with(double t0, double t_inf,
+                                        Overlap&& overlap) const;
   [[nodiscard]] DelayedOptimum pack_optimum(double t0, double t_inf) const;
 
   const model::DiscretizedLatencyModel& model_;
-  /// The model's tabulated F̃ grid, captured once so product_integrals —
-  /// the tuning-objective hot path — sweeps it by index without virtual
-  /// ftilde() dispatch (bit-identical arithmetic; see the .cpp).
+  /// The model's tabulated F̃ grid, captured once so the overlap sweeps
+  /// read it by index without virtual ftilde() dispatch.
   std::span<const double> fgrid_;
   std::vector<double> prefix_s_;   ///< ∫ (1 - F̃)
   std::vector<double> prefix_us_;  ///< ∫ u (1 - F̃(u)) du

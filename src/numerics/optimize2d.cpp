@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 namespace gridsub::numerics {
 
@@ -76,43 +74,6 @@ MinResult2D nelder_mead(const std::function<double(double, double)>& f,
   res.y = s[0].y;
   res.value = s[0].f;
   return res;
-}
-
-MinResult2D grid_then_nelder_mead(
-    const std::function<double(double, double)>& f, double x_lo, double x_hi,
-    double y_lo, double y_hi, std::size_t nx, std::size_t ny, double ftol) {
-  if (!(x_hi >= x_lo) || !(y_hi >= y_lo)) {
-    throw std::invalid_argument("grid_then_nelder_mead: bad bounds");
-  }
-  if (nx < 2) nx = 2;
-  if (ny < 2) ny = 2;
-  MinResult2D best;
-  best.value = std::numeric_limits<double>::infinity();
-  const double hx = (x_hi - x_lo) / static_cast<double>(nx - 1);
-  const double hy = (y_hi - y_lo) / static_cast<double>(ny - 1);
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double x = x_lo + static_cast<double>(i) * hx;
-    for (std::size_t j = 0; j < ny; ++j) {
-      const double y = y_lo + static_cast<double>(j) * hy;
-      const double v = f(x, y);
-      ++best.evaluations;
-      if (v < best.value) {
-        best.value = v;
-        best.x = x;
-        best.y = y;
-      }
-    }
-  }
-  if (!std::isfinite(best.value)) return best;
-  MinResult2D refined =
-      nelder_mead(f, {best.x, best.y}, {0.5 * hx + 1e-9, 0.5 * hy + 1e-9},
-                  ftol);
-  refined.evaluations += best.evaluations;
-  if (refined.value <= best.value && std::isfinite(refined.value)) {
-    return refined;
-  }
-  best.evaluations = refined.evaluations;
-  return best;
 }
 
 }  // namespace gridsub::numerics

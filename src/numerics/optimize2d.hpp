@@ -5,8 +5,9 @@
 // E_J(t0, t∞) must be minimized over the triangular feasible region
 // 0 < t0 < t∞ < 2·t0 (paper §6), possibly with the ratio t∞/t0 fixed
 // (paper §6.2) — the ratio-constrained case reduces to 1D and is handled in
-// core/. The free 2D case uses a feasibility-masked grid scan followed by
-// Nelder-Mead refinement with constraint penalties.
+// core/. The free 2D case is a grid scan in core/ (one overlap sweep per t0
+// serves a whole row of the grid) followed by Nelder-Mead refinement here,
+// with infeasible points signalled as +inf.
 
 #include <array>
 #include <functional>
@@ -28,13 +29,5 @@ MinResult2D nelder_mead(
     const std::function<double(double, double)>& f,
     std::array<double, 2> start, std::array<double, 2> step,
     double ftol = 1e-9, int max_iter = 2000);
-
-/// Dense grid scan over [x_lo,x_hi] x [y_lo,y_hi] (nx x ny points) followed
-/// by Nelder-Mead refinement from the best grid point. Infeasible points may
-/// be signalled by the objective returning +inf.
-MinResult2D grid_then_nelder_mead(
-    const std::function<double(double, double)>& f, double x_lo, double x_hi,
-    double y_lo, double y_hi, std::size_t nx, std::size_t ny,
-    double ftol = 1e-9);
 
 }  // namespace gridsub::numerics

@@ -6,7 +6,9 @@
 
 #include <cmath>
 
+#include "stats/rng.hpp"
 #include "test_util.hpp"
+#include "traces/trace.hpp"
 
 namespace gridsub::core {
 namespace {
@@ -79,18 +81,53 @@ TEST(CostModel, DelayedCostOptimumBeatsOrMatchesBaseline) {
   EXPECT_DOUBLE_EQ(opt.t_inf, std::round(opt.t_inf));
 }
 
+/// The model an advisor key refits on: a 200-observation window with a
+/// 4000 s timeout, discretized at 20 s.
+model::DiscretizedLatencyModel advisor_window_model() {
+  const auto source = testutil::make_heavy_model(0.05, 4000.0);
+  stats::Rng rng(20090611);
+  traces::Trace window("advisor-window", 4000.0);
+  for (int i = 0; i < 200; ++i) {
+    const double latency = source.sample(rng);
+    if (model::is_outlier_sample(latency) || latency >= window.timeout()) {
+      window.add_outlier(0.0);
+    } else {
+      window.add_completed(0.0, latency);
+    }
+  }
+  return model::DiscretizedLatencyModel::from_trace(window, 20.0);
+}
+
+double score(const CostEvaluation& e, CostDefinition definition) {
+  return definition == CostDefinition::kFleet ? e.delta_cost_fleet
+                                              : e.delta_cost;
+}
+
 TEST(CostModel, CostOptimumIsNoWorseThanNearbyIntegerPoints) {
-  const auto m = shared_model();
-  const CostModel cost(m);
-  const auto opt = cost.optimize_delayed_cost();
-  for (int d0 = -3; d0 <= 3; ++d0) {
-    for (int di = -3; di <= 3; ++di) {
-      const double t0 = opt.t0 + d0;
-      const double ti = opt.t_inf + di;
-      if (!cost.delayed().feasible(t0, ti)) continue;
-      EXPECT_GE(cost.evaluate_delayed(t0, ti).delta_cost,
-                opt.delta_cost - 1e-9)
-          << "offset " << d0 << "," << di;
+  // The optimizer scores points off per-t0 rows; evaluate_delayed() is
+  // one-shot. At the test model's 1 s step and at the advisor's 20 s step,
+  // under either accounting, no integer neighbour of the returned optimum
+  // may score better by more than roundoff.
+  const auto fine = shared_model();
+  const auto advisor = advisor_window_model();
+  for (const auto* m : {&fine, &advisor}) {
+    const CostModel cost(*m);
+    for (const auto definition :
+         {CostDefinition::kPaperPoint, CostDefinition::kFleet}) {
+      const auto opt = cost.optimize_delayed_cost(-1.0, -1.0, definition);
+      const double best = score(opt, definition);
+      for (int d0 = -3; d0 <= 3; ++d0) {
+        for (int di = -3; di <= 3; ++di) {
+          const double t0 = opt.t0 + d0;
+          const double ti = opt.t_inf + di;
+          if (!cost.delayed().feasible(t0, ti)) continue;
+          EXPECT_GE(score(cost.evaluate_delayed(t0, ti), definition),
+                    best - 1e-9)
+              << "step " << m->step() << ", fleet "
+              << (definition == CostDefinition::kFleet) << ", offset " << d0
+              << "," << di;
+        }
+      }
     }
   }
 }

@@ -42,34 +42,5 @@ TEST(NelderMead, ContractsAwayFromInfeasibleRegion) {
   EXPECT_NEAR(res.y, 0.0, 1e-3);
 }
 
-TEST(GridThenNelderMead, FindsGlobalAmongMultipleWells) {
-  // Four wells; the deepest is at (3, -3).
-  const auto f = [](double x, double y) {
-    const auto well = [](double cx, double cy, double depth, double x0,
-                         double y0) {
-      const double d2 = (x0 - cx) * (x0 - cx) + (y0 - cy) * (y0 - cy);
-      return -depth / (1.0 + d2);
-    };
-    return well(-3, -3, 1.0, x, y) + well(-3, 3, 1.5, x, y) +
-           well(3, 3, 2.0, x, y) + well(3, -3, 3.0, x, y);
-  };
-  const auto res =
-      grid_then_nelder_mead(f, -6.0, 6.0, -6.0, 6.0, 25, 25, 1e-12);
-  EXPECT_NEAR(res.x, 3.0, 0.1);
-  EXPECT_NEAR(res.y, -3.0, 0.1);
-}
-
-TEST(GridThenNelderMead, AllInfeasibleReturnsInf) {
-  const auto f = [](double, double) { return kInf; };
-  const auto res = grid_then_nelder_mead(f, 0.0, 1.0, 0.0, 1.0, 5, 5);
-  EXPECT_FALSE(std::isfinite(res.value));
-}
-
-TEST(GridThenNelderMead, RejectsBadBounds) {
-  const auto f = [](double x, double y) { return x + y; };
-  EXPECT_THROW(grid_then_nelder_mead(f, 1.0, 0.0, 0.0, 1.0, 4, 4),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace gridsub::numerics
