@@ -19,7 +19,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/grid.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer_wheel.hpp"
 #include "stats/rng.hpp"
 #include "traces/datasets.hpp"
 #include "traces/scenarios.hpp"
@@ -172,77 +171,6 @@ void BM_EventQueueCancelStorm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelStorm);
 
-// Timer-wheel microbenches. Each queue bench runs with the wheel enabled
-// (second arg 1) and heap-only (0) over the same pending population, so
-// the wheel-vs-heap ratio is read straight out of BENCH_perf_micro.json
-// and guarded by scripts/compare_bench.py. BM_MillionClientTick carries
-// the headline: events/s on the timeout-heavy churn, wheel vs. heap.
-
-sim::TimerWheelConfig wheel_config(bool enabled) {
-  sim::TimerWheelConfig config;
-  config.enabled = enabled;
-  return config;
-}
-
-void BM_TimerWheelArmCancel(benchmark::State& state) {
-  // N clients hold armed t_inf timeouts; each op cancels one and re-arms
-  // it — pure arm/cancel churn with no time progress, so the cost is
-  // insertion plus the amortized compaction sweep over canceled residue.
-  sim::EventQueue q(wheel_config(state.range(1) != 0));
-  std::uint64_t sink = 0;
-  const EventPayload payload{&sink, 7, {1, 2, 3, 4}};
-  const auto pending = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::EventId> armed(pending);
-  for (std::size_t i = 0; i < pending; ++i) {
-    armed[i] = q.push(900.0 + 0.05 * static_cast<double>(i % 4096),
-                      [&sink, payload] { sink += payload.handle; });
-  }
-  std::size_t slot = 0;
-  constexpr int kBatch = 256;
-  for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      q.cancel(armed[slot]);
-      armed[slot] = q.push(900.0 + 0.05 * static_cast<double>(slot % 4096),
-                           [&sink, payload] { sink += payload.handle; });
-      slot = (slot + 1) % pending;
-    }
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kBatch);
-}
-BENCHMARK(BM_TimerWheelArmCancel)->Args({1 << 20, 0})->Args({1 << 20, 1});
-
-void BM_TimerWheelRotate(benchmark::State& state) {
-  // Raw wheel machinery: file entries across all three levels, then
-  // rotate until drained — the promotion cost the queue pays as time
-  // advances across the filed range.
-  sim::TimerWheel wheel{sim::TimerWheelConfig{}};
-  std::vector<sim::TimerEntry> batch;
-  std::uint64_t seq = 1;
-  std::uint64_t drained = 0;
-  const auto entries = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const double base = wheel.cursor_time() + 256.0;
-    for (std::size_t i = 0; i < entries; ++i) {
-      // 64 s stride over ~16.6M s spreads the population over all levels.
-      const double offset = 64.0 * static_cast<double>((i * 7919) % 260000);
-      wheel.try_insert(sim::TimerEntry{base + offset, seq,
-                                       static_cast<std::uint32_t>(i), 1});
-      ++seq;
-    }
-    while (!wheel.empty()) {
-      batch.clear();
-      wheel.rotate_into(batch);
-      drained += batch.size();
-    }
-  }
-  benchmark::DoNotOptimize(drained);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(entries));
-}
-BENCHMARK(BM_TimerWheelRotate)->Arg(1 << 14);
-
 /// Shared state for BM_MillionClientTick's self-rearming timeouts.
 struct TickCtx {
   sim::EventQueue* q;
@@ -272,12 +200,9 @@ void BM_MillionClientTick(benchmark::State& state) {
   // owner re-arms the next round, while kChurn clients whose copies got
   // seats cancel their timeouts and re-arm later ones — the b=3 pattern
   // where a settled task cancels its sibling copies' timeouts. The live
-  // population stays at exactly N. Heap-only, every pop sifts down
-  // log2(N) cache-missing levels of the big heap and canceled residue
-  // deepens it; with the wheel, arm and cancel never touch the heap at
-  // all. The wheel/heap events-per-second ratio at 2^20 pending is the
-  // headline number.
-  sim::EventQueue q(wheel_config(state.range(1) != 0));
+  // population stays at exactly N, so every pop, cancel and arm sifts
+  // through log2(N) cache-missing levels of one big heap.
+  sim::EventQueue q;
   const auto pending = static_cast<std::size_t>(state.range(0));
   std::vector<sim::EventId> armed(pending);
   TickCtx ctx{&q, &armed, 0.0, 0};
@@ -309,8 +234,8 @@ void BM_MillionClientTick(benchmark::State& state) {
     }
   };
   // Cycle the initial population once so the measured window sees the
-  // steady state — canceled residue surfacing at the head at the same
-  // rate it is produced — not the artificially clean start-up phase.
+  // steady state — a heap shaped by arbitrary-position cancels — not the
+  // artificially clean start-up phase.
   while (ctx.now < 1600.0) tick();
   constexpr int kBatch = 256;
   for (auto _ : state) {
@@ -323,11 +248,7 @@ void BM_MillionClientTick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kBatch);
 }
-BENCHMARK(BM_MillionClientTick)
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1});
+BENCHMARK(BM_MillionClientTick)->Arg(1 << 17)->Arg(1 << 20);
 
 void BM_CeSubmitCancel(benchmark::State& state) {
   // Submit into a saturated CE and cancel while queued — the strategy

@@ -3,16 +3,12 @@
 // paper's "multiple submission raises infrastructure load" caveat — is
 // measured inside one grid instead of averaged over many small cells.
 //
-// Three sections:
+// Two sections:
 //   1. Scale sweep: replay a stationary scenario week into one
 //      GridSimulation while N mixed-strategy clients run their task
 //      streams; the headline is events/sec of simulation progress plus
 //      peak RSS per point.
-//   2. Wheel A/B: the same timeout-heavy (delayed/multiple only) grid
-//      with the timer wheel enabled vs. the heap-only queue, on a
-//      deliberately scarce grid so armed-then-canceled t_inf timeouts
-//      dominate — the regime the wheel exists for.
-//   3. Equilibrium study (bench_des_feedback's question at scale): sweep
+//   2. Equilibrium study (bench_des_feedback's question at scale): sweep
 //      the fraction of clients that tune (multiple b=3) against a naive
 //      single-resubmission population and report per-group mean J — what
 //      happens when *everyone* tunes is read off the 100% row.
@@ -66,9 +62,7 @@ double peak_rss_mib() {
 }
 
 /// The three paper strategies, assigned round-robin for the mixed
-/// population; the timeout-heavy mix drops the single strategy (its
-/// timeouts are the ones that usually *fire*; the wheel's win case is
-/// timeouts that are armed and then canceled).
+/// population.
 sim::StrategySpec mixed_spec(std::size_t i) {
   sim::StrategySpec spec;
   switch (i % 3) {
@@ -90,11 +84,6 @@ sim::StrategySpec mixed_spec(std::size_t i) {
   return spec;
 }
 
-sim::StrategySpec timeout_heavy_spec(std::size_t i) {
-  sim::StrategySpec spec = mixed_spec(1 + (i % 2));
-  return spec;
-}
-
 struct PointResult {
   std::size_t clients = 0;
   std::uint64_t events = 0;
@@ -111,12 +100,11 @@ struct PointResult {
 /// replayed scenario week, bounded horizon. Clients keep running means
 /// only (record_outcomes=false) so memory scales with N, not N x tasks.
 PointResult run_point(
-    std::size_t n_clients, bool wheel_enabled, double horizon,
+    std::size_t n_clients, double horizon,
     std::size_t tasks_per_client, std::size_t slots_per_client_x1000,
     const std::function<sim::StrategySpec(std::size_t)>& spec_for,
     const traces::Workload* week, double task_runtime = 1.0) {
   sim::GridConfig config = sim::GridConfig::egee_like();
-  config.timer_wheel.enabled = wheel_enabled;
   // Capacity grows with the population (a grid serving 10^6 users has
   // more than 10^3 cores); the divisor picks how contended it is.
   const std::size_t factor =
@@ -236,15 +224,13 @@ int main() {
       quick ? std::vector<std::size_t>{10'000, 32'000, 100'000}
             : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
   const std::size_t tasks = quick ? 4 : 8;
-  const std::size_t ab_clients = quick ? 32'000 : 200'000;
-  const double ab_horizon = quick ? 6.0e4 : 3.0e5;
   const std::size_t eq_clients = quick ? 10'000 : 100'000;
   const double eq_horizon = 1.2e5;
 
   // Item list (fixed order => stable shard ownership): sweep points,
-  // wheel A/B pair, equilibrium fractions.
+  // equilibrium fractions.
   const std::vector<int> eq_tuned_of_4 = {0, 1, 2, 4};
-  const std::size_t n_items = sweep.size() + 2 + eq_tuned_of_4.size();
+  const std::size_t n_items = sweep.size() + eq_tuned_of_4.size();
   ItemRunner runner;
   std::size_t item = 0;
 
@@ -254,8 +240,8 @@ int main() {
   std::vector<PointResult> sweep_results;
   for (const std::size_t n : sweep) {
     runner.run(item++, n_items, "sweep n=" + std::to_string(n), [&] {
-      sweep_results.push_back(run_point(n, /*wheel_enabled=*/true, week,
-                                        tasks, /*slots_per_client_x1000=*/1000,
+      sweep_results.push_back(run_point(n, week, tasks,
+                                        /*slots_per_client_x1000=*/1000,
                                         mixed_spec, &stationary));
     });
   }
@@ -280,49 +266,7 @@ int main() {
     std::cout << '\n';
   }
 
-  // --- 2. wheel A/B on the timeout-heavy mix ----------------------------
-  PointResult with_wheel;
-  PointResult heap_only;
-  bool ran_wheel = runner.run(item++, n_items, "A/B wheel on", [&] {
-    with_wheel = run_point(ab_clients, true, ab_horizon, /*tasks=*/2,
-                           /*slots_per_client_x1000=*/31, timeout_heavy_spec,
-                           nullptr);
-  });
-  bool ran_heap = runner.run(item++, n_items, "A/B wheel off", [&] {
-    heap_only = run_point(ab_clients, false, ab_horizon, /*tasks=*/2,
-                          /*slots_per_client_x1000=*/31, timeout_heavy_spec,
-                          nullptr);
-  });
-  if (ran_wheel || ran_heap) {
-    report::Table table(
-        {"queue", "events", "events/s", "wall (s)", "tasks done"});
-    for (const auto* r : {&with_wheel, &heap_only}) {
-      if (r->clients == 0) continue;
-      table.row()
-          .cell(r == &with_wheel ? "timer wheel" : "heap only")
-          .cell(static_cast<long long>(r->events))
-          .cell(r->events_per_second, 0)
-          .cell(r->wall_seconds, 2)
-          .cell(static_cast<long long>(r->tasks_done));
-    }
-    std::cout << "timeout-heavy mix (multiple b=3 + delayed), "
-              << ab_clients << " clients on a scarce grid:\n";
-    table.print(std::cout);
-    if (ran_wheel && ran_heap && heap_only.events_per_second > 0.0) {
-      // End-to-end sim ratio: matchmaking and CE costs dilute the queue
-      // win at this scale; BM_MillionClientTick (bench_perf_micro)
-      // isolates the queue and carries the >=2x wheel/heap headline.
-      std::printf("wheel events/s ratio: %.2fx end-to-end; trajectories "
-                  "identical: events %s, tasks %s\n",
-                  with_wheel.events_per_second / heap_only.events_per_second,
-                  with_wheel.events == heap_only.events ? "equal" : "DIFFER",
-                  with_wheel.tasks_done == heap_only.tasks_done ? "equal"
-                                                                : "DIFFER");
-    }
-    std::cout << '\n';
-  }
-
-  // --- 3. everyone-tunes equilibrium ------------------------------------
+  // --- 2. everyone-tunes equilibrium ------------------------------------
   struct EqRow {
     int tuned_of_4;
     PointResult result;
@@ -352,7 +296,7 @@ int main() {
                  // burns real slot-time before its sibling's completion
                  // cancels it, so everyone tuning has a visible cost.
                  eq_rows.push_back(
-                     {tuned, run_point(eq_clients, true, eq_horizon,
+                     {tuned, run_point(eq_clients, eq_horizon,
                                        /*tasks=*/3,
                                        /*slots_per_client_x1000=*/150,
                                        spec_for, nullptr,

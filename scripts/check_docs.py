@@ -18,6 +18,11 @@ renamed or retired rule cannot leave stale allows behind.  (The linter
 itself flags unknown allows, but only inside the directories it scans;
 this sweep covers the whole tree.)
 
+Also cross-checks the test count: docs/architecture.md's "N ctest tests
+(M GoogleTest suites ..." must match tests/CMakeLists.txt, where M is
+the number of suites in the GRIDSUB_TESTS_* lists and N adds the
+literally named add_test() tooling entries.
+
 Exit code 1 with a file:line report on any violation.
 """
 
@@ -29,6 +34,11 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from lint_determinism import EXTENSIONS, RULES  # noqa: E402
 
 ALLOW_NAME_RE = re.compile(r"gridsub-lint:\s*allow(?:-file)?\(\s*([\w-]+)\s*\)")
+
+TEST_LIST_RE = re.compile(r"\bset\(\s*GRIDSUB_TESTS_\w+(.*?)\)", re.S)
+TOOLING_TEST_RE = re.compile(r"add_test\(\s*NAME\s+([A-Za-z_][\w-]*)")
+CMAKE_COMMENT_RE = re.compile(r"(^|\s)#[^\n]*")
+DOC_TEST_COUNT_RE = re.compile(r"(\d+) ctest tests \((\d+) GoogleTest suites")
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
@@ -126,6 +136,40 @@ def check_lint_allows(repo_root, errors):
                                     "lint_determinism.py's rule table")
 
 
+def count_registered_tests(cmake_path):
+    """(GoogleTest suites, tooling tests) registered in tests/CMakeLists.txt."""
+    with open(cmake_path, encoding="utf-8") as fh:
+        text = CMAKE_COMMENT_RE.sub(r"\1", fh.read())
+    suites = sum(len(body.split()) for body in TEST_LIST_RE.findall(text))
+    return suites, len(TOOLING_TEST_RE.findall(text))
+
+
+def check_test_counts(repo_root, errors):
+    """Flag a docs/architecture.md test count that tests/ no longer has."""
+    cmake = os.path.join(repo_root, "tests", "CMakeLists.txt")
+    doc = os.path.join(repo_root, "docs", "architecture.md")
+    if not (os.path.exists(cmake) and os.path.exists(doc)):
+        return
+    suites, tooling = count_registered_tests(cmake)
+    rel = os.path.relpath(doc, repo_root)
+    found = False
+    with open(doc, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            for m in DOC_TEST_COUNT_RE.finditer(line):
+                found = True
+                total, gtest = int(m.group(1)), int(m.group(2))
+                if (total, gtest) != (suites + tooling, suites):
+                    errors.append(
+                        f"{rel}:{lineno}: says {total} ctest tests "
+                        f"({gtest} GoogleTest suites), but "
+                        f"tests/CMakeLists.txt registers "
+                        f"{suites + tooling} ({suites} GoogleTest suites "
+                        f"+ {tooling} tooling tests)")
+    if not found:
+        errors.append(f"{rel}: no 'N ctest tests (M GoogleTest suites' "
+                      "count found to check against tests/CMakeLists.txt")
+
+
 def main():
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     targets = [os.path.join(repo_root, "README.md"),
@@ -143,6 +187,7 @@ def main():
             continue
         check_file(repo_root, path, errors)
     check_lint_allows(repo_root, errors)
+    check_test_counts(repo_root, errors)
 
     for error in errors:
         print(f"[docs] {error}", file=sys.stderr)

@@ -7,11 +7,6 @@
 
 namespace gridsub::numerics {
 
-double trapezoid(const std::function<double(double)>& f, double a, double b,
-                 std::size_t n) {
-  return detail::trapezoid_impl(f, a, b, n);
-}
-
 double trapezoid_tabulated(std::span<const double> y, double dx) {
   if (y.size() < 2) {
     throw std::invalid_argument("trapezoid_tabulated: need >= 2 samples");
@@ -22,16 +17,6 @@ double trapezoid_tabulated(std::span<const double> y, double dx) {
   KahanAccumulator acc(0.5 * (y.front() + y.back()));
   for (std::size_t i = 1; i + 1 < y.size(); ++i) acc.add(y[i]);
   return acc.value() * dx;
-}
-
-double simpson(const std::function<double(double)>& f, double a, double b,
-               std::size_t n) {
-  return detail::simpson_impl(f, a, b, n);
-}
-
-double adaptive_simpson(const std::function<double(double)>& f, double a,
-                        double b, double tol, int max_depth) {
-  return detail::adaptive_simpson_impl(f, a, b, tol, max_depth);
 }
 
 std::vector<double> cumulative_trapezoid(std::span<const double> y,

@@ -12,12 +12,8 @@
 // passing a lambda (or any callable) instantiates a direct-call kernel — no
 // std::function construction, no type-erased indirection per sample, which
 // matters when a tuning objective evaluates thousands of integrals per fit.
-// Thin std::function overloads are kept as forwarders so existing callers
-// (and out-of-line call sites that genuinely need type erasure) keep
-// working unchanged.
 
 #include <cmath>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -101,10 +97,6 @@ double trapezoid(F&& f, double a, double b, std::size_t n) {
   return detail::trapezoid_impl(f, a, b, n);
 }
 
-/// Type-erased forwarder (prefer the template at new call sites).
-double trapezoid(const std::function<double(double)>& f, double a, double b,
-                 std::size_t n);
-
 /// Trapezoid rule over tabulated samples y[i] = f(a + i*dx), i = 0..y.size()-1.
 /// Requires y.size() >= 2 and dx > 0.
 double trapezoid_tabulated(std::span<const double> y, double dx);
@@ -116,10 +108,6 @@ double simpson(F&& f, double a, double b, std::size_t n) {
   return detail::simpson_impl(f, a, b, n);
 }
 
-/// Type-erased forwarder (prefer the template at new call sites).
-double simpson(const std::function<double(double)>& f, double a, double b,
-               std::size_t n);
-
 /// Adaptive Simpson quadrature with absolute tolerance `tol` and a recursion
 /// depth cap. Suitable for smooth integrands (parametric densities).
 template <typename F>
@@ -128,10 +116,6 @@ double adaptive_simpson(F&& f, double a, double b, double tol = 1e-9,
                         int max_depth = 30) {
   return detail::adaptive_simpson_impl(f, a, b, tol, max_depth);
 }
-
-/// Type-erased forwarder (prefer the template at new call sites).
-double adaptive_simpson(const std::function<double(double)>& f, double a,
-                        double b, double tol = 1e-9, int max_depth = 30);
 
 /// Cumulative trapezoid integral of tabulated samples: returns c with
 /// c[i] = integral of the linear interpolant of y over [0, i*dx];

@@ -90,11 +90,6 @@ ComputingElement::JobHandle ComputingElement::submit(
     throw std::invalid_argument("ComputingElement::submit: runtime < 0");
   }
   if (metrics_) ++metrics_->jobs_dispatched;
-  if (!available_) {
-    // Gateway down: the job vanishes in the submission chain.
-    if (metrics_) ++metrics_->jobs_faulted;
-    return make_handle(kNilIndex, fault_serial_++);
-  }
   if (fault_prob_ > 0.0 && rng_.bernoulli(fault_prob_)) {
     // Silently lost: the handle never maps to a slot; cancel() on it is a
     // no-op returning false, and the client's timeout is the only detector.

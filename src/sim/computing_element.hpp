@@ -26,10 +26,10 @@
 // whole-grid runs to stay byte-identical. Ghosts are just integers (a
 // per-entry predecessor count plus a lane tail count), so a saturated CE
 // accumulating canceled jobs costs words, not slots. Handles for jobs
-// dropped at arrival (gateway down, silent fault) carry an out-of-range
-// slot index, so they can never resolve; cancel() on them reports false,
-// which is exactly the real infrastructure's behaviour (nothing to cancel
-// — the job vanished in the submission chain).
+// silently faulted at arrival carry an out-of-range slot index, so they
+// can never resolve; cancel() on them reports false, which is exactly the
+// real infrastructure's behaviour (nothing to cancel — the job vanished
+// in the submission chain).
 
 #include <cstdint>
 #include <functional>
@@ -74,14 +74,6 @@ class ComputingElement {
   /// including stale handles whose slot has been recycled (generation
   /// check) and handles of silently-faulted submissions.
   bool cancel(JobHandle handle);
-
-  /// Site availability (gateway up/down). While down, every submission is
-  /// silently lost — the client's timeout is the only detector, exactly
-  /// like the paper's "local configuration issues". Queued and running
-  /// jobs are unaffected (the batch system behind the gateway keeps
-  /// working).
-  void set_available(bool available) { available_ = available; }
-  [[nodiscard]] bool available() const { return available_; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int slots() const { return slots_; }
@@ -162,7 +154,6 @@ class ComputingElement {
   /// Distinct never-resolving handles for silently dropped submissions.
   std::uint32_t fault_serial_ = 1;
   int running_ = 0;
-  bool available_ = true;
 };
 
 }  // namespace gridsub::sim

@@ -1,15 +1,10 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace gridsub::sim {
 
 namespace {
-
-/// Below this queued size, canceled residue is too small to matter;
-/// skipping compaction keeps the common small-queue path branch-cheap.
-constexpr std::size_t kCompactionFloor = 64;
 
 constexpr EventId make_id(std::uint32_t index, std::uint32_t generation) {
   return (static_cast<EventId>(generation) << 32) | index;
@@ -26,37 +21,69 @@ EventId EventQueue::push(SimTime time, SmallFn fn, bool daemon) {
   std::uint32_t index;
   if (free_head_ != kNilIndex) {
     index = free_head_;
-    SlotMeta& s = slots_[index];
-    free_head_ = s.next_free;
-    s.next_free = kNilIndex;
-    s.live = true;
-    s.daemon = daemon;
+    free_head_ = slots_[index].next_free;
     fns_[index] = std::move(fn);
   } else {
     index = static_cast<std::uint32_t>(slots_.size());
-    SlotMeta& s = slots_.emplace_back();
-    s.live = true;
-    s.daemon = daemon;
+    slots_.emplace_back();
     fns_.push_back(std::move(fn));
   }
-  const Entry entry{time, next_seq_++, index, slots_[index].generation};
-  // Far-future events go straight to a wheel bucket — O(1), no sift — and
-  // reach the heap only if their bucket ever rotates due. Near/declined
-  // ones take the classic heap path.
-  if (!wheel_.try_insert(entry)) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
+  SlotMeta& s = slots_[index];
+  s.live = true;
+  s.daemon = daemon;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{time, next_seq_++, index});
   ++alive_;
   if (!daemon) ++live_count_;
-  return make_id(index, entry.generation);
+  return make_id(index, s.generation);
+}
+
+void EventQueue::place(std::size_t pos, const Entry& e) {
+  heap_[pos] = e;
+  slots_[e.slot].next_free = static_cast<std::uint32_t>(pos);
+}
+
+void EventQueue::sift_up(std::size_t pos, const Entry& e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void EventQueue::sift_down(std::size_t pos, const Entry& e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+void EventQueue::remove_at(std::size_t pos) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;  // the removed entry was the last one
+  // The last entry comes from another subtree, so it may order before the
+  // hole's parent as well as after the hole's children.
+  if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
 }
 
 void EventQueue::release(std::uint32_t index) {
   SlotMeta& s = slots_[index];
   fns_[index] = SmallFn{};  // drop any heap-held capture now, not at reuse
   s.live = false;
-  ++s.generation;  // ids and queued entries naming the old tenant go stale
+  ++s.generation;  // ids naming the old tenant go stale
   s.next_free = free_head_;
   free_head_ = index;
   --alive_;
@@ -69,55 +96,21 @@ bool EventQueue::cancel(EventId id) {
   if (index >= slots_.size()) return false;
   const SlotMeta& s = slots_[index];
   if (!s.live || s.generation != generation) return false;
-  release(index);  // heap/wheel entry is dropped lazily...
-  // ...unless dead entries outnumber live ones across both structures:
-  // then filter in place, which bounds the total at O(live) under
-  // cancel/reschedule storms.
-  if (queued() > kCompactionFloor && queued() > 2 * alive_) {
-    compact();
-  }
+  remove_at(s.next_free);
+  release(index);
   return true;
 }
 
-void EventQueue::compact() {
-  std::erase_if(heap_, [this](const Entry& e) { return entry_dead(e); });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  wheel_.erase_if([this](const Entry& e) { return entry_dead(e); });
-}
-
-void EventQueue::settle() const {
-  for (;;) {
-    while (!heap_.empty() && entry_dead(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-    if (wheel_.empty()) return;
-    if (!heap_.empty() && heap_.front().time < wheel_.cursor_time()) return;
-    // The heap top could tie or lose against a wheel entry: rotate the
-    // earliest bucket in and let the heap order it (original seq intact).
-    promote_buf_.clear();
-    wheel_.rotate_into(promote_buf_);
-    for (const Entry& e : promote_buf_) {
-      if (entry_dead(e)) continue;  // canceled in its bucket: never heapified
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-    }
-  }
-}
-
 SimTime EventQueue::next_time() const {
-  settle();
   if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
   return heap_.front().time;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  settle();
   if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
   const Entry top = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
-  Fired fired{top.time, make_id(top.slot, top.generation),
+  remove_at(0);
+  Fired fired{top.time, make_id(top.slot, slots_[top.slot].generation),
               std::move(fns_[top.slot])};
   release(top.slot);
   return fired;

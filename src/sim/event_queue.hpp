@@ -3,12 +3,10 @@
 // Cancellable discrete-event queue.
 //
 // Grid clients cancel jobs all the time (that is what the paper's
-// strategies *are*), so cancellation is first-class: push() returns an id,
-// cancel() lazily invalidates it. Ties in time are broken by insertion
-// order, which keeps runs deterministic. Canceled entries are dropped
-// lazily, but cancel() compacts whenever dead entries outnumber live ones
-// — a timeout strategy that cancels and reschedules for a whole simulated
-// week keeps the structures at O(live), not O(canceled).
+// strategies *are*: every single, multiple or delayed client arms a t_inf
+// timeout and usually cancels it), so cancellation is first-class: push()
+// returns an id and cancel() removes the event at once. Ties in time are
+// broken by insertion order, which keeps runs deterministic.
 //
 // Events come in two flavours. Regular events keep the simulation alive;
 // *daemon* events are housekeeping (e.g. the WMS refreshing its stale load
@@ -19,28 +17,24 @@
 // (generation << 32) | slot index, so push is a free-list pop + vector
 // write and cancel is a bounds check + generation compare — no hashing,
 // and (with SmallFn's inline buffer) no heap allocation for the common
-// events. Slot state is struct-of-arrays: the 12-byte metadata the heap
-// and compaction scans actually read (generation, liveness, free chain)
+// events. Slot state is struct-of-arrays: the 12-byte metadata that
+// cancel() and the heap sifts touch (generation, liveness, position)
 // lives apart from the 64-byte SmallFn payload, which only pop() touches.
 // Freeing a slot bumps its generation, so a stale id whose slot was
 // recycled fails the generation check instead of cancelling a stranger's
 // event.
 //
-// Ordering is two-tier. Near-future events sit on a binary heap; far-future
-// ones (the t_inf timeout armada that delayed/multiple strategies arm and
-// usually cancel) go to a hierarchical timer wheel (timer_wheel.hpp) where
-// arm and cancel are O(1) and never sift the heap. settle() promotes wheel
-// buckets into the heap strictly before their window can contain the global
-// minimum, and promoted entries carry their original push sequence number,
-// so pop order — including the monotone-seq FIFO tie-break — is
-// byte-identical to a heap-only build (construct with enabled=false for the
-// reference path).
+// Ordering is one indexed binary min-heap on (time, seq), where seq is a
+// monotone push counter. The keys are unique, so the pop sequence is fully
+// determined by them. Every live slot records its entry's heap position,
+// which makes cancel() an O(log n) removal instead of a tombstone: the
+// heap never holds a dead entry, so it stays at exactly size() entries
+// under any cancel/reschedule storm.
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/small_fn.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace gridsub::sim {
 
@@ -54,8 +48,6 @@ using EventId = std::uint64_t;
 
 class EventQueue {
  public:
-  explicit EventQueue(const TimerWheelConfig& wheel = {}) : wheel_(wheel) {}
-
   /// Schedules `fn` at `time`; returns a cancellation handle. Daemon
   /// events do not count towards liveness (see live_size()).
   EventId push(SimTime time, SmallFn fn, bool daemon = false);
@@ -75,13 +67,9 @@ class EventQueue {
   /// reaches zero, even if periodic daemon events are still scheduled.
   [[nodiscard]] std::size_t live_size() const { return live_count_; }
 
-  /// Heap + wheel entries currently allocated, canceled residue included.
-  /// Bounded at max(compaction floor, 2 × size()) by cancel()-time
-  /// compaction; the regression test for cancel-heavy strategies asserts
-  /// this bound.
-  [[nodiscard]] std::size_t queued() const {
-    return heap_.size() + wheel_.size();
-  }
+  /// Heap entries currently allocated. cancel() removes its entry
+  /// eagerly, so this always equals size(); the cancel-storm tests pin it.
+  [[nodiscard]] std::size_t queued() const { return heap_.size(); }
 
   /// Time of the earliest live event; requires !empty().
   [[nodiscard]] SimTime next_time() const;
@@ -97,46 +85,43 @@ class EventQueue {
  private:
   static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
 
-  /// Hot per-slot metadata — everything the heap/wheel scans consult.
-  /// Freed slots are chained through `next_free`; the generation is bumped
-  /// on release so ids referring to the old tenant go stale. The callback
-  /// payload lives in the parallel `fns_` array (cold: pop()-only).
+  /// Hot per-slot metadata. A free slot chains to the next free one
+  /// through `next_free`; a live slot stores its heap position there. The
+  /// two uses never overlap (a slot is either on the free list or in the
+  /// heap), so one field serves both. The generation is bumped on release
+  /// so ids referring to the old tenant go stale. The callback payload
+  /// lives in the parallel `fns_` array (cold: pop()-only).
   struct SlotMeta {
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNilIndex;
     bool live = false;
     bool daemon = false;
   };
-  /// Pending-event record shared by the heap and the wheel; `seq` is the
-  /// monotone push counter that implements the FIFO tie-break.
-  using Entry = TimerEntry;
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;  // FIFO among simultaneous events
-    }
+  /// Heap record; `seq` is the monotone push counter that implements the
+  /// FIFO tie-break among simultaneous events.
+  struct Entry {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
 
-  [[nodiscard]] bool entry_dead(const Entry& e) const {
-    const SlotMeta& s = slots_[e.slot];
-    return !s.live || s.generation != e.generation;
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
   }
+  /// Writes `e` at heap position `pos` and records that position.
+  void place(std::size_t pos, const Entry& e);
+  /// Moves `e` up from the hole at `pos` to its heap position.
+  void sift_up(std::size_t pos, const Entry& e);
+  /// Moves `e` down from the hole at `pos` to its heap position.
+  void sift_down(std::size_t pos, const Entry& e);
+  /// Removes the entry at `pos`: the last entry fills the hole and sifts
+  /// whichever way restores the heap order.
+  void remove_at(std::size_t pos);
   /// Returns the slot to the free list and invalidates outstanding ids.
   void release(std::uint32_t index);
-  /// Pops dead heap heads and promotes due wheel buckets until the heap
-  /// top (if any) is provably the global minimum: every wheel entry has
-  /// time >= wheel cursor, so `top.time < cursor_time()` ends the loop.
-  /// Promotion at >= keeps time-ties flowing through the heap, where seq
-  /// settles them.
-  void settle() const;
-  void compact();
 
-  /// Min-heap (std::push_heap/pop_heap with Later) over a plain vector so
-  /// compaction can filter dead entries in place in O(n). Mutable (with
-  /// the wheel) because next_time() settles lazily.
-  mutable std::vector<Entry> heap_;
-  mutable TimerWheel wheel_;
-  mutable std::vector<Entry> promote_buf_;  ///< settle() scratch
+  std::vector<Entry> heap_;  ///< binary min-heap under before()
   std::vector<SlotMeta> slots_;
   std::vector<SmallFn> fns_;  ///< cold payloads, parallel to slots_
   std::uint32_t free_head_ = kNilIndex;

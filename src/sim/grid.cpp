@@ -28,7 +28,7 @@ GridConfig GridConfig::egee_like() {
 }
 
 GridSimulation::GridSimulation(const GridConfig& config)
-    : sim_(config.timer_wheel), root_rng_(config.seed) {
+    : root_rng_(config.seed) {
   if (config.elements.empty()) {
     throw std::invalid_argument("GridSimulation: no computing elements");
   }

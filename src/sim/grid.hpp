@@ -37,7 +37,6 @@ struct GridConfig {
   std::vector<CeSpec> elements;  ///< one entry per computing element
   WmsConfig wms;
   BackgroundLoadConfig background;
-  TimerWheelConfig timer_wheel;  ///< far-event wheel (on by default)
   std::uint64_t seed = 20090611;  ///< HPDC'09 started June 11, 2009
 
   /// A 12-site heterogeneous configuration tuned to the paper's latency

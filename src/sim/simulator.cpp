@@ -5,33 +5,35 @@
 namespace gridsub::sim {
 
 EventId Simulator::schedule_at(SimTime time, SmallFn fn) {
-  if (time < now_) {
-    throw std::invalid_argument("Simulator::schedule_at: time in the past");
+  if (!(time >= now_)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "Simulator::schedule_at: time in the past or NaN");
   }
   return queue_.push(time, std::move(fn));
 }
 
 EventId Simulator::schedule_in(SimTime delay, SmallFn fn) {
-  if (delay < 0.0) {
-    throw std::invalid_argument("Simulator::schedule_in: negative delay");
+  if (!(delay >= 0.0)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "Simulator::schedule_in: negative or NaN delay");
   }
   return queue_.push(now_ + delay, std::move(fn));
 }
 
 EventId Simulator::schedule_daemon_at(SimTime time,
                                       SmallFn fn) {
-  if (time < now_) {
+  if (!(time >= now_)) {  // also rejects NaN
     throw std::invalid_argument(
-        "Simulator::schedule_daemon_at: time in the past");
+        "Simulator::schedule_daemon_at: time in the past or NaN");
   }
   return queue_.push(time, std::move(fn), /*daemon=*/true);
 }
 
 EventId Simulator::schedule_daemon_in(SimTime delay,
                                       SmallFn fn) {
-  if (delay < 0.0) {
+  if (!(delay >= 0.0)) {  // also rejects NaN
     throw std::invalid_argument(
-        "Simulator::schedule_daemon_in: negative delay");
+        "Simulator::schedule_daemon_in: negative or NaN delay");
   }
   return queue_.push(now_ + delay, std::move(fn), /*daemon=*/true);
 }

@@ -17,16 +17,13 @@ namespace gridsub::sim {
 
 class Simulator {
  public:
-  /// `wheel` tunes (or disables) the far-event timer wheel inside the
-  /// event queue; the default is on and byte-identical to heap-only.
-  explicit Simulator(const TimerWheelConfig& wheel = {}) : queue_(wheel) {}
-
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedules at an absolute time (>= now).
+  /// Schedules at an absolute time (>= now; +inf is allowed, NaN is not).
   EventId schedule_at(SimTime time, SmallFn fn);
 
-  /// Schedules `delay` seconds from now (delay >= 0).
+  /// Schedules `delay` seconds from now (delay >= 0; +inf is allowed,
+  /// NaN is not).
   EventId schedule_in(SimTime delay, SmallFn fn);
 
   /// Daemon variants: the event fires normally but does not keep run()

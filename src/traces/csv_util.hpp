@@ -5,6 +5,7 @@
 // and workload formats cannot drift in what they accept.
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <ostream>
 #include <string>
@@ -21,7 +22,9 @@ inline constexpr std::size_t kMaxLineBytes = 1u << 20;
 /// Strict full-token double parse: the whole trimmed token must be
 /// consumed (a leading '+' is tolerated for hand-written files). False
 /// on empty, trailing garbage ("12.5abc"), or out-of-range input — the
-/// silent-acceptance cases std::stod lets through.
+/// silent-acceptance cases std::stod lets through — and on "nan"/"inf",
+/// which std::from_chars accepts but no trace, workload or SWF field can
+/// mean (a NaN arrival would reach the simulator's clock).
 [[nodiscard]] inline bool csv_parse_double(std::string_view token,
                                            double& out) {
   const auto first = token.find_first_not_of(" \t\r");
@@ -33,7 +36,7 @@ inline constexpr std::size_t kMaxLineBytes = 1u << 20;
   const char* begin = token.data();
   const char* end = begin + token.size();
   const auto r = std::from_chars(begin, end, out);
-  return r.ec == std::errc() && r.ptr == end;
+  return r.ec == std::errc() && r.ptr == end && std::isfinite(out);
 }
 
 /// Strict full-token int parse; same contract as csv_parse_double.

@@ -5,19 +5,32 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "stats/rng.hpp"
 
 namespace gridsub::sim {
 namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.push(3.0, [&] { order.push_back(3); });
-  q.push(1.0, [&] { order.push_back(1); });
-  q.push(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  std::vector<double> fired;
+  // Near and far times pushed out of order, plus a daemon at the 1e18
+  // sentinel some benches park: work ends while the daemon is pending.
+  const std::vector<double> times = {5.0,   1000.0,  12.0, 640.0,
+                                     2.5e6, 41000.0, 1e18, 30.0};
+  for (const double t : times) {
+    q.push(t, [&fired, t] { fired.push_back(t); }, /*daemon=*/t == 1e18);
+  }
+  while (q.live_size() > 0) q.pop().fn();
+  std::vector<double> expected = times;
+  std::sort(expected.begin(), expected.end());
+  expected.pop_back();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 1e18);
 }
 
 TEST(EventQueue, SimultaneousEventsFifo) {
@@ -76,22 +89,23 @@ TEST(EventQueue, PushEmptyCallbackThrows) {
 }
 
 TEST(EventQueue, CancelHeavyLoopKeepsHeapBounded) {
-  // A timeout strategy cancels and reschedules constantly; before
-  // compaction the heap kept every canceled entry until popped, growing
-  // without bound over a simulated week. The heap must stay O(live).
+  // A timeout strategy cancels and reschedules constantly over a simulated
+  // week. cancel() removes the heap entry at once, so the heap holds the
+  // live events and nothing else.
   EventQueue q;
   q.push(1e12, [] {});  // one long-lived survivor
   std::size_t peak = 0;
   for (int i = 0; i < 100000; ++i) {
     const EventId id = q.push(1.0 + i, [] {});
-    q.cancel(id);
     peak = std::max(peak, q.queued());
+    q.cancel(id);
+    ASSERT_EQ(q.queued(), q.size());
   }
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_LE(peak, 130u);  // compaction floor (64) + slack, not 100k
+  EXPECT_EQ(peak, 2u);
 }
 
-TEST(EventQueue, OrderingSurvivesCompaction) {
+TEST(EventQueue, OrderingSurvivesCancelChurn) {
   // Interleave live timers with a storm of cancel/reschedule churn, then
   // check the survivors still fire in (time, insertion) order.
   EventQueue q;
@@ -99,7 +113,7 @@ TEST(EventQueue, OrderingSurvivesCompaction) {
   for (int i = 0; i < 50; ++i) {
     q.push(1000.0 - i, [&order, i] { order.push_back(i); });
     for (int j = 0; j < 40; ++j) {
-      q.cancel(q.push(5.0 + j, [] {}));  // forces repeated compactions
+      q.cancel(q.push(5.0 + j, [] {}));  // removes from inside the heap
     }
   }
   while (!q.empty()) q.pop().fn();
@@ -152,7 +166,7 @@ TEST(EventQueue, IdsStayUniqueUnderSlotReuse) {
 
 TEST(EventQueue, HeapBoundHoldsWithLiveDaemonMix) {
   // Cancel storm interleaved with live regular and daemon events: the
-  // queued() <= max(floor, 2 * size()) compaction bound must still hold.
+  // heap must still hold exactly the live events of both kinds.
   EventQueue q;
   for (int i = 0; i < 10; ++i) {
     q.push(1e9 + i, [] {});
@@ -160,10 +174,10 @@ TEST(EventQueue, HeapBoundHoldsWithLiveDaemonMix) {
   }
   for (int i = 0; i < 50000; ++i) {
     q.cancel(q.push(1.0 + i, [] {}));
-    const std::size_t bound = std::max<std::size_t>(64, 2 * q.size());
-    ASSERT_LE(q.queued(), bound);
+    ASSERT_EQ(q.queued(), q.size());
   }
   EXPECT_EQ(q.size(), 20u);
+  EXPECT_EQ(q.live_size(), 10u);
 }
 
 TEST(EventQueue, InlineCallbackBufferCoversHotCaptures) {
@@ -206,6 +220,81 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   for (std::size_t i = 1; i < times.size(); ++i) {
     EXPECT_LE(times[i - 1], times[i]);
   }
+}
+
+TEST(EventQueue, MatchesAReferenceSetUnderRandomOperations) {
+  // Seeded differential test against a std::set ordered by (time, seq),
+  // the order the queue promises. Times are drawn from a narrow integer
+  // range, so ties (broken by push order) are common; about one event in
+  // eight is a daemon; cancels name live, canceled (possibly recycled)
+  // and already-popped ids alike. A cancel inside the heap moves the last
+  // entry into the hole, which must then sift up or down; checking the
+  // head after every operation catches either direction going wrong.
+  struct Issued {
+    EventId id;
+    double time;
+    bool daemon;
+    bool pending;  ///< neither canceled nor popped yet
+  };
+  std::vector<Issued> issued;  // indexed by push order (= seq)
+  std::set<std::pair<double, std::size_t>> reference;  // (time, seq)
+  std::size_t reference_live = 0;  // non-daemon entries in `reference`
+  std::size_t last_fired = 0;
+  double clock = 0.0;
+  stats::Rng rng(20090611);
+  EventQueue q;
+
+  std::size_t cancels_true = 0;
+  std::size_t cancels_false = 0;
+  std::size_t peak = 0;
+  for (int op = 0; op < 40000; ++op) {
+    const std::uint64_t dice = rng.uniform_int(100);
+    if (dice < 45) {
+      const double time = clock + static_cast<double>(rng.uniform_int(40));
+      const bool daemon = rng.uniform_int(8) == 0;
+      const std::size_t seq = issued.size();
+      const EventId id =
+          q.push(time, [&last_fired, seq] { last_fired = seq; }, daemon);
+      issued.push_back({id, time, daemon, true});
+      reference.emplace(time, seq);
+      if (!daemon) ++reference_live;
+    } else if (dice < 80 && !issued.empty()) {
+      const std::size_t seq = rng.uniform_int(issued.size());
+      Issued& target = issued[seq];
+      ASSERT_EQ(q.cancel(target.id), target.pending) << "op " << op;
+      if (target.pending) {
+        reference.erase({target.time, seq});
+        if (!target.daemon) --reference_live;
+        target.pending = false;
+        ++cancels_true;
+      } else {
+        ++cancels_false;
+      }
+    } else if (!reference.empty()) {
+      const auto [time, seq] = *reference.begin();
+      reference.erase(reference.begin());
+      EventQueue::Fired fired = q.pop();
+      ASSERT_EQ(fired.time, time) << "op " << op;
+      ASSERT_EQ(fired.id, issued[seq].id) << "op " << op;
+      fired.fn();
+      ASSERT_EQ(last_fired, seq) << "op " << op;
+      if (!issued[seq].daemon) --reference_live;
+      issued[seq].pending = false;
+      clock = time;
+    }
+    peak = std::max(peak, q.size());
+    ASSERT_EQ(q.size(), reference.size()) << "op " << op;
+    ASSERT_EQ(q.live_size(), reference_live) << "op " << op;
+    ASSERT_EQ(q.queued(), q.size()) << "op " << op;
+    ASSERT_EQ(q.empty(), reference.empty()) << "op " << op;
+    if (!reference.empty()) {
+      ASSERT_EQ(q.next_time(), reference.begin()->first) << "op " << op;
+    }
+  }
+  // The mix must have exercised both cancel outcomes and a deep heap.
+  EXPECT_GT(cancels_true, 1000u);
+  EXPECT_GT(cancels_false, 1000u);
+  EXPECT_GT(peak, 1000u);
 }
 
 }  // namespace

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "parallel/thread_pool.hpp"
 #include "sim/grid.hpp"
 #include "sim/probe_client.hpp"
 #include "sim/strategy_client.hpp"
@@ -170,6 +177,64 @@ TEST(GridMetrics, CancellationsAreVisibleToAdministrators) {
   ASSERT_TRUE(client.done());
   EXPECT_GT(grid.metrics().jobs_canceled, 0u);
   EXPECT_GT(grid.metrics().cancel_fraction(), 0.0);
+}
+
+/// Runs the standard mixed-strategy mini-grid and serializes the full
+/// observable trajectory: every client outcome in completion order plus
+/// the grid counters and event totals.
+std::string trajectory_digest() {
+  GridSimulation grid(GridConfig::egee_like());
+  grid.warm_up(1800.0);
+
+  std::vector<std::unique_ptr<StrategyClient>> clients;
+  StrategySpec single;
+  single.kind = core::StrategyKind::kSingleResubmission;
+  StrategySpec multiple;
+  multiple.kind = core::StrategyKind::kMultipleSubmission;
+  multiple.b = 3;
+  StrategySpec delayed;
+  delayed.kind = core::StrategyKind::kDelayedResubmission;
+  delayed.t0 = 600.0;
+  delayed.t_inf = 900.0;
+  for (const auto& spec : {single, multiple, delayed}) {
+    for (int i = 0; i < 2; ++i) {
+      clients.push_back(std::make_unique<StrategyClient>(grid, spec, 6));
+      clients.back()->start();
+    }
+  }
+  // Bounded horizon: background arrivals reschedule forever, so run()
+  // would never drain. 2e5 s is orders of magnitude beyond what 6 tasks
+  // per client need.
+  grid.simulator().run_until(grid.simulator().now() + 2e5);
+
+  std::ostringstream out;
+  out.precision(17);
+  for (const auto& client : clients) {
+    EXPECT_TRUE(client->done());
+    for (const TaskOutcome& o : client->outcomes()) {
+      out << o.total_latency << ',' << o.submissions << ';';
+    }
+  }
+  out << '|' << grid.simulator().processed_events() << '|'
+      << grid.simulator().now() << '|' << grid.metrics().jobs_dispatched
+      << '|' << grid.metrics().jobs_canceled;
+  return out.str();
+}
+
+TEST(GridSimulation, TrajectoryStableAcrossThreadCounts) {
+  // Distinct grids share no mutable state, so concurrent runs on 1, 2
+  // and 8 pool threads must each reproduce the sequential trajectory.
+  const std::string reference = trajectory_digest();
+  EXPECT_FALSE(reference.empty());
+  for (const std::size_t n_threads : {1u, 2u, 8u}) {
+    par::ThreadPool pool(n_threads);
+    std::vector<std::future<std::string>> futures;
+    futures.reserve(n_threads);
+    for (std::size_t i = 0; i < n_threads; ++i) {
+      futures.push_back(pool.submit([] { return trajectory_digest(); }));
+    }
+    for (auto& f : futures) EXPECT_EQ(f.get(), reference);
+  }
 }
 
 }  // namespace

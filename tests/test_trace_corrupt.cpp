@@ -1,9 +1,10 @@
 // Malformed-input wall for the traces readers: every corruption class in
 // tests/corrupt_traces/ — garbled fields, mid-record EOF, garbage
-// suffixes, missing headers, unknown enum labels — must surface as a
-// typed TraceFormatError naming the offending line, never as a silently
-// shortened or subtly wrong workload. Oversized lines (the no-newline
-// multi-GB "line" case) are generated in memory rather than committed.
+// suffixes, non-finite numbers, missing headers, unknown enum labels —
+// must surface as a typed TraceFormatError naming the offending line,
+// never as a silently shortened or subtly wrong workload. Oversized lines
+// (the no-newline multi-GB "line" case) are generated in memory rather
+// than committed.
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,16 @@ TEST(TraceCorrupt, WorkloadGarbageSuffixIsRejectedNotTruncated) {
   expect_format_error(
       [] { (void)read_workload_csv_file(fixture("garbage_suffix.csv")); },
       "unparseable line 4");
+}
+
+TEST(TraceCorrupt, NonFiniteNumbersAreTypedErrors) {
+  // std::from_chars parses "nan" and "inf"; a NaN arrival would reach the
+  // simulator's clock and an infinite runtime never completes.
+  expect_format_error(
+      [] { (void)read_workload_csv_file(fixture("nan_arrival.csv")); },
+      "unparseable line 4");
+  expect_format_error([] { (void)read_swf_file(fixture("inf_runtime.swf")); },
+                      "non-numeric field on line 4");
 }
 
 TEST(TraceCorrupt, WorkloadMidRecordEofIsATypedError) {
