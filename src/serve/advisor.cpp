@@ -146,21 +146,26 @@ void AdvisorService::ingest_outlier(const AdvisorKey& key) {
 
 void AdvisorService::ingest_one(const AdvisorKey& key, double latency,
                                 bool completed) {
-  bool wake = false;
+  KeyState* state = nullptr;
   {
     const core::MutexLock lock(mu_);
-    auto it = keys_.find(key);
-    if (it == keys_.end()) {
-      it = keys_.emplace(key, KeyState(config_.planner)).first;
-    }
-    KeyState& state = it->second;
+    state = &keys_.try_emplace(key, config_.planner).first->second;
+  }
+  {
+    // The key's lock alone: a refit triggered here stalls only this key.
+    const core::MutexLock key_lock(state->mu);
     if (completed) {
-      state.planner.observe_completed(latency);
+      state->planner.observe_completed(latency);
     } else {
-      state.planner.observe_outlier();
+      state->planner.observe_outlier();
     }
-    ++state.observations;
-    state.dirty = true;
+    ++state->observations;
+    state->dirty = true;
+  }
+  bool wake = false;
+  {
+    // Counted only now, so every pending observation is in its planner.
+    const core::MutexLock lock(mu_);
     ++observations_;
     ++pending_;
     wake = pending_ >= config_.refresh_pending;
@@ -173,60 +178,72 @@ void AdvisorService::ingest_one(const AdvisorKey& key, double latency,
 // --------------------------------------------------------------------------
 
 std::uint64_t AdvisorService::rebuild_and_swap() {
-  if (pending_ == 0) return generation_;
-  const std::uint64_t next_gen = generation_ + 1;
+  std::vector<std::pair<const AdvisorKey*, KeyState*>> keys;
+  std::uint64_t folded = 0;
+  auto snap = std::make_unique<AdvisorSnapshot>();
+  {
+    const core::MutexLock lock(mu_);
+    if (pending_ == 0) return generation_;
+    folded = pending_;
+    snap->generation = generation_ + 1;
+    snap->observations = observations_;
+    // std::map iteration: entries come out key-sorted, so find() can
+    // binary search and the JSON dump is deterministic.
+    keys.reserve(keys_.size());
+    for (auto& [key, state] : keys_) keys.emplace_back(&key, &state);
+  }
+  const std::uint64_t next_gen = snap->generation;
   // Chaos seam: a deterministic pause keyed on the generation about to be
   // built (src/fault installs it; default none).
   if (config_.refresh_fault) config_.refresh_fault(next_gen);
-  auto snap = std::make_unique<AdvisorSnapshot>();
-  snap->generation = next_gen;
-  snap->observations = observations_;
   snap->fallback.t_inf = config_.fallback_t_inf;
   snap->fallback.generation = next_gen;
   snap->fallback.stamp = advice_stamp(snap->fallback);
-  snap->entries.reserve(keys_.size());
-  // std::map iteration: entries come out key-sorted, so find() can binary
-  // search and the JSON dump is deterministic.
-  for (auto& [key, state] : keys_) {
-    if (state.dirty) {
-      state.changed_generation = next_gen;
-      state.dirty = false;
+  snap->entries.reserve(keys.size());
+  for (const auto& item : keys) {
+    KeyState* const state = item.second;
+    const core::MutexLock key_lock(state->mu);
+    if (state->dirty) {
+      state->changed_generation = next_gen;
+      state->dirty = false;
     }
     AdvisorEntry e;
-    e.key = key;
-    e.observations = state.observations;
+    e.key = *item.first;
+    e.observations = state->observations;
     // warm_refits is 0 unless warm-started: counters stay monotone
     // across a crash-restart.
-    e.refits = state.warm_refits + state.planner.refits();
-    e.drift_statistic = state.planner.drift_statistic();
-    e.outlier_ratio = state.planner.window_outlier_ratio();
+    e.refits = state->warm_refits + state->planner.refits();
+    e.drift_statistic = state->planner.drift_statistic();
+    e.outlier_ratio = state->planner.window_outlier_ratio();
     Advice a;
     a.generation = next_gen;
-    a.entry_generation = state.changed_generation;
-    if (state.planner.ready()) {
-      const core::CostEvaluation& c = state.planner.current().choice;
+    a.entry_generation = state->changed_generation;
+    if (state->planner.ready()) {
+      const core::CostEvaluation& c = state->planner.current().choice;
       a.ready = true;
-      a.drifted = state.planner.drifted();
+      // OnlinePlanner::drifted() would recompute the two-sample KS.
+      a.drifted = e.drift_statistic > config_.planner.drift_threshold;
       a.kind = c.kind;
       a.t0 = c.t0;
       a.t_inf = c.t_inf;
       a.b = c.b;
       a.expectation = c.expectation;
       a.delta_cost = c.delta_cost;
-    } else if (state.warm) {
+    } else if (state->warm) {
       // Recovered entry whose restarted planner is not ready yet: keep
       // serving the pre-crash payload rather than regressing to the
       // fallback (the recovery contract, docs/robustness.md).
-      a.ready = state.warm_advice.ready;
-      a.drifted = state.warm_advice.drifted;
-      a.kind = state.warm_advice.kind;
-      a.t0 = state.warm_advice.t0;
-      a.t_inf = state.warm_advice.t_inf;
-      a.b = state.warm_advice.b;
-      a.expectation = state.warm_advice.expectation;
-      a.delta_cost = state.warm_advice.delta_cost;
-      e.drift_statistic = state.warm_drift_statistic;
-      e.outlier_ratio = state.warm_outlier_ratio;
+      const Advice& w = state->warm_advice;
+      a.ready = w.ready;
+      a.drifted = w.drifted;
+      a.kind = w.kind;
+      a.t0 = w.t0;
+      a.t_inf = w.t_inf;
+      a.b = w.b;
+      a.expectation = w.expectation;
+      a.delta_cost = w.delta_cost;
+      e.drift_statistic = state->warm_drift_statistic;
+      e.outlier_ratio = state->warm_outlier_ratio;
     } else {
       // Not ready: the documented fallback, stamped with this entry's
       // generation so the torn-read canary still binds it to one build.
@@ -237,13 +254,15 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
     snap->entries.push_back(std::move(e));
   }
 
-  staleness_last_ = pending_;
-  staleness_max_ = std::max(staleness_max_, pending_);
-  pending_ = 0;
+  const AdvisorSnapshot* raw = snap.get();
+  const core::MutexLock lock(mu_);
+  // Ingests that landed during the build stay pending: the next build
+  // folds them again, whether or not this one already saw them.
+  staleness_last_ = folded;
+  staleness_max_ = std::max(staleness_max_, folded);
+  pending_ -= folded;
   generation_ = next_gen;
   ++swaps_;
-
-  const AdvisorSnapshot* raw = snap.get();
   owned_.push_back(std::move(snap));
   current_.store(raw, std::memory_order_seq_cst);
   reclaim_retired();
@@ -264,7 +283,7 @@ void AdvisorService::reclaim_retired() {
 }
 
 std::uint64_t AdvisorService::refresh_now() {
-  const core::MutexLock lock(mu_);
+  const core::MutexLock build(build_mu_);
   return rebuild_and_swap();
 }
 
@@ -293,12 +312,15 @@ void AdvisorService::stop_refresher() {
 }
 
 void AdvisorService::refresher_main() {
-  const core::MutexLock lock(mu_);
   for (;;) {
-    wake_.wait(mu_, [this]() GRIDSUB_REQUIRES(mu_) {
-      return stop_refresher_ || pending_ >= config_.refresh_pending;
-    });
-    if (stop_refresher_) return;
+    {
+      const core::MutexLock lock(mu_);
+      wake_.wait(mu_, [this]() GRIDSUB_REQUIRES(mu_) {
+        return stop_refresher_ || pending_ >= config_.refresh_pending;
+      });
+      if (stop_refresher_) return;
+    }
+    const core::MutexLock build(build_mu_);
     rebuild_and_swap();
   }
 }
@@ -462,18 +484,11 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
 
   // Parse and extract with the strict JSON-subset machinery; its errors
   // (CheckpointError) are re-thrown as RecoveryError so callers can tell
-  // a bad recovery dump from a bad campaign checkpoint.
-  struct ParsedEntry {
-    AdvisorKey key;
-    Advice advice;  // payload fields only
-    std::uint64_t observations = 0;
-    std::uint64_t refits = 0;
-    double drift_statistic = 0.0;
-    double outlier_ratio = 0.0;
-  };
+  // a bad recovery dump from a bad campaign checkpoint. Parsed entries
+  // carry payload fields only; generations and stamps are set below.
   double fallback_t_inf = 0.0;
   std::uint64_t total_observations = 0;
-  std::vector<ParsedEntry> parsed;
+  std::vector<AdvisorEntry> parsed;
   try {
     using exp::detail::get_bool;
     using exp::detail::get_key;
@@ -495,7 +510,7 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
       if (k.kind != JsonValue::Kind::kObject) {
         throw RecoveryError(origin + ": non-object entry in \"keys\"");
       }
-      ParsedEntry e;
+      AdvisorEntry e;
       e.key.vo = get_string(k, "vo", origin);
       e.key.site = get_string(k, "site", origin);
       e.key.user_class = get_string(k, "user_class", origin);
@@ -540,47 +555,27 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
   snap->entries.reserve(parsed.size());
 
   const AdvisorSnapshot* raw = snap.get();
-  {
-    const core::MutexLock lock(mu_);
-    if (generation_ != 0 || !keys_.empty() || observations_ != 0 ||
-        pending_ != 0) {
-      throw RecoveryError(origin +
-                          ": warm_start on a service that already holds "
-                          "state (must be virgin)");
-    }
-    for (ParsedEntry& p : parsed) {
-      AdvisorEntry e;
-      e.key = p.key;
-      e.observations = p.observations;
-      e.refits = p.refits;
-      e.drift_statistic = p.drift_statistic;
-      e.outlier_ratio = p.outlier_ratio;
-      Advice a = p.advice;
-      a.generation = gen;
-      a.entry_generation = gen;
-      a.stamp = advice_stamp(a);
-      e.advice = a;
-
-      KeyState state(config_.planner);
-      state.observations = p.observations;
-      state.changed_generation = gen;
-      state.dirty = false;
-      state.warm = true;
-      state.warm_advice = p.advice;
-      state.warm_refits = p.refits;
-      state.warm_drift_statistic = p.drift_statistic;
-      state.warm_outlier_ratio = p.outlier_ratio;
-      keys_.emplace(std::move(p.key), std::move(state));
-
-      snap->entries.push_back(std::move(e));
-    }
-    observations_ = total_observations;
-    generation_ = gen;
-    ++swaps_;
-    owned_.push_back(std::move(snap));
-    current_.store(raw, std::memory_order_seq_cst);
-    reclaim_retired();
+  const core::MutexLock build(build_mu_);
+  const core::MutexLock lock(mu_);
+  if (generation_ != 0 || !keys_.empty() || observations_ != 0 ||
+      pending_ != 0) {
+    throw RecoveryError(origin +
+                        ": warm_start on a service that already holds "
+                        "state (must be virgin)");
   }
+  for (AdvisorEntry& e : parsed) {
+    keys_.try_emplace(e.key, config_.planner, e, gen);
+    e.advice.generation = gen;
+    e.advice.entry_generation = gen;
+    e.advice.stamp = advice_stamp(e.advice);
+    snap->entries.push_back(std::move(e));
+  }
+  observations_ = total_observations;
+  generation_ = gen;
+  ++swaps_;
+  owned_.push_back(std::move(snap));
+  current_.store(raw, std::memory_order_seq_cst);
+  reclaim_retired();
 }
 
 void AdvisorService::warm_start_file(const std::string& path) {

@@ -18,8 +18,17 @@
 //   * Readers never take a lock. advise() pins the current snapshot with a
 //     hazard-pointer slot (one cache line per registered Reader), binary-
 //     searches the sorted entries, and copies out a plain-old-data Advice.
-//     The ingest mutex, the refresher, and snapshot reclamation are all
+//     The service locks, the refresher, and snapshot reclamation are all
 //     invisible to the advise() path.
+//   * Writers never refit under a shared lock. Each key's planner sits
+//     behind its own mutex, so a refit (a full StrategyPlanner::recommend,
+//     run inline by the ingest that triggers it) stalls only that key.
+//     The service mutex mu_ guards the key map and the counters and is
+//     held for bookkeeping only; a snapshot build holds a separate build
+//     mutex and visits the keys one lock at a time. Lock order is
+//     build_mu_ -> mu_ and build_mu_ -> key lock; mu_ and a key lock are
+//     never held together, so stats(), health() and dump_json() never
+//     wait behind a refit.
 //   * Reclamation is writer-side: retired snapshots are freed on the next
 //     swap once no hazard slot still pins them, so a reader mid-lookup
 //     keeps its snapshot alive without reference counting.
@@ -85,8 +94,9 @@ struct AdvisorConfig {
   /// advice beats confidently serving a recommendation the stream has
   /// long since moved past. See docs/robustness.md.
   std::uint64_t staleness_bound = 0;
-  /// Chaos seam: called (with mu_ held) just before each refresh builds
-  /// generation `g`. src/fault installs a deterministic pause here; the
+  /// Chaos seam: called just before each refresh builds generation `g`,
+  /// with only the build lock held: a pause here delays publication, not
+  /// ingestion or stats(). src/fault installs a deterministic pause; the
   /// default does nothing. Must not call back into the service.
   std::function<void(std::uint64_t)> refresh_fault;
 };
@@ -149,7 +159,8 @@ struct AdvisorSnapshot {
   void write_json(std::ostream& os) const;
 };
 
-/// Serving metadata, read under the service lock (not the advise() path).
+/// Serving metadata, read under the service mutex (not the advise() path;
+/// never waits for a refit).
 struct AdvisorStats {
   std::uint64_t generation = 0;        ///< latest published generation
   std::uint64_t swaps = 0;             ///< snapshot publications so far
@@ -209,11 +220,14 @@ class AdvisorService {
 
   // --- ingestion (any thread) --------------------------------------------
   //
-  // Observations for one key are folded in call order; *per-key* ordering
-  // across concurrent ingest threads is the caller's contract (the replay
-  // feed partitions keys statically across its threads, so each key only
-  // ever sees one thread). Latency bounds are the planner's:
-  // [0, planner.timeout) or std::invalid_argument.
+  // Safe from any thread, several threads on one key included. Observations
+  // for one key are folded in call order under that key's lock; a refit
+  // they trigger runs inline on the calling thread and blocks only that
+  // key. *Per-key* ordering across concurrent ingest threads is the
+  // caller's contract for determinism (the replay feed partitions keys
+  // statically across its threads, so each key only ever sees one thread).
+  // Latency bounds are the planner's: [0, planner.timeout) or
+  // std::invalid_argument.
 
   void ingest(const AdvisorKey& key, double latency) GRIDSUB_EXCLUDES(mu_);
   void ingest_outlier(const AdvisorKey& key) GRIDSUB_EXCLUDES(mu_);
@@ -227,11 +241,11 @@ class AdvisorService {
 
   /// Stops and joins the background refresher (pending observations stay
   /// pending). Idempotent; also called by the destructor.
-  void stop_refresher() GRIDSUB_EXCLUDES(mu_);
+  void stop_refresher() GRIDSUB_EXCLUDES(build_mu_, mu_);
 
   /// Builds and publishes a snapshot now if anything is pending or dirty;
   /// returns the published generation (unchanged when nothing to do).
-  std::uint64_t refresh_now() GRIDSUB_EXCLUDES(mu_);
+  std::uint64_t refresh_now() GRIDSUB_EXCLUDES(build_mu_, mu_);
 
   // --- lock-free lookups -------------------------------------------------
 
@@ -255,7 +269,7 @@ class AdvisorService {
 
     /// Lock-free lookup: pins the current snapshot via the hazard slot,
     /// copies the entry (or the fallback) out, unpins. Never blocks on
-    /// the ingest mutex or the refresher.
+    /// ingestion or the refresher.
     [[nodiscard]] Advice advise(const AdvisorKey& key) const;
 
    private:
@@ -271,7 +285,7 @@ class AdvisorService {
   [[nodiscard]] AdvisorHealth health() const GRIDSUB_EXCLUDES(mu_);
 
   /// Writes the current snapshot's deterministic payload
-  /// (AdvisorSnapshot::write_json) under the service lock.
+  /// (AdvisorSnapshot::write_json) under the service mutex.
   void dump_json(std::ostream& os) const GRIDSUB_EXCLUDES(mu_);
 
   // --- crash-restart recovery (docs/robustness.md) -----------------------
@@ -294,33 +308,51 @@ class AdvisorService {
   /// fallback_t_inf that disagrees with this service's config, unsorted
   /// or duplicate keys, or a non-virgin service.
   void warm_start(std::istream& is, const std::string& origin)
-      GRIDSUB_EXCLUDES(mu_);
+      GRIDSUB_EXCLUDES(build_mu_, mu_);
 
   /// warm_start() from a file; `path` names the origin in errors.
-  void warm_start_file(const std::string& path) GRIDSUB_EXCLUDES(mu_);
+  void warm_start_file(const std::string& path)
+      GRIDSUB_EXCLUDES(build_mu_, mu_);
 
  private:
   friend class Reader;
 
   /// Per-key ingest state: the planner plus bookkeeping the snapshot
-  /// builder folds in.
+  /// builder folds in, all behind the key's own lock.
   struct KeyState {
     explicit KeyState(const online::OnlinePlannerConfig& config)
         : planner(config) {}
-    online::OnlinePlanner planner;
-    std::uint64_t observations = 0;
+    /// A key recovered by warm_start(), published at generation `gen`.
+    KeyState(const online::OnlinePlannerConfig& config,
+             const AdvisorEntry& recovered, std::uint64_t gen)
+        : planner(config),
+          observations(recovered.observations),
+          changed_generation(gen),
+          dirty(false),
+          warm(true),
+          warm_advice(recovered.advice),
+          warm_refits(recovered.refits),
+          warm_drift_statistic(recovered.drift_statistic),
+          warm_outlier_ratio(recovered.outlier_ratio) {}
+
+    /// Held across observe_*() and any refit it triggers, and while a
+    /// snapshot build reads this key. Never held together with mu_.
+    core::Mutex mu;
+    online::OnlinePlanner planner GRIDSUB_GUARDED_BY(mu);
+    std::uint64_t observations GRIDSUB_GUARDED_BY(mu) = 0;
     /// Generation whose refresh last saw this key dirty (stamped into the
     /// entry as entry_generation).
-    std::uint64_t changed_generation = 0;
-    bool dirty = true;
+    std::uint64_t changed_generation GRIDSUB_GUARDED_BY(mu) = 0;
+    bool dirty GRIDSUB_GUARDED_BY(mu) = true;
     /// Recovered pre-crash state (warm_start). Served by rebuilds until
     /// the restarted planner is ready again; the diagnostics carry over
     /// so counters stay monotone across the crash.
-    bool warm = false;
-    Advice warm_advice;  ///< payload fields only; stamped at rebuild
-    std::uint64_t warm_refits = 0;
-    double warm_drift_statistic = 0.0;
-    double warm_outlier_ratio = 0.0;
+    bool warm GRIDSUB_GUARDED_BY(mu) = false;
+    /// Payload fields only; stamped at rebuild.
+    Advice warm_advice GRIDSUB_GUARDED_BY(mu);
+    std::uint64_t warm_refits GRIDSUB_GUARDED_BY(mu) = 0;
+    double warm_drift_statistic GRIDSUB_GUARDED_BY(mu) = 0.0;
+    double warm_outlier_ratio GRIDSUB_GUARDED_BY(mu) = 0.0;
   };
 
   /// One hazard cell per Reader, padded so readers never false-share.
@@ -335,20 +367,35 @@ class AdvisorService {
 
   void ingest_one(const AdvisorKey& key, double latency, bool completed)
       GRIDSUB_EXCLUDES(mu_);
-  std::uint64_t rebuild_and_swap() GRIDSUB_REQUIRES(mu_);
+  /// Builds and publishes the next snapshot (no-op when nothing is
+  /// pending). Takes mu_ only to collect the keys and to publish; each
+  /// key is read under its own lock in between.
+  std::uint64_t rebuild_and_swap() GRIDSUB_REQUIRES(build_mu_)
+      GRIDSUB_EXCLUDES(mu_);
   void reclaim_retired() GRIDSUB_REQUIRES(mu_);
-  void refresher_main() GRIDSUB_EXCLUDES(mu_);
+  void refresher_main() GRIDSUB_EXCLUDES(build_mu_, mu_);
   /// Sums the per-slot lookup/degraded counters (lock-free reads).
   void sum_lookup_counters(std::uint64_t& lookups,
                            std::uint64_t& degraded) const;
 
   AdvisorConfig config_;
 
+  /// Serializes snapshot builds (refresher, refresh_now, warm_start).
+  /// Lock order: build_mu_ before mu_, and build_mu_ before a key lock.
+  core::Mutex build_mu_;
+  /// Guards the key map, the counters and publication. Held for
+  /// bookkeeping only: never across a refit or a key read, and never
+  /// together with a key lock.
   mutable core::Mutex mu_;
   /// std::map: deterministic iteration order for the snapshot builder.
+  /// Keys are never erased and map nodes never move, so a KeyState*
+  /// found under mu_ stays valid after mu_ is released.
   std::map<AdvisorKey, KeyState> keys_ GRIDSUB_GUARDED_BY(mu_);
   std::uint64_t observations_ GRIDSUB_GUARDED_BY(mu_) = 0;
+  /// Observations counted after they reached their planner and not yet
+  /// folded by a published snapshot.
   std::uint64_t pending_ GRIDSUB_GUARDED_BY(mu_) = 0;
+  /// Advanced only with build_mu_ held too.
   std::uint64_t generation_ GRIDSUB_GUARDED_BY(mu_) = 0;
   std::uint64_t swaps_ GRIDSUB_GUARDED_BY(mu_) = 0;
   std::uint64_t staleness_last_ GRIDSUB_GUARDED_BY(mu_) = 0;

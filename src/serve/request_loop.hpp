@@ -161,7 +161,8 @@ struct RequestLoopOptions {
 };
 
 /// Serves one AdvisorService over one Transport. The loop registers its
-/// own lock-free Reader, so advise requests never touch the ingest mutex.
+/// own lock-free Reader, so advise requests never touch a service lock;
+/// stats requests take the service mutex briefly, never behind a refit.
 /// Several RequestLoops may share a Transport for multi-worker serving.
 class RequestLoop {
  public:

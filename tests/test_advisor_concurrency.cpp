@@ -1,8 +1,9 @@
 // Forced-contention suite for the advisor's snapshot publication
 // (concurrency label; runs under the tsan preset in CI): 8 readers
 // hammering advise() across snapshot swaps while 2 writers ingest and
-// force additional swaps, plus request loops serving a shared transport
-// under concurrent posters. Assertions are the user-visible invariants:
+// force additional swaps, 4 writers sharing one key's lock, plus request
+// loops serving a shared transport under concurrent posters. Assertions
+// are the user-visible invariants:
 // no torn reads (every answer's stamp recomputes — it was copied from
 // exactly one published entry), generations non-decreasing per reader,
 // and a final snapshot that is byte-identical no matter how many readers
@@ -137,6 +138,93 @@ TEST(AdvisorConcurrency, FinalSnapshotByteIdenticalRegardlessOfReaders) {
   const std::string quiet = run_contended(0);
   const std::string hammered = run_contended(8);
   EXPECT_EQ(quiet, hammered);
+}
+
+/// The unsigned `field` of the dump entry whose user class is `uc`.
+std::uint64_t entry_field(const std::string& json, const std::string& uc,
+                          const std::string& field) {
+  const std::size_t entry = json.find("\"user_class\": \"" + uc + "\"");
+  const std::string name = "\"" + field + "\": ";
+  const std::size_t at = json.find(name, entry);
+  if (entry == std::string::npos || at == std::string::npos) {
+    ADD_FAILURE() << "no " << field << " for user class " << uc;
+    return 0;
+  }
+  return std::stoull(json.substr(at + name.size()));
+}
+
+TEST(AdvisorConcurrency, WritersSharingOneKeyLoseNoObservation) {
+  constexpr std::size_t kWriters = 4;
+  constexpr std::size_t kObsEach = 300;  // per writer, into each of 2 keys
+  const AdvisorKey shared{"vo0", "site", "shared"};
+  const auto own = [](std::size_t w) {
+    return AdvisorKey{"vo1", "site", "own" + std::to_string(w)};
+  };
+
+  AdvisorService service(fast_config());
+  service.start_refresher();
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> regressions{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      AdvisorService::Reader reader(service);
+      std::uint64_t last_generation = 0;
+      for (std::size_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+        const Advice a = reader.advise(i % 2 == 0 ? shared : own(r));
+        if (advice_stamp(a) != a.stamp) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (a.generation < last_generation ||
+            a.entry_generation > a.generation) {
+          regressions.fetch_add(1, std::memory_order_relaxed);
+        }
+        last_generation = a.generation;
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::size_t i = 0; i < kObsEach; ++i) {
+        service.ingest(shared, 250.0 + static_cast<double>((i + 7 * w) % 30));
+        service.ingest(own(w), 400.0 + static_cast<double>(i % 30));
+        if (i % 64 == 63) service.refresh_now();
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  service.stop_refresher();
+  service.refresh_now();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(regressions.load(), 0u);
+  const AdvisorStats stats = service.stats();
+  EXPECT_EQ(stats.observations, 2 * kWriters * kObsEach);
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.keys, kWriters + 1);
+  std::ostringstream os;
+  service.dump_json(os);
+  const std::string json = os.str();
+  EXPECT_EQ(entry_field(json, "shared", "observations"), kWriters * kObsEach);
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    EXPECT_EQ(entry_field(json, "own" + std::to_string(w), "observations"),
+              kObsEach);
+  }
+
+  // The refit cadence counts observations, whatever their interleaving.
+  AdvisorService alone(fast_config());
+  for (std::size_t i = 0; i < kWriters * kObsEach; ++i) {
+    alone.ingest(shared, 250.0 + static_cast<double>(i % 30));
+  }
+  alone.refresh_now();
+  std::ostringstream single;
+  alone.dump_json(single);
+  EXPECT_EQ(entry_field(json, "shared", "refits"),
+            entry_field(single.str(), "shared", "refits"));
 }
 
 TEST(AdvisorConcurrency, ReaderSlotsRecycleUnderChurn) {

@@ -8,15 +8,20 @@
 //     and past the bound the service degrades loudly (kDegraded, counted);
 //   * exact shutdown: the reply drain terminates with no lost replies
 //     beyond the ones the loop itself counted;
+//   * a paused refresh delays publication only: ingestion and stats()
+//     carry on, and what they add stays pending for the next build;
 //   * crash-restart: dump -> warm_start -> dump is byte-identical, even
 //     for a state built under chaos.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -320,6 +325,66 @@ TEST(ChaosAdvisor, RequestLoopSurfacesDegradationInTheTaxonomy) {
   EXPECT_EQ(resp.status, ResponseStatus::kDegraded);
   EXPECT_TRUE(resp.advice.degraded);
   EXPECT_EQ(loop.degraded(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// A paused refresh delays publication only
+// --------------------------------------------------------------------------
+
+TEST(ChaosAdvisor, PausedRefreshBlocksNeitherIngestNorStats) {
+  constexpr std::uint64_t kIngests = 200;
+  // Bounded so that a build which blocks ingestion fails the test instead
+  // of hanging it.
+  constexpr auto kDeadline = std::chrono::seconds(5);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool paused = false;
+  bool released = false;  // set once all ingests and stats() returned
+  bool saw_all = false;
+
+  AdvisorConfig config = chaos_config();
+  config.refresh_fault = [&](std::uint64_t generation) {
+    if (generation != 1) return;
+    std::unique_lock<std::mutex> lock(mu);
+    paused = true;
+    cv.notify_all();
+    saw_all = cv.wait_for(lock, kDeadline, [&] { return released; });
+  };
+  AdvisorService service(config);
+  service.ingest(key_a(), 500.0);  // the one observation the build folds
+
+  std::uint64_t published = 0;
+  std::thread refresher([&] { published = service.refresh_now(); });
+  bool pause_seen = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    pause_seen = cv.wait_for(lock, kDeadline, [&] { return paused; });
+  }
+  // While the build is paused: ingest into the very key it is about to
+  // read (refits included), then read the serving metadata.
+  for (std::uint64_t i = 0; i < kIngests; ++i) {
+    service.ingest(key_a(), 500.0 + 10.0 * static_cast<double>(i % 7));
+  }
+  const serve::AdvisorStats during = service.stats();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  refresher.join();
+
+  EXPECT_TRUE(pause_seen);
+  EXPECT_TRUE(saw_all) << "ingest or stats() waited for a paused refresh";
+  EXPECT_EQ(during.generation, 0u) << "nothing is published mid-pause";
+  EXPECT_EQ(during.pending, 1 + kIngests);
+  EXPECT_EQ(published, 1u);
+
+  // The paused build folded only the observation pending when it began;
+  // the ones ingested meanwhile stay pending until the next build.
+  EXPECT_EQ(service.stats().pending, kIngests);
+  EXPECT_EQ(service.refresh_now(), 2u);
+  EXPECT_EQ(service.stats().pending, 0u);
+  EXPECT_EQ(service.stats().observations, 1 + kIngests);
 }
 
 // --------------------------------------------------------------------------
