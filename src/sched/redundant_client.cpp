@@ -144,7 +144,7 @@ void RedundantClient::run_round(std::shared_ptr<BaselineOutcome> outcome,
         spec_.scheme == BaselineScheme::kKDualQueue && i > 0;
     outcome->submissions += 1;
     const auto handle = ces[site]->submit(
-        task_runtime_, [on_start, site]() { on_start(site); }, nullptr,
+        task_runtime_, [on_start, site]() { on_start(site); },
         duplicate_lane ? sim::ComputingElement::Lane::kRemote
                        : sim::ComputingElement::Lane::kLocal);
     state->copies.emplace_back(site, handle);

@@ -50,7 +50,6 @@ std::uint32_t ComputingElement::acquire_slot() {
 void ComputingElement::release_slot(std::uint32_t index) {
   JobCold& cold = cold_[index];
   cold.on_start = nullptr;
-  cold.on_complete = nullptr;
   cold.completion_event = 0;
   JobHot& hot = hot_[index];
   ++hot.generation;  // stale handles now fail the generation check
@@ -83,11 +82,12 @@ void ComputingElement::lane_unlink_to_ghost(LaneList& list,
   // list.count is intentionally NOT decremented: the ghost still counts.
 }
 
-ComputingElement::JobHandle ComputingElement::submit(
-    double runtime, StartCallback on_start, CompleteCallback on_complete,
-    Lane lane) {
-  if (runtime < 0.0) {
-    throw std::invalid_argument("ComputingElement::submit: runtime < 0");
+ComputingElement::JobHandle ComputingElement::submit(double runtime,
+                                                     StartCallback on_start,
+                                                     Lane lane) {
+  if (!(runtime >= 0.0)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "ComputingElement::submit: negative or NaN runtime");
   }
   if (metrics_) ++metrics_->jobs_dispatched;
   if (fault_prob_ > 0.0 && rng_.bernoulli(fault_prob_)) {
@@ -101,7 +101,6 @@ ComputingElement::JobHandle ComputingElement::submit(
   cold.runtime = runtime;
   cold.enqueue_time = sim_.now();
   cold.on_start = std::move(on_start);
-  cold.on_complete = std::move(on_complete);
   JobHot& hot = hot_[index];
   hot.state = JobState::kQueued;
   hot.lane = lane;
@@ -189,8 +188,6 @@ void ComputingElement::try_start_next() {
     JobCold& cold = cold_[index];
     const double runtime = cold.runtime;
     StartCallback on_start = std::move(cold.on_start);
-    CompleteCallback on_complete = std::move(cold.on_complete);
-    cold.on_start = nullptr;
     ++running_;
     if (metrics_) {
       ++metrics_->jobs_started;
@@ -198,11 +195,7 @@ void ComputingElement::try_start_next() {
     }
     if (on_start) on_start();
     const EventId done = sim_.schedule_in(
-        runtime,
-        [this, index, generation, cb = std::move(on_complete)]() mutable {
-          finish_job(index, generation);
-          if (cb) cb();
-        });
+        runtime, [this, index, generation] { finish_job(index, generation); });
     // Re-index (not re-use a reference): on_start may have grown the
     // arrays and moved them.
     cold_[index].completion_event = done;

@@ -17,8 +17,9 @@
 // so submit/cancel never hashes and never allocates beyond amortized
 // slot-vector growth. Slot state is struct-of-arrays: the 20-byte hot
 // record (links, generation, state tag) the scheduler scan walks is a
-// separate array from the cold payload (runtime, callbacks), so draining
-// a deep queue stays cache-dense. Cancelling a queued job unlinks and reclaims its
+// separate array from the cold payload (runtime, enqueue time, start
+// callback, completion event), so draining a deep queue stays
+// cache-dense. Cancelling a queued job unlinks and reclaims its
 // slot in O(1), but leaves a counted "ghost" at its queue position: the
 // historical deque implementation only dropped canceled entries when they
 // reached the queue front with a worker free, so queue_length() — and the
@@ -32,12 +33,12 @@
 // in the submission chain).
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "stats/rng.hpp"
 
 namespace gridsub::sim {
@@ -46,9 +47,7 @@ class ComputingElement {
  public:
   using JobHandle = std::uint64_t;
   /// Called when the job begins execution (start time = sim.now()).
-  using StartCallback = std::function<void()>;
-  /// Called when the job finishes execution.
-  using CompleteCallback = std::function<void()>;
+  using StartCallback = SmallFn;
 
   /// Queue lane: local jobs preempt remote ones *in queueing order* (a
   /// remote job never starts while a local job waits; running jobs are
@@ -63,11 +62,11 @@ class ComputingElement {
   ComputingElement(const ComputingElement&) = delete;
   ComputingElement& operator=(const ComputingElement&) = delete;
 
-  /// Enqueues a job with the given runtime. Callbacks fire at start and
-  /// completion unless the job is canceled (or silently faulted). The
-  /// start callback may fire synchronously if a slot is free.
+  /// Enqueues a job with the given runtime (>= 0; +inf is allowed, NaN
+  /// throws std::invalid_argument before any state changes). on_start
+  /// fires when the job starts unless it is canceled (or silently
+  /// faulted) first; it may fire synchronously if a slot is free.
   JobHandle submit(double runtime, StartCallback on_start,
-                   CompleteCallback on_complete = nullptr,
                    Lane lane = Lane::kLocal);
 
   /// Cancels a queued or running job. Returns false if unknown/finished —
@@ -119,7 +118,6 @@ class ComputingElement {
     double runtime = 0.0;
     SimTime enqueue_time = 0.0;
     StartCallback on_start;
-    CompleteCallback on_complete;
     EventId completion_event = 0;  ///< valid while running
   };
 

@@ -19,7 +19,8 @@
 // and (with SmallFn's inline buffer) no heap allocation for the common
 // events. Slot state is struct-of-arrays: the 12-byte metadata that
 // cancel() and the heap sifts touch (generation, liveness, position)
-// lives apart from the 64-byte SmallFn payload, which only pop() touches.
+// lives apart from the 48-byte SmallFn payload (a 32-byte inline buffer
+// plus its dispatch pointer), which only pop() touches.
 // Freeing a slot bumps its generation, so a stale id whose slot was
 // recycled fails the generation check instead of cancelling a stranger's
 // event.

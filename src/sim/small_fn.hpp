@@ -1,14 +1,16 @@
 #pragma once
 
-// Small-buffer event callback.
+// Small-buffer callback: the one callable type on the DES job path.
 //
-// The DES hot path schedules millions of short-lived callbacks per
-// simulated week (job completions, client timeouts, the WMS refresh).
-// std::function's inline buffer (16 bytes on libstdc++) is too small for
-// the real capture sets — ComputingElement's completion lambda alone
-// carries an object pointer, a job handle and a stored std::function — so
-// every schedule paid a heap allocation. SmallFn is a move-only callable
-// with a 64-byte inline buffer sized for those captures; larger or
+// The DES hot path creates millions of short-lived callbacks per
+// simulated week: job starts, job completions, matchmaking hops, client
+// timeouts. The event queue, the computing elements and the WMS all
+// store them as SmallFn, so a callback is moved between them, never
+// copied or re-wrapped. SmallFn is a move-only callable with a 32-byte
+// inline buffer sized for the largest hot capture set, the probe
+// client's (object pointer, shared state, submit time); the WMS
+// matchmaking hop (object pointer, ticket, runtime) and the CE
+// completion (object pointer, slot, generation) are smaller. Larger or
 // throwing-move callables fall back to the heap transparently, so
 // correctness never depends on the capture size.
 //
@@ -28,8 +30,8 @@ namespace gridsub::sim {
 class SmallFn {
  public:
   /// Inline capacity: fits the simulation's biggest hot capture set
-  /// (pointer + 64-bit handle + a 32-byte std::function) with headroom.
-  static constexpr std::size_t kInlineSize = 64;
+  /// (pointer + 16-byte std::shared_ptr + double).
+  static constexpr std::size_t kInlineSize = 32;
 
   SmallFn() noexcept = default;
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)

@@ -6,6 +6,15 @@
 
 namespace gridsub::sim {
 
+namespace {
+
+constexpr WorkloadManager::TicketId make_ticket(std::uint32_t index,
+                                                std::uint32_t generation) {
+  return (static_cast<WorkloadManager::TicketId>(generation) << 32) | index;
+}
+
+}  // namespace
+
 WorkloadManager::WorkloadManager(Simulator& sim,
                                  std::vector<ComputingElement*> ces,
                                  const WmsConfig& config, stats::Rng rng,
@@ -23,6 +32,7 @@ WorkloadManager::WorkloadManager(Simulator& sim,
     throw std::invalid_argument("WorkloadManager: info_refresh_period <= 0");
   }
   load_snapshot_.resize(ces_.size(), 0.0);
+  ties_.reserve(ces_.size());
   refresh_load_snapshot();
 }
 
@@ -54,77 +64,118 @@ std::size_t WorkloadManager::choose_element() {
       // Ties broken randomly so one CE does not absorb all bursts.
       double best = load_snapshot_[0];
       for (const double l : load_snapshot_) best = std::min(best, l);
-      std::vector<std::size_t> mins;
+      ties_.clear();
       for (std::size_t i = 0; i < ces_.size(); ++i) {
-        if (load_snapshot_[i] <= best) mins.push_back(i);
+        if (load_snapshot_[i] <= best) ties_.push_back(i);
       }
-      return mins[static_cast<std::size_t>(rng_.uniform_int(mins.size()))];
+      return ties_[static_cast<std::size_t>(rng_.uniform_int(ties_.size()))];
     }
   }
 }
 
 WorkloadManager::TicketId WorkloadManager::submit(double runtime,
                                                   StartCallback on_start) {
-  const TicketId ticket = next_ticket_++;
+  if (!(runtime >= 0.0)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "WorkloadManager::submit: negative or NaN runtime");
+  }
   if (metrics_) ++metrics_->jobs_submitted;
-  InFlight state;
+  const std::uint32_t index = acquire_slot();
+  InFlight& job = slots_[index];
+  const TicketId ticket = make_ticket(index, job.generation);
   if (config_.fault_prob > 0.0 && rng_.bernoulli(config_.fault_prob)) {
     // Lost in the submission chain; only the client timeout notices.
-    state.where = InFlight::Where::kLost;
+    job.where = InFlight::Where::kLost;
     if (metrics_) ++metrics_->jobs_faulted;
-    in_flight_.emplace(ticket, state);
     return ticket;
   }
   const double matchmaking = network_.sample_path_delay(rng_);
   if (metrics_) metrics_->total_matchmaking += matchmaking;
-  state.where = InFlight::Where::kMatchmaking;
-  state.matchmaking_event = sim_.schedule_in(
-      matchmaking, [this, ticket, runtime, cb = std::move(on_start)]() {
-        dispatch_job(ticket, runtime, cb);
-      });
-  in_flight_.emplace(ticket, state);
+  job.where = InFlight::Where::kMatchmaking;
+  job.on_start = std::move(on_start);
+  job.handle = sim_.schedule_in(matchmaking, [this, ticket, runtime] {
+    dispatch_job(ticket, runtime);
+  });
   return ticket;
 }
 
-void WorkloadManager::dispatch_job(TicketId ticket, double runtime,
-                                   StartCallback on_start) {
-  auto it = in_flight_.find(ticket);
-  if (it == in_flight_.end()) return;  // canceled during matchmaking
+void WorkloadManager::dispatch_job(TicketId ticket, double runtime) {
+  const std::uint32_t index = live_slot(ticket);
+  if (index == kNilIndex) return;  // canceled during matchmaking
   const std::size_t ce_index = choose_element();
-  it->second.where = InFlight::Where::kComputingElement;
-  it->second.ce_index = ce_index;
-  // The CE may start the job synchronously (free slot), which re-enters
-  // this WMS through the start callback and erases the ticket — so the
-  // handle must be written back through a fresh lookup, not `it`.
+  slots_[index].where = InFlight::Where::kComputingElement;
+  slots_[index].ce_index = static_cast<std::uint32_t>(ce_index);
+  // The CE may start the job synchronously (free slot), which frees this
+  // ticket's slot and runs the client's callback, which may submit a job
+  // that reuses the slot. So the handle is written back only if the
+  // ticket is still live.
   const auto handle = ces_[ce_index]->submit(
-      runtime,
-      [this, ticket, cb = std::move(on_start)]() {
-        // Started: the ticket is finished from the WMS point of view.
-        in_flight_.erase(ticket);
-        if (cb) cb();
-      },
-      nullptr);
-  if (auto live = in_flight_.find(ticket); live != in_flight_.end()) {
-    live->second.ce_handle = handle;
-  }
+      runtime, [this, ticket] { start_job(ticket); });
+  if (live_slot(ticket) == index) slots_[index].handle = handle;
+}
+
+void WorkloadManager::start_job(TicketId ticket) {
+  const std::uint32_t index = live_slot(ticket);
+  if (index == kNilIndex) return;  // a canceled ticket's job never starts
+  // Started: the ticket is finished from the WMS point of view. Free the
+  // slot before the callback runs, since it may submit or cancel jobs.
+  StartCallback on_start = std::move(slots_[index].on_start);
+  release_slot(index);
+  if (on_start) on_start();
 }
 
 bool WorkloadManager::cancel(TicketId ticket) {
-  auto it = in_flight_.find(ticket);
-  if (it == in_flight_.end()) return false;
+  const std::uint32_t index = live_slot(ticket);
+  if (index == kNilIndex) return false;
   if (metrics_) ++metrics_->jobs_canceled;
-  switch (it->second.where) {
+  const InFlight::Where where = slots_[index].where;
+  const std::uint32_t ce_index = slots_[index].ce_index;
+  const std::uint64_t handle = slots_[index].handle;
+  release_slot(index);
+  switch (where) {
     case InFlight::Where::kMatchmaking:
-      sim_.cancel(it->second.matchmaking_event);
+      sim_.cancel(handle);
       break;
     case InFlight::Where::kComputingElement:
-      ces_[it->second.ce_index]->cancel(it->second.ce_handle);
+      ces_[ce_index]->cancel(handle);
       break;
     case InFlight::Where::kLost:
+    case InFlight::Where::kFree:
       break;
   }
-  in_flight_.erase(it);
   return true;
+}
+
+std::uint32_t WorkloadManager::acquire_slot() {
+  if (free_head_ != kNilIndex) {
+    const std::uint32_t index = free_head_;
+    free_head_ = slots_[index].next_free;
+    slots_[index].next_free = kNilIndex;
+    return index;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void WorkloadManager::release_slot(std::uint32_t index) {
+  InFlight& job = slots_[index];
+  job.on_start = nullptr;
+  ++job.generation;  // tickets naming the old tenant go stale
+  job.where = InFlight::Where::kFree;
+  job.handle = 0;
+  job.next_free = free_head_;
+  free_head_ = index;
+}
+
+std::uint32_t WorkloadManager::live_slot(TicketId ticket) const {
+  const auto index = static_cast<std::uint32_t>(ticket & 0xFFFFFFFFu);
+  const auto generation = static_cast<std::uint32_t>(ticket >> 32);
+  if (index >= slots_.size()) return kNilIndex;
+  const InFlight& job = slots_[index];
+  if (job.generation != generation || job.where == InFlight::Where::kFree) {
+    return kNilIndex;
+  }
+  return index;
 }
 
 }  // namespace gridsub::sim

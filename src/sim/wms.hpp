@@ -8,16 +8,30 @@
 // of CE queues every `info_refresh_period` seconds, reproducing the paper's
 // observation that meta-schedulers act on partial information and local
 // policies interfere with global objectives.
+//
+// Tickets live in a generation-checked slot map (the scheme of
+// sim::EventQueue and sim::ComputingElement): a TicketId is
+// (generation << 32) | slot index into a free-list vector of InFlight
+// records, so submit, cancel and start never hash and never allocate
+// beyond amortized slot-vector growth. Generations start at 1, so a
+// ticket is never 0. A slot is freed when its job starts or is canceled,
+// and freeing bumps its generation: a stale or recycled ticket fails the
+// generation check, and cancel() on it returns false without moving a
+// counter. The client's start callback is moved into the ticket's slot
+// once, at submit. The matchmaking event and the CE job carry only
+// (this, ticket[, runtime]); at start the WMS moves the callback out,
+// frees the slot, then calls it. A job lost in the submission chain (or
+// silently dropped by its CE) keeps its slot until the client cancels
+// it, since only the client's timeout notices the loss.
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/computing_element.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "stats/rng.hpp"
 
 namespace gridsub::sim {
@@ -37,7 +51,7 @@ struct WmsConfig {
 class WorkloadManager {
  public:
   using TicketId = std::uint64_t;
-  using StartCallback = std::function<void()>;
+  using StartCallback = SmallFn;
 
   /// `ces` must stay alive for the WMS lifetime; metrics may be nullptr.
   WorkloadManager(Simulator& sim, std::vector<ComputingElement*> ces,
@@ -48,9 +62,14 @@ class WorkloadManager {
   WorkloadManager& operator=(const WorkloadManager&) = delete;
 
   /// Accepts a job; on_start fires when it begins executing on a worker.
+  /// `runtime` must be >= 0 (+inf is allowed); a negative or NaN runtime
+  /// throws std::invalid_argument before any counter moves or RNG draw.
   TicketId submit(double runtime, StartCallback on_start);
 
-  /// Cancels wherever the job currently is (matchmaking or CE).
+  /// Cancels wherever the job currently is (matchmaking or CE). Returns
+  /// false once the job has started or been canceled, including when the
+  /// ticket's slot has since been reused (the generation check rejects
+  /// the stale ticket).
   bool cancel(TicketId ticket);
 
   [[nodiscard]] const std::vector<ComputingElement*>& elements() const {
@@ -58,16 +77,34 @@ class WorkloadManager {
   }
 
  private:
+  static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
+
+  /// One ticket slot. A free slot chains to the next free one through
+  /// `next_free`; its generation was bumped when it was freed, so tickets
+  /// naming the old tenant go stale.
+  struct InFlight {
+    enum class Where : std::uint8_t {
+      kFree,
+      kMatchmaking,
+      kComputingElement,
+      kLost
+    };
+    std::uint32_t generation = 1;
+    std::uint32_t next_free = kNilIndex;
+    Where where = Where::kFree;
+    std::uint32_t ce_index = 0;  ///< valid at a CE
+    std::uint64_t handle = 0;    ///< matchmaking EventId or CE JobHandle
+    StartCallback on_start;      ///< held until the job starts
+  };
+
   void refresh_load_snapshot();
   [[nodiscard]] std::size_t choose_element();
-  void dispatch_job(TicketId ticket, double runtime, StartCallback on_start);
-
-  struct InFlight {
-    enum class Where { kMatchmaking, kComputingElement, kLost } where;
-    EventId matchmaking_event = 0;
-    std::size_t ce_index = 0;
-    ComputingElement::JobHandle ce_handle = 0;
-  };
+  void dispatch_job(TicketId ticket, double runtime);
+  void start_job(TicketId ticket);
+  [[nodiscard]] std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t index);
+  /// Slot index of a live ticket, or kNilIndex if it is stale or unknown.
+  [[nodiscard]] std::uint32_t live_slot(TicketId ticket) const;
 
   Simulator& sim_;
   std::vector<ComputingElement*> ces_;
@@ -77,8 +114,9 @@ class WorkloadManager {
   GridMetrics* metrics_;
 
   std::vector<double> load_snapshot_;
-  std::unordered_map<TicketId, InFlight> in_flight_;
-  TicketId next_ticket_ = 1;
+  std::vector<std::size_t> ties_;  ///< reused least-loaded tie buffer
+  std::vector<InFlight> slots_;
+  std::uint32_t free_head_ = kNilIndex;
 };
 
 }  // namespace gridsub::sim

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
+
+#include "test_util.hpp"
 
 namespace gridsub::sim {
 namespace {
@@ -171,6 +177,77 @@ TEST(ComputingElement, GhostDrainPreservesFifoAndInterleaving) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7}));
   EXPECT_EQ(ce.queue_length(), 0u);
+}
+
+TEST(ComputingElement, RejectsNanRuntimeBeforeTouchingState) {
+  // A NaN runtime must fail at the call, before any state moves: a job
+  // started first would throw only when its completion is scheduled,
+  // leaving a worker occupied for good.
+  Simulator sim;
+  GridMetrics metrics;
+  ComputingElement ce(sim, "ce", 1, 0.0, stats::Rng(1), &metrics);
+  int started = 0;
+  EXPECT_THROW(ce.submit(std::nan(""), [&] { ++started; }),
+               std::invalid_argument);
+  EXPECT_THROW(ce.submit(-1.0, [&] { ++started; }), std::invalid_argument);
+  EXPECT_EQ(started, 0);
+  EXPECT_EQ(ce.running(), 0);
+  EXPECT_EQ(ce.queue_length(), 0u);
+  EXPECT_EQ(metrics.jobs_dispatched, 0u);
+  ce.submit(10.0, [&] { ++started; });
+  EXPECT_EQ(started, 1);
+  EXPECT_EQ(ce.running(), 1);
+  sim.run();
+  EXPECT_EQ(ce.running(), 0);
+  // +inf stays legal: the job starts and simply never completes.
+  ce.submit(std::numeric_limits<double>::infinity(), [&] { ++started; });
+  EXPECT_EQ(started, 2);
+  EXPECT_EQ(ce.running(), 1);
+}
+
+/// Heap-stored in SmallFn (over its inline buffer), so the lifetime test
+/// covers the fallback path too.
+struct BigProbedCallback {
+  int* runs;
+  testutil::CallbackProbe probe;
+  std::array<double, 8> padding{};
+  void operator()() const { ++*runs; }
+};
+static_assert(!SmallFn::stores_inline<BigProbedCallback>());
+
+TEST(ComputingElement, CallbacksAreReleasedExactlyOnce) {
+  // Every start callback captures a probe. Across fire, cancel while
+  // queued, cancel after start, a silently faulted submission and CE
+  // teardown with callbacks still queued, each copy is destroyed once and
+  // each body runs at most once.
+  testutil::ProbeCounts counts;
+  std::array<int, 7> runs{};
+  const auto probed = [&counts, &runs](std::size_t i) {
+    return [run = &runs[i], probe = testutil::CallbackProbe(&counts)] {
+      ++*run;
+    };
+  };
+  {
+    Simulator sim;
+    ComputingElement ce(sim, "ce", 1, 0.0, stats::Rng(1));
+    const auto running = ce.submit(100.0, probed(0));  // fires at once
+    const auto queued = ce.submit(10.0, probed(1));
+    ce.submit(10.0, BigProbedCallback{&runs[2],
+                                      testutil::CallbackProbe(&counts)});
+    EXPECT_TRUE(ce.cancel(queued));     // canceled while queued
+    EXPECT_TRUE(ce.cancel(running));    // frees the worker: 2 fires
+    EXPECT_FALSE(ce.cancel(running));
+    ce.submit(1e6, probed(3));          // queued behind 2 at teardown
+    ce.submit(1e6, BigProbedCallback{&runs[4],
+                                     testutil::CallbackProbe(&counts)});
+    sim.run_until(50.0);  // 2 completes, 3 starts; 4 stays queued
+
+    ComputingElement faulty(sim, "faulty", 1, 1.0, stats::Rng(2));
+    EXPECT_FALSE(faulty.cancel(faulty.submit(1.0, probed(5))));
+    faulty.submit(1.0, probed(6));
+  }
+  EXPECT_EQ(counts.constructed, counts.destroyed);
+  EXPECT_EQ(runs, (std::array<int, 7>{1, 0, 1, 1, 0, 0, 0}));
 }
 
 TEST(ComputingElement, RejectsBadConstruction) {

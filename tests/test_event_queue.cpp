@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -184,13 +184,20 @@ TEST(EventQueue, InlineCallbackBufferCoversHotCaptures) {
   // The no-allocation guarantee for the hot events only holds while the
   // real capture sets fit SmallFn's inline buffer; pin it so a future
   // capture-set growth fails loudly here instead of silently regressing.
-  struct HotCapture {
+  struct HotCapture {  // WMS matchmaking hop: (this, ticket, runtime)
     void* self;
-    std::uint64_t handle;
-    std::function<void()> stored;  // CE completion carries one of these
+    std::uint64_t ticket;
+    double runtime;
     void operator()() const {}
   };
   static_assert(SmallFn::stores_inline<HotCapture>());
+  struct HotSharedCapture {  // probe start: (this, state, submit time)
+    void* self;
+    std::shared_ptr<int> state;
+    double submit_time;
+    void operator()() const {}
+  };
+  static_assert(SmallFn::stores_inline<HotSharedCapture>());
 
   // Oversized captures must transparently fall back to the heap and still
   // run (correctness never depends on the capture size).

@@ -103,7 +103,7 @@ TEST(RedundantClient, DualQueueDuplicatesYieldToLocalWork) {
   for (std::size_t s = 1; s < grid.elements().size(); ++s) {
     auto& ce = *grid.elements()[s];
     for (int i = 0; i < ce.slots() + 10; ++i) {
-      ce.submit(5e6, nullptr, nullptr);
+      ce.submit(5e6, nullptr);
     }
   }
   BaselineSpec spec;
@@ -179,13 +179,13 @@ TEST(ComputingElementLanes, RemoteLaneWaitsForLocalWork) {
   ComputingElement ce(sim, "ce", 1, 0.0, stats::Rng(3));
   int order = 0, local_started = 0, remote_started = 0;
   // Occupy the slot.
-  ce.submit(100.0, nullptr, nullptr);
+  ce.submit(100.0, nullptr);
   // Remote job enqueued first, local job second: local must still win.
   ce.submit(
-      10.0, [&] { remote_started = ++order; }, nullptr,
+      10.0, [&] { remote_started = ++order; },
       ComputingElement::Lane::kRemote);
   ce.submit(
-      10.0, [&] { local_started = ++order; }, nullptr,
+      10.0, [&] { local_started = ++order; },
       ComputingElement::Lane::kLocal);
   EXPECT_EQ(ce.queue_length(ComputingElement::Lane::kLocal), 1u);
   EXPECT_EQ(ce.queue_length(ComputingElement::Lane::kRemote), 1u);
@@ -197,10 +197,10 @@ TEST(ComputingElementLanes, RemoteLaneWaitsForLocalWork) {
 TEST(ComputingElementLanes, QueueLengthSumsBothLanes) {
   Simulator sim;
   ComputingElement ce(sim, "ce", 1, 0.0, stats::Rng(3));
-  ce.submit(100.0, nullptr, nullptr);  // running
-  ce.submit(1.0, nullptr, nullptr, ComputingElement::Lane::kLocal);
-  ce.submit(1.0, nullptr, nullptr, ComputingElement::Lane::kRemote);
-  ce.submit(1.0, nullptr, nullptr, ComputingElement::Lane::kRemote);
+  ce.submit(100.0, nullptr);  // running
+  ce.submit(1.0, nullptr, ComputingElement::Lane::kLocal);
+  ce.submit(1.0, nullptr, ComputingElement::Lane::kRemote);
+  ce.submit(1.0, nullptr, ComputingElement::Lane::kRemote);
   EXPECT_EQ(ce.queue_length(), 3u);
   EXPECT_DOUBLE_EQ(ce.load(), 4.0);
 }
@@ -208,10 +208,10 @@ TEST(ComputingElementLanes, QueueLengthSumsBothLanes) {
 TEST(ComputingElementLanes, CancelWorksInRemoteLane) {
   Simulator sim;
   ComputingElement ce(sim, "ce", 1, 0.0, stats::Rng(3));
-  ce.submit(100.0, nullptr, nullptr);
+  ce.submit(100.0, nullptr);
   int started = 0;
   const auto h = ce.submit(
-      1.0, [&] { ++started; }, nullptr, ComputingElement::Lane::kRemote);
+      1.0, [&] { ++started; }, ComputingElement::Lane::kRemote);
   EXPECT_TRUE(ce.cancel(h));
   sim.run();
   EXPECT_EQ(started, 0);

@@ -1,7 +1,7 @@
 #pragma once
 
 // Shared fixtures for the gridsub test suite: small, fast latency models
-// with known structure.
+// with known structure, and a lifetime probe for callbacks.
 
 #include <memory>
 
@@ -35,5 +35,33 @@ inline model::DiscretizedLatencyModel discretize(
     const model::LatencyModel& m, double step = 1.0) {
   return model::DiscretizedLatencyModel(m, step);
 }
+
+/// Constructions (copies and moves included) and destructions of every
+/// CallbackProbe bound to it. Once the callbacks capturing the probes are
+/// gone, the two counts match exactly when each copy was released once.
+struct ProbeCounts {
+  int constructed = 0;
+  int destroyed = 0;
+};
+
+/// Captured by a callback to count its copies, moves and destructions.
+class CallbackProbe {
+ public:
+  explicit CallbackProbe(ProbeCounts* counts) : counts_(counts) {
+    ++counts_->constructed;
+  }
+  CallbackProbe(const CallbackProbe& other) : counts_(other.counts_) {
+    ++counts_->constructed;
+  }
+  CallbackProbe(CallbackProbe&& other) noexcept : counts_(other.counts_) {
+    ++counts_->constructed;
+  }
+  CallbackProbe& operator=(const CallbackProbe&) = delete;
+  CallbackProbe& operator=(CallbackProbe&&) = delete;
+  ~CallbackProbe() { ++counts_->destroyed; }
+
+ private:
+  ProbeCounts* counts_;
+};
 
 }  // namespace gridsub::testutil
