@@ -21,7 +21,8 @@ this sweep covers the whole tree.)
 Also cross-checks the test count: docs/architecture.md's "N ctest tests
 (M GoogleTest suites ..." must match tests/CMakeLists.txt, where M is
 the number of suites in the GRIDSUB_TESTS_* lists and N adds the
-literally named add_test() tooling entries.
+literally named add_test() tooling entries and one golden test per
+GRIDSUB_GOLDEN_BENCHES entry.
 
 Exit code 1 with a file:line report on any violation.
 """
@@ -36,7 +37,10 @@ from lint_determinism import EXTENSIONS, RULES  # noqa: E402
 ALLOW_NAME_RE = re.compile(r"gridsub-lint:\s*allow(?:-file)?\(\s*([\w-]+)\s*\)")
 
 TEST_LIST_RE = re.compile(r"\bset\(\s*GRIDSUB_TESTS_\w+(.*?)\)", re.S)
-TOOLING_TEST_RE = re.compile(r"add_test\(\s*NAME\s+([A-Za-z_][\w-]*)")
+GOLDEN_LIST_RE = re.compile(r"\bset\(\s*GRIDSUB_GOLDEN_BENCHES(.*?)\)", re.S)
+# A literal name only: the golden loop's add_test(NAME golden_${bench} ...)
+# is counted through GOLDEN_LIST_RE instead.
+TOOLING_TEST_RE = re.compile(r"add_test\(\s*NAME\s+([A-Za-z_][\w-]*)\s")
 CMAKE_COMMENT_RE = re.compile(r"(^|\s)#[^\n]*")
 DOC_TEST_COUNT_RE = re.compile(r"(\d+) ctest tests \((\d+) GoogleTest suites")
 
@@ -137,11 +141,13 @@ def check_lint_allows(repo_root, errors):
 
 
 def count_registered_tests(cmake_path):
-    """(GoogleTest suites, tooling tests) registered in tests/CMakeLists.txt."""
+    """(GoogleTest suites, other tests) registered in tests/CMakeLists.txt:
+    the other tests are the tooling checks plus one golden per bench."""
     with open(cmake_path, encoding="utf-8") as fh:
         text = CMAKE_COMMENT_RE.sub(r"\1", fh.read())
     suites = sum(len(body.split()) for body in TEST_LIST_RE.findall(text))
-    return suites, len(TOOLING_TEST_RE.findall(text))
+    goldens = sum(len(body.split()) for body in GOLDEN_LIST_RE.findall(text))
+    return suites, len(TOOLING_TEST_RE.findall(text)) + goldens
 
 
 def check_test_counts(repo_root, errors):
@@ -164,7 +170,7 @@ def check_test_counts(repo_root, errors):
                         f"({gtest} GoogleTest suites), but "
                         f"tests/CMakeLists.txt registers "
                         f"{suites + tooling} ({suites} GoogleTest suites "
-                        f"+ {tooling} tooling tests)")
+                        f"+ {tooling} tooling and golden tests)")
     if not found:
         errors.append(f"{rel}: no 'N ctest tests (M GoogleTest suites' "
                       "count found to check against tests/CMakeLists.txt")

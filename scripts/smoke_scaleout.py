@@ -15,7 +15,12 @@ workflows end to end:
                    bench is re-run on it, resuming the missing cells;
   3. sharded     — three processes each run --shard i/3 into a shared
                    directory and gridsub_campaign_merge folds the shard
-                   checkpoints into one JSON.
+                   checkpoints into one JSON;
+  3b. shuffled   — the same shards with one shard's records reversed:
+                   --window 2 must fail with the merge tool's stall
+                   error, a --window of at least the campaign's cell
+                   count must merge byte-identically, and a --window that
+                   is not a positive integer must exit 2.
 
 A staged bench (default: bench_table6_cross_week, whose tune stage
 parameterizes the transfer campaign) then exercises stage-output
@@ -31,7 +36,7 @@ checkpointing the same way:
                    and the streamed shard merge must reproduce the
                    straight run's transfer JSON.
 
-Any byte difference between (2)/(3)/(4)/(5) and its straight reference —
+Any byte difference between (2)/(3)/(3b)/(4)/(5) and its straight reference —
 JSON or bench stdout — is a failure. Exercises the same binaries and
 flags a multi-host user would, unlike the unit suites which drive the
 library API.
@@ -66,6 +71,51 @@ def run(cmd, env_extra=None, **kwargs):
 def fail(msg):
     print(f"[smoke] FAIL: {msg}", file=sys.stderr)
     return 1
+
+
+def merge(args, *options):
+    """Runs the merge tool; a failing exit is the caller's to judge."""
+    cmd = [args.merge_tool, *options]
+    print(f"[smoke] $ {' '.join(cmd)}", flush=True)
+    return subprocess.run(cmd, text=True, capture_output=True)
+
+
+def shuffled_flow(args, work, shards, ref_json, n_cells):
+    """Flow 3b: the merge tool's --window contract on a reversed shard."""
+    shuffled = os.path.join(work, "shuffled")
+    shutil.copytree(shards, shuffled)
+    first = os.path.join(shuffled, sorted(os.listdir(shuffled))[0])
+    with open(first, "rb") as fh:
+        header, *records = fh.readlines()
+    with open(first, "wb") as fh:
+        fh.write(header)
+        fh.writelines(reversed(records))
+
+    inputs = ["--dir", shuffled, "--name", CAMPAIGN]
+    r = merge(args, *inputs, "--window", "2",
+              "--out", os.path.join(work, "stalled.json"))
+    if r.returncode != 1 or "not found within the reorder window" \
+            not in r.stderr:
+        return fail(f"--window 2 on a reversed shard did not stall cleanly "
+                    f"(exit {r.returncode}, stderr: {r.stderr!r})")
+    for window in (str(n_cells), "1000000000"):
+        out = os.path.join(work, f"shuffled-{window}.json")
+        r = merge(args, *inputs, "--window", window, "--out", out)
+        if r.returncode != 0:
+            return fail(f"--window {window} on a reversed shard failed "
+                        f"(exit {r.returncode}, stderr: {r.stderr!r})")
+        if not filecmp.cmp(out, ref_json, shallow=False):
+            return fail(f"--window {window} merged JSON of a reversed shard "
+                        "differs from straight run")
+    for bad in ("-1", "0", "2.5", "12abc", "abc"):
+        r = merge(args, *inputs, "--window", bad)
+        if r.returncode != 2:
+            return fail(f"--window {bad!r} exited {r.returncode}, not 2 "
+                        f"(stderr: {r.stderr!r})")
+    print(f"[smoke] ok   reversed shard: --window 2 stalls cleanly, "
+          f"--window >= {n_cells} cells is byte-identical, bad --window "
+          "values exit 2")
+    return 0
 
 
 def staged_flows(args, work, staged, staged_resume, staged_shards):
@@ -188,6 +238,10 @@ def main():
         if not filecmp.cmp(merged, ref_json, shallow=False):
             return fail("3-shard merged JSON differs from straight run")
         print("[smoke] ok   3-shard merged run is byte-identical")
+
+        code = shuffled_flow(args, work, shards, ref_json, len(lines) - 1)
+        if code:
+            return code
 
         if args.staged_bench:
             code = staged_flows(args, work, staged, staged_resume,

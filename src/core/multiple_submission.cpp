@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "numerics/integration.hpp"
-#include "numerics/interpolation.hpp"
 #include "numerics/optimize1d.hpp"
 
 namespace gridsub::core {

@@ -4,14 +4,15 @@
 //
 // The paper's expectation formulas (eqs. 1-5) are integral functionals of
 // the defective latency CDF F̃_R. On empirical models F̃ is piecewise
-// constant/linear, so composite trapezoid rules on uniform grids (with
-// compensated summation) are both exact enough and fast; adaptive Simpson is
-// provided for smooth parametric integrands and for cross-checking.
+// constant/linear, so a cumulative trapezoid over the model's uniform grid
+// (with compensated summation) is both exact enough and fast; the tuning
+// kernels in core/ tabulate their prefix integrals with it. Adaptive
+// Simpson integrates smooth parametric integrands; the tests use it as the
+// reference quadrature that production integrals are checked against.
 //
-// The function-of-one-double routines are callable-generic templates:
-// passing a lambda (or any callable) instantiates a direct-call kernel — no
-// std::function construction, no type-erased indirection per sample, which
-// matters when a tuning objective evaluates thousands of integrals per fit.
+// adaptive_simpson is a callable-generic template: passing a lambda (or
+// any callable) instantiates a direct-call kernel — no std::function
+// construction, no type-erased indirection per sample.
 
 #include <cmath>
 #include <span>
@@ -19,39 +20,9 @@
 #include <type_traits>
 #include <vector>
 
-#include "numerics/kahan.hpp"
-
 namespace gridsub::numerics {
 
 namespace detail {
-
-template <typename F>
-double trapezoid_impl(F&& f, double a, double b, std::size_t n) {
-  if (n < 1) throw std::invalid_argument("trapezoid: n must be >= 1");
-  if (b < a) throw std::invalid_argument("trapezoid: requires b >= a");
-  if (a == b) return 0.0;
-  const double h = (b - a) / static_cast<double>(n);
-  KahanAccumulator acc(0.5 * (f(a) + f(b)));
-  for (std::size_t i = 1; i < n; ++i) {
-    acc.add(f(a + static_cast<double>(i) * h));
-  }
-  return acc.value() * h;
-}
-
-template <typename F>
-double simpson_impl(F&& f, double a, double b, std::size_t n) {
-  if (n < 2) n = 2;
-  if (n % 2 != 0) ++n;
-  if (b < a) throw std::invalid_argument("simpson: requires b >= a");
-  if (a == b) return 0.0;
-  const double h = (b - a) / static_cast<double>(n);
-  KahanAccumulator acc(f(a) + f(b));
-  for (std::size_t i = 1; i < n; ++i) {
-    const double x = a + static_cast<double>(i) * h;
-    acc.add((i % 2 == 1 ? 4.0 : 2.0) * f(x));
-  }
-  return acc.value() * h / 3.0;
-}
 
 template <typename F>
 double adaptive_simpson_step(F&& f, double a, double b, double fa, double fm,
@@ -89,25 +60,6 @@ double adaptive_simpson_impl(F&& f, double a, double b, double tol,
 
 }  // namespace detail
 
-/// Composite trapezoid rule for a callable on [a, b] with n uniform
-/// subintervals. Requires n >= 1 and b >= a.
-template <typename F>
-  requires std::is_invocable_r_v<double, F&, double>
-double trapezoid(F&& f, double a, double b, std::size_t n) {
-  return detail::trapezoid_impl(f, a, b, n);
-}
-
-/// Trapezoid rule over tabulated samples y[i] = f(a + i*dx), i = 0..y.size()-1.
-/// Requires y.size() >= 2 and dx > 0.
-double trapezoid_tabulated(std::span<const double> y, double dx);
-
-/// Composite Simpson rule (n is rounded up to the next even value).
-template <typename F>
-  requires std::is_invocable_r_v<double, F&, double>
-double simpson(F&& f, double a, double b, std::size_t n) {
-  return detail::simpson_impl(f, a, b, n);
-}
-
 /// Adaptive Simpson quadrature with absolute tolerance `tol` and a recursion
 /// depth cap. Suitable for smooth integrands (parametric densities).
 template <typename F>
@@ -117,12 +69,10 @@ double adaptive_simpson(F&& f, double a, double b, double tol = 1e-9,
   return detail::adaptive_simpson_impl(f, a, b, tol, max_depth);
 }
 
-/// Cumulative trapezoid integral of tabulated samples: returns c with
-/// c[i] = integral of the linear interpolant of y over [0, i*dx];
-/// c[0] = 0 and c.size() == y.size(). Uses compensated summation.
-std::vector<double> cumulative_trapezoid(std::span<const double> y, double dx);
-
-/// In-place variant writing into `out` (resized to y.size()).
+/// Cumulative trapezoid integral of tabulated samples, written into `out`
+/// (resized to y.size()): out[i] = integral of the linear interpolant of y
+/// over [0, i*dx], out[0] = 0. Uses compensated summation. Requires a
+/// non-empty y and dx > 0.
 void cumulative_trapezoid(std::span<const double> y, double dx,
                           std::vector<double>& out);
 

@@ -1,51 +1,9 @@
 #include "numerics/interpolation.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace gridsub::numerics {
-
-UniformGridInterpolant::UniformGridInterpolant(double x0, double dx,
-                                               std::vector<double> y)
-    : x0_(x0), dx_(dx), y_(std::move(y)) {
-  if (y_.size() < 2) {
-    throw std::invalid_argument("UniformGridInterpolant: need >= 2 samples");
-  }
-  if (!(dx_ > 0.0)) {
-    throw std::invalid_argument("UniformGridInterpolant: dx must be > 0");
-  }
-}
-
-double UniformGridInterpolant::x_max() const {
-  return x0_ + dx_ * static_cast<double>(y_.size() - 1);
-}
-
-double UniformGridInterpolant::operator()(double x) const {
-  if (y_.empty()) throw std::logic_error("UniformGridInterpolant: empty");
-  const double s = (x - x0_) / dx_;
-  if (s <= 0.0) return y_.front();
-  const auto last = static_cast<double>(y_.size() - 1);
-  if (s >= last) return y_.back();
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return y_[i] + frac * (y_[i + 1] - y_[i]);
-}
-
-double interp_sorted(std::span<const double> x, std::span<const double> y,
-                     double xq) {
-  if (x.size() != y.size() || x.size() < 1) {
-    throw std::invalid_argument("interp_sorted: size mismatch or empty");
-  }
-  if (xq <= x.front()) return y.front();
-  if (xq >= x.back()) return y.back();
-  const auto it = std::upper_bound(x.begin(), x.end(), xq);
-  const auto i = static_cast<std::size_t>(it - x.begin());
-  const double x0 = x[i - 1];
-  const double x1 = x[i];
-  const double w = (x1 > x0) ? (xq - x0) / (x1 - x0) : 0.0;
-  return y[i - 1] + w * (y[i] - y[i - 1]);
-}
 
 double inverse_monotone(double x0, double dx, std::span<const double> y,
                         double target) {

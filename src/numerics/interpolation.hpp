@@ -2,47 +2,17 @@
 
 // Interpolation on tabulated functions.
 //
-// DiscretizedLatencyModel caches F̃ and its prefix integrals on a uniform
-// grid; evaluating E_J at arbitrary timeouts requires linear interpolation
-// between grid nodes. A general sorted-abscissa interpolant is also provided
-// for empirical CDF inversion.
+// DiscretizedLatencyModel caches F̃ on a uniform grid and samples it by
+// inverse transform: it inverts that tabulation with linear interpolation
+// between grid nodes.
 
 #include <span>
-#include <vector>
 
 namespace gridsub::numerics {
 
-/// Linear interpolation of samples y[i] = f(x0 + i*dx) on a uniform grid.
-/// Values outside the grid clamp to the boundary samples.
-class UniformGridInterpolant {
- public:
-  UniformGridInterpolant() = default;
-
-  /// Requires y.size() >= 2 and dx > 0.
-  UniformGridInterpolant(double x0, double dx, std::vector<double> y);
-
-  [[nodiscard]] double operator()(double x) const;
-
-  [[nodiscard]] double x0() const { return x0_; }
-  [[nodiscard]] double dx() const { return dx_; }
-  [[nodiscard]] double x_max() const;
-  [[nodiscard]] std::size_t size() const { return y_.size(); }
-  [[nodiscard]] std::span<const double> samples() const { return y_; }
-
- private:
-  double x0_ = 0.0;
-  double dx_ = 1.0;
-  std::vector<double> y_;
-};
-
-/// Piecewise-linear interpolation over sorted, strictly increasing
-/// abscissae. Clamps outside [x.front(), x.back()].
-double interp_sorted(std::span<const double> x, std::span<const double> y,
-                     double xq);
-
 /// Given a non-decreasing tabulation y over uniform grid x0 + i*dx, returns
 /// the smallest x with y(x) >= target (linear interpolation between nodes);
-/// clamps to the grid ends. Used for quantiles of discretized CDFs.
+/// clamps to the grid ends. Used to sample discretized CDFs.
 double inverse_monotone(double x0, double dx, std::span<const double> y,
                         double target);
 

@@ -10,41 +10,6 @@ namespace {
 constexpr double kGolden = 0.6180339887498949;  // (sqrt(5)-1)/2
 }
 
-MinResult1D golden_section(const std::function<double(double)>& f, double a,
-                           double b, double xtol, int max_iter) {
-  if (!(b >= a)) throw std::invalid_argument("golden_section: b < a");
-  MinResult1D res;
-  double x1 = b - kGolden * (b - a);
-  double x2 = a + kGolden * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  res.evaluations = 2;
-  for (int it = 0; it < max_iter && (b - a) > xtol; ++it) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kGolden * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kGolden * (b - a);
-      f2 = f(x2);
-    }
-    ++res.evaluations;
-  }
-  if (f1 <= f2) {
-    res.x = x1;
-    res.value = f1;
-  } else {
-    res.x = x2;
-    res.value = f2;
-  }
-  return res;
-}
-
 MinResult1D brent_minimize(const std::function<double(double)>& f, double a,
                            double b, double xtol, int max_iter) {
   if (!(b >= a)) throw std::invalid_argument("brent_minimize: b < a");

@@ -5,8 +5,7 @@
 // Optimal timeouts (t∞ for single/multiple submission) minimize E_J(t∞),
 // a function that is piecewise-smooth on empirical models with possible
 // plateaus. The robust recipe used throughout gridsub is: coarse grid scan
-// to bracket the global minimum, then golden-section / Brent refinement
-// inside the bracket.
+// to bracket the global minimum, then Brent refinement inside the bracket.
 
 #include <functional>
 
@@ -19,13 +18,8 @@ struct MinResult1D {
   int evaluations = 0;   ///< number of objective evaluations
 };
 
-/// Golden-section search on [a, b]; terminates when the bracket is smaller
-/// than `xtol`. f must be unimodal on [a, b] for a guaranteed global result.
-MinResult1D golden_section(const std::function<double(double)>& f, double a,
-                           double b, double xtol = 1e-6, int max_iter = 200);
-
 /// Brent's method (golden section + successive parabolic interpolation) on
-/// [a, b]. Faster than pure golden section on smooth objectives.
+/// [a, b]. f must be unimodal on [a, b] for a guaranteed global result.
 MinResult1D brent_minimize(const std::function<double(double)>& f, double a,
                            double b, double xtol = 1e-8, int max_iter = 200);
 

@@ -6,53 +6,6 @@
 
 namespace gridsub::numerics {
 
-RootResult bisection(const std::function<double(double)>& f, double a,
-                     double b, double xtol, int max_iter) {
-  if (!(b >= a)) throw std::invalid_argument("bisection: b < a");
-  RootResult res;
-  double fa = f(a);
-  double fb = f(b);
-  res.evaluations = 2;
-  if (fa == 0.0) {
-    res.x = a;
-    res.fx = 0.0;
-    res.converged = true;
-    return res;
-  }
-  if (fb == 0.0) {
-    res.x = b;
-    res.fx = 0.0;
-    res.converged = true;
-    return res;
-  }
-  if (fa * fb > 0.0) {
-    throw std::invalid_argument("bisection: f(a) and f(b) have same sign");
-  }
-  for (int it = 0; it < max_iter; ++it) {
-    const double m = 0.5 * (a + b);
-    const double fm = f(m);
-    ++res.evaluations;
-    if (fm == 0.0 || (b - a) < xtol) {
-      res.x = m;
-      res.fx = fm;
-      res.converged = true;
-      return res;
-    }
-    if (fa * fm < 0.0) {
-      b = m;
-      fb = fm;
-    } else {
-      a = m;
-      fa = fm;
-    }
-  }
-  res.x = 0.5 * (a + b);
-  res.fx = f(res.x);
-  ++res.evaluations;
-  res.converged = (b - a) < xtol * 8.0;
-  return res;
-}
-
 RootResult brent_root(const std::function<double(double)>& f, double a,
                       double b, double xtol, int max_iter) {
   RootResult res;

@@ -15,13 +15,9 @@ struct RootResult {
   bool converged = false;
 };
 
-/// Bisection on [a, b]; requires f(a) and f(b) to have opposite signs
-/// (or one of them to be zero).
-RootResult bisection(const std::function<double(double)>& f, double a,
-                     double b, double xtol = 1e-10, int max_iter = 200);
-
 /// Brent's root-finding method (inverse quadratic interpolation + secant +
-/// bisection); same bracketing requirement as bisection, faster convergence.
+/// bisection) on [a, b]; requires f(a) and f(b) to have opposite signs (or
+/// one of them to be zero).
 RootResult brent_root(const std::function<double(double)>& f, double a,
                       double b, double xtol = 1e-12, int max_iter = 200);
 

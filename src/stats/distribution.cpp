@@ -12,8 +12,6 @@ double Distribution::support_upper() const {
   return std::numeric_limits<double>::infinity();
 }
 
-double Distribution::stddev() const { return std::sqrt(variance()); }
-
 double Distribution::quantile(double p) const {
   if (p < 0.0 || p > 1.0) {
     throw std::domain_error("Distribution::quantile: p outside [0,1]");

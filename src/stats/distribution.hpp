@@ -32,7 +32,6 @@ class Distribution {
 
   [[nodiscard]] virtual double mean() const = 0;
   [[nodiscard]] virtual double variance() const = 0;
-  [[nodiscard]] double stddev() const;
 
   /// Draws one sample; default is inverse-transform via quantile().
   [[nodiscard]] virtual double sample(Rng& rng) const;

@@ -66,14 +66,6 @@ Weibull fit_weibull_mle(std::span<const double> xs) {
   return Weibull(k, lambda);
 }
 
-double fit_exponential_rate_mle(std::span<const double> xs) {
-  const double m = mean(xs);
-  if (!(m > 0.0)) {
-    throw std::invalid_argument("fit_exponential: non-positive mean");
-  }
-  return 1.0 / m;
-}
-
 double log_likelihood(std::span<const double> xs, const Distribution& dist) {
   numerics::KahanAccumulator acc;
   for (double x : xs) {

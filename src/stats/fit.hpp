@@ -27,9 +27,6 @@ LogNormal fit_lognormal_mle(std::span<const double> xs);
 /// Requires all samples > 0 and size >= 2.
 Weibull fit_weibull_mle(std::span<const double> xs);
 
-/// MLE rate for Exponential (1 / mean). Requires non-empty, positive mean.
-double fit_exponential_rate_mle(std::span<const double> xs);
-
 /// Log-likelihood of a sample under a distribution (sum of log pdf;
 /// returns -inf if any point has zero density).
 double log_likelihood(std::span<const double> xs, const Distribution& dist);

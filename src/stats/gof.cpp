@@ -1,59 +1,9 @@
 #include "stats/gof.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
-
-#include "numerics/kahan.hpp"
 
 namespace gridsub::stats {
-
-double anderson_darling(std::span<const double> xs,
-                        const Distribution& dist) {
-  if (xs.empty()) {
-    throw std::invalid_argument("anderson_darling: empty sample");
-  }
-  std::vector<double> u(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) u[i] = dist.cdf(xs[i]);
-  std::sort(u.begin(), u.end());
-  const double n = static_cast<double>(u.size());
-  // Clamp away from 0/1 so the logs stay finite for samples at the edge of
-  // the support (e.g. a latency exactly at a shifted distribution's floor).
-  constexpr double kEdge = 1e-12;
-  numerics::KahanAccumulator acc;
-  for (std::size_t i = 0; i < u.size(); ++i) {
-    const double ui = std::clamp(u[i], kEdge, 1.0 - kEdge);
-    const double uj =
-        std::clamp(u[u.size() - 1 - i], kEdge, 1.0 - kEdge);
-    const double w = 2.0 * static_cast<double>(i) + 1.0;
-    acc.add(w * (std::log(ui) + std::log1p(-uj)));
-  }
-  return -n - acc.value() / n;
-}
-
-double chi_square_gof(std::span<const double> xs, const Distribution& dist,
-                      std::size_t bins) {
-  if (xs.empty()) {
-    throw std::invalid_argument("chi_square_gof: empty sample");
-  }
-  if (bins < 2) throw std::invalid_argument("chi_square_gof: bins < 2");
-  const double n = static_cast<double>(xs.size());
-  const double expected = n / static_cast<double>(bins);
-  std::vector<std::size_t> counts(bins, 0);
-  for (const double x : xs) {
-    const double u = dist.cdf(x);
-    auto cell = static_cast<std::size_t>(u * static_cast<double>(bins));
-    cell = std::min(cell, bins - 1);
-    ++counts[cell];
-  }
-  double stat = 0.0;
-  for (const std::size_t c : counts) {
-    const double d = static_cast<double>(c) - expected;
-    stat += d * d / expected;
-  }
-  return stat;
-}
 
 double dkw_epsilon(std::size_t n, double alpha) {
   if (n == 0) throw std::invalid_argument("dkw_epsilon: n == 0");

@@ -1,34 +1,12 @@
 #pragma once
 
-// Goodness-of-fit statistics beyond the KS distance.
-//
-// Used to judge parametric latency fits (gridsub-fit, the estimator
-// ablation) and to size probe campaigns: the Anderson-Darling statistic
-// weights the tails — exactly where grid latency models earn their keep —
-// and the DKW inequality converts a campaign size into a uniform ECDF
-// error band that core/uncertainty.hpp propagates to E_J bounds.
+// Sizing probe campaigns: the DKW inequality converts a campaign size
+// into a uniform ECDF error band that core/uncertainty.hpp propagates to
+// E_J bounds. (Fit quality is judged by the KS distance in stats/fit.)
 
 #include <cstddef>
-#include <span>
-
-#include "stats/distribution.hpp"
 
 namespace gridsub::stats {
-
-/// Anderson-Darling A² of a sample against a fully-specified continuous
-/// distribution. Tail-sensitive counterpart of ks_statistic(); larger
-/// means worse fit (rule of thumb: > 2.5 rejects at ~5% for simple
-/// hypotheses). Requires a non-empty sample within the distribution's
-/// support.
-double anderson_darling(std::span<const double> xs,
-                        const Distribution& dist);
-
-/// Pearson chi-square statistic with `bins` equal-probability cells under
-/// `dist` (expected count n/bins each; requires n >= 5*bins for the usual
-/// asymptotics). Returns the statistic; degrees of freedom are bins-1 when
-/// no parameter was estimated from the sample.
-double chi_square_gof(std::span<const double> xs, const Distribution& dist,
-                      std::size_t bins);
 
 /// Dvoretzky-Kiefer-Wolfowitz band half-width: with probability >= 1-alpha
 /// the ECDF of n iid samples stays within eps of the true CDF uniformly,

@@ -43,19 +43,4 @@ double KernelDensity::pdf(double x) const {
          (static_cast<double>(sorted_.size()) * bandwidth_);
 }
 
-double KernelDensity::cdf(double x) const {
-  constexpr double kWindow = 8.0;
-  const double lo = x - kWindow * bandwidth_;
-  const double hi = x + kWindow * bandwidth_;
-  const auto first = std::lower_bound(sorted_.begin(), sorted_.end(), lo);
-  const auto last = std::upper_bound(first, sorted_.end(), hi);
-  // Samples entirely below the window contribute CDF ~ 1 each.
-  numerics::KahanAccumulator acc(
-      static_cast<double>(first - sorted_.begin()));
-  for (auto it = first; it != last; ++it) {
-    acc.add(normal_cdf((x - *it) / bandwidth_));
-  }
-  return acc.value() / static_cast<double>(sorted_.size());
-}
-
 }  // namespace gridsub::stats

@@ -24,9 +24,6 @@ class KernelDensity {
   /// Density estimate at x.
   [[nodiscard]] double pdf(double x) const;
 
-  /// Smoothed CDF estimate at x (sum of kernel CDFs).
-  [[nodiscard]] double cdf(double x) const;
-
   [[nodiscard]] double bandwidth() const { return bandwidth_; }
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }
 

@@ -12,16 +12,6 @@ LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
   if (!(sigma > 0.0)) throw std::invalid_argument("LogNormal: sigma <= 0");
 }
 
-LogNormal LogNormal::from_moments(double mean, double stddev) {
-  if (!(mean > 0.0) || !(stddev > 0.0)) {
-    throw std::invalid_argument("LogNormal::from_moments: need mean,sd > 0");
-  }
-  const double cv2 = (stddev / mean) * (stddev / mean);
-  const double sigma2 = std::log1p(cv2);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return LogNormal(mu, std::sqrt(sigma2));
-}
-
 LogNormal LogNormal::from_mean_and_sigma_log(double mean, double sigma_log) {
   if (!(mean > 0.0)) {
     throw std::invalid_argument(

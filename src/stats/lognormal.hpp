@@ -14,10 +14,6 @@ class LogNormal final : public Distribution {
   /// Requires sigma > 0.
   LogNormal(double mu, double sigma);
 
-  /// Constructs the log-normal whose (untruncated) mean and standard
-  /// deviation match the arguments (both > 0).
-  static LogNormal from_moments(double mean, double stddev);
-
   /// Mean-preserving construction from the untruncated mean and the log
   /// standard deviation: mu = log(mean) - sigma_log^2/2. Requires
   /// mean > 0 and sigma_log >= 0; sigma_log == 0 is floored to 1e-12,

@@ -73,11 +73,6 @@ double Rng::normal() {
   return u * factor;
 }
 
-double Rng::normal(double mean, double sd) {
-  if (sd < 0.0) throw std::invalid_argument("Rng::normal: sd < 0");
-  return mean + sd * normal();
-}
-
 double Rng::exponential(double lambda) {
   if (!(lambda > 0.0)) {
     throw std::invalid_argument("Rng::exponential: lambda <= 0");

@@ -37,9 +37,6 @@ class Rng {
   /// Standard normal deviate (Marsaglia polar method, cached pair).
   double normal();
 
-  /// Normal with given mean and standard deviation (sd >= 0).
-  double normal(double mean, double sd);
-
   /// Exponential with rate lambda > 0.
   double exponential(double lambda);
 

@@ -13,13 +13,6 @@ Shifted::Shifted(DistributionPtr inner, double shift)
 Shifted::Shifted(const Shifted& other)
     : inner_(other.inner_->clone()), shift_(other.shift_) {}
 
-Shifted& Shifted::operator=(const Shifted& other) {
-  if (this == &other) return *this;
-  inner_ = other.inner_->clone();
-  shift_ = other.shift_;
-  return *this;
-}
-
 double Shifted::pdf(double x) const { return inner_->pdf(x - shift_); }
 
 double Shifted::cdf(double x) const { return inner_->cdf(x - shift_); }

@@ -19,7 +19,6 @@ class Shifted final : public Distribution {
   Shifted(DistributionPtr inner, double shift);
 
   Shifted(const Shifted& other);
-  Shifted& operator=(const Shifted& other);
   Shifted(Shifted&&) noexcept = default;
   Shifted& operator=(Shifted&&) noexcept = default;
 

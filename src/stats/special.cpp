@@ -104,12 +104,4 @@ double gamma_p(double a, double x) {
   return 1.0 - gamma_q_cf(a, x);
 }
 
-double gamma_q(double a, double x) {
-  if (!(a > 0.0)) throw std::domain_error("gamma_q: a must be > 0");
-  if (x < 0.0) throw std::domain_error("gamma_q: x must be >= 0");
-  if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - gamma_p_series(a, x);
-  return gamma_q_cf(a, x);
-}
-
 }  // namespace gridsub::stats

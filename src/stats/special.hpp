@@ -20,7 +20,4 @@ double normal_quantile(double p);
 /// Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
 double gamma_p(double a, double x);
 
-/// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-double gamma_q(double a, double x);
-
 }  // namespace gridsub::stats

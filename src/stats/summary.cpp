@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "numerics/kahan.hpp"
 
@@ -36,74 +37,6 @@ double quantile(std::span<const double> xs, double p) {
   if (i + 1 >= sorted.size()) return sorted.back();
   const double frac = h - static_cast<double>(i);
   return sorted[i] + frac * (sorted[i + 1] - sorted[i]);
-}
-
-double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
-double min(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("min: empty sample");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("max: empty sample");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double skewness(std::span<const double> xs) {
-  if (xs.size() < 3) throw std::invalid_argument("skewness: need >= 3");
-  const double m = mean(xs);
-  numerics::KahanAccumulator m2, m3;
-  for (double x : xs) {
-    const double d = x - m;
-    m2.add(d * d);
-    m3.add(d * d * d);
-  }
-  const double n = static_cast<double>(xs.size());
-  const double s2 = m2.value() / n;
-  if (!(s2 > 0.0)) throw std::invalid_argument("skewness: zero variance");
-  return (m3.value() / n) / std::pow(s2, 1.5);
-}
-
-Summary summarize(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("summarize: empty sample");
-  Summary s;
-  s.count = xs.size();
-  s.mean = mean(xs);
-  s.stddev = xs.size() >= 2 ? stddev(xs) : 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.q25 = quantile(sorted, 0.25);
-  s.median = quantile(sorted, 0.5);
-  s.q75 = quantile(sorted, 0.75);
-  return s;
-}
-
-BootstrapCI bootstrap_ci(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)>& statistic,
-    std::size_t n_resamples, double level, Rng& rng) {
-  if (xs.empty()) throw std::invalid_argument("bootstrap_ci: empty sample");
-  if (!(level > 0.0 && level < 1.0)) {
-    throw std::invalid_argument("bootstrap_ci: level outside (0,1)");
-  }
-  BootstrapCI ci;
-  ci.estimate = statistic(xs);
-  std::vector<double> resample(xs.size());
-  std::vector<double> stats;
-  stats.reserve(n_resamples);
-  for (std::size_t b = 0; b < n_resamples; ++b) {
-    for (auto& v : resample) {
-      v = xs[static_cast<std::size_t>(rng.uniform_int(xs.size()))];
-    }
-    stats.push_back(statistic(resample));
-  }
-  const double alpha = 1.0 - level;
-  ci.lo = quantile(stats, 0.5 * alpha);
-  ci.hi = quantile(stats, 1.0 - 0.5 * alpha);
-  return ci;
 }
 
 }  // namespace gridsub::stats

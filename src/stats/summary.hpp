@@ -1,17 +1,13 @@
 #pragma once
 
-// Descriptive statistics and bootstrap resampling.
+// Descriptive statistics of a sample.
 //
-// Reproduces the quantities of the paper's Table 1: per-trace mean and
-// standard deviation of latency below the outlier timeout, the censored
-// lower-bound mean ("mean with 10^5"), and outlier ratios; the bootstrap is
-// used by tests and benches to put confidence bands on MC estimates.
+// The per-trace mean and standard deviation of latency below the outlier
+// timeout in the paper's Table 1 come from here (traces/trace.cpp), and
+// the KDE's Silverman bandwidth reads the standard deviation and the
+// quartiles.
 
-#include <functional>
 #include <span>
-#include <vector>
-
-#include "stats/rng.hpp"
 
 namespace gridsub::stats {
 
@@ -26,42 +22,5 @@ double stddev(std::span<const double> xs);
 
 /// Linear-interpolation sample quantile (R type-7). p in [0,1].
 double quantile(std::span<const double> xs, double p);
-
-/// Median (type-7 quantile at 0.5).
-double median(std::span<const double> xs);
-
-double min(std::span<const double> xs);
-double max(std::span<const double> xs);
-
-/// Standardized third moment; requires size >= 3 and non-zero variance.
-double skewness(std::span<const double> xs);
-
-/// Full five-number-plus summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double q25 = 0.0;
-  double median = 0.0;
-  double q75 = 0.0;
-  double max = 0.0;
-};
-
-/// Computes the summary in one pass over a copy of the data.
-Summary summarize(std::span<const double> xs);
-
-/// Percentile bootstrap confidence interval for `statistic`.
-struct BootstrapCI {
-  double estimate = 0.0;
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-/// `level` is the two-sided confidence level (e.g. 0.95).
-BootstrapCI bootstrap_ci(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)>& statistic,
-    std::size_t n_resamples, double level, Rng& rng);
 
 }  // namespace gridsub::stats

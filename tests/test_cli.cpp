@@ -76,6 +76,15 @@ TEST(CliDeathTest, BadNumberExits) {
               ::testing::ExitedWithCode(2), "expects a number");
 }
 
+TEST(CliDeathTest, TrailingGarbageAfterNumberExits) {
+  auto cli = make_cli();
+  std::array argv{const_cast<char*>("tool"), const_cast<char*>("--count"),
+                  const_cast<char*>("12abc")};
+  cli.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EXIT((void)cli.number_or("--count", 0.0),
+              ::testing::ExitedWithCode(2), "expects a number");
+}
+
 TEST(CliDeathTest, HelpExitsZero) {
   auto cli = make_cli();
   std::array argv{const_cast<char*>("tool"), const_cast<char*>("--help")};

@@ -1,94 +1,21 @@
-// Mixture, Shifted and Truncated wrappers.
+// The Shifted location wrapper.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 
-#include "stats/exponential.hpp"
 #include "stats/lognormal.hpp"
-#include "stats/mixture.hpp"
-#include "stats/pareto.hpp"
+#include "stats/rng.hpp"
 #include "stats/shifted.hpp"
-#include "stats/truncated.hpp"
-#include "stats/uniform.hpp"
+#include "stats/weibull.hpp"
 
 namespace gridsub::stats {
 namespace {
 
-Mixture make_mixture() {
-  std::vector<Mixture::Component> parts;
-  parts.push_back({0.7, std::make_unique<LogNormal>(5.5, 0.6)});
-  parts.push_back({0.3, std::make_unique<ParetoLomax>(2.5, 400.0)});
-  return Mixture(std::move(parts));
-}
-
-TEST(MixtureDist, WeightsAreNormalized) {
-  std::vector<Mixture::Component> parts;
-  parts.push_back({2.0, std::make_unique<Exponential>(0.01)});
-  parts.push_back({6.0, std::make_unique<Exponential>(0.02)});
-  const Mixture m(std::move(parts));
-  EXPECT_NEAR(m.weight(0), 0.25, 1e-15);
-  EXPECT_NEAR(m.weight(1), 0.75, 1e-15);
-}
-
-TEST(MixtureDist, CdfIsWeightedSum) {
-  const auto m = make_mixture();
-  const LogNormal ln(5.5, 0.6);
-  const ParetoLomax pl(2.5, 400.0);
-  for (double x : {50.0, 300.0, 1500.0}) {
-    EXPECT_NEAR(m.cdf(x), 0.7 * ln.cdf(x) + 0.3 * pl.cdf(x), 1e-12);
-  }
-}
-
-TEST(MixtureDist, MeanAndVarianceByLawOfTotalMoments) {
-  const auto m = make_mixture();
-  const LogNormal ln(5.5, 0.6);
-  const ParetoLomax pl(2.5, 400.0);
-  const double mean = 0.7 * ln.mean() + 0.3 * pl.mean();
-  EXPECT_NEAR(m.mean(), mean, 1e-9);
-  const double ex2 = 0.7 * (ln.variance() + ln.mean() * ln.mean()) +
-                     0.3 * (pl.variance() + pl.mean() * pl.mean());
-  EXPECT_NEAR(m.variance(), ex2 - mean * mean, 1e-6);
-}
-
-TEST(MixtureDist, SamplingMatchesCdf) {
-  const auto m = make_mixture();
-  Rng rng(99);
-  const int n = 200000;
-  const double x_ref = 400.0;
-  int below = 0;
-  for (int i = 0; i < n; ++i) {
-    if (m.sample(rng) <= x_ref) ++below;
-  }
-  EXPECT_NEAR(below / static_cast<double>(n), m.cdf(x_ref), 0.005);
-}
-
-TEST(MixtureDist, QuantileInvertsCdfViaBaseImplementation) {
-  const auto m = make_mixture();
-  for (double p : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(m.cdf(m.quantile(p)), p, 1e-7);
-  }
-}
-
-TEST(MixtureDist, DeepCopySemantics) {
-  auto m = std::make_unique<Mixture>(make_mixture());
-  const auto c = m->clone();
-  const double before = c->cdf(200.0);
-  m.reset();  // destroying the original must not affect the clone
-  EXPECT_DOUBLE_EQ(c->cdf(200.0), before);
-}
-
-TEST(MixtureDist, RejectsEmptyAndBadWeights) {
-  EXPECT_THROW(Mixture({}), std::invalid_argument);
-  std::vector<Mixture::Component> parts;
-  parts.push_back({0.0, std::make_unique<Exponential>(1.0)});
-  EXPECT_THROW(Mixture(std::move(parts)), std::invalid_argument);
-}
-
 TEST(ShiftedDist, TranslatesAllQuantities) {
-  const Shifted s(std::make_unique<Exponential>(0.01), 100.0);
-  const Exponential e(0.01);
+  // Weibull with shape 1 is the exponential law with mean 100.
+  const Shifted s(std::make_unique<Weibull>(1.0, 100.0), 100.0);
+  const Weibull e(1.0, 100.0);
   EXPECT_DOUBLE_EQ(s.mean(), e.mean() + 100.0);
   EXPECT_DOUBLE_EQ(s.variance(), e.variance());
   EXPECT_DOUBLE_EQ(s.cdf(150.0), e.cdf(50.0));
@@ -102,55 +29,6 @@ TEST(ShiftedDist, NothingBelowTheFloor) {
   EXPECT_DOUBLE_EQ(s.cdf(59.9), 0.0);
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) EXPECT_GE(s.sample(rng), 60.0);
-}
-
-TEST(TruncatedDist, CdfSpansZeroToOneOnTheBand) {
-  const Truncated t(std::make_unique<Exponential>(0.01), 0.0, 200.0);
-  EXPECT_DOUBLE_EQ(t.cdf(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(t.cdf(200.0), 1.0);
-  EXPECT_GT(t.cdf(100.0), 0.0);
-  EXPECT_LT(t.cdf(100.0), 1.0);
-}
-
-TEST(TruncatedDist, MatchesConditionalProbability) {
-  const Exponential e(0.01);
-  const Truncated t(e.clone(), 0.0, 200.0);
-  const double x = 80.0;
-  EXPECT_NEAR(t.cdf(x), e.cdf(x) / e.cdf(200.0), 1e-12);
-}
-
-TEST(TruncatedDist, MeanViaQuadratureMatchesClosedForm) {
-  // Uniform(0, 10) truncated to [2, 6] is Uniform(2, 6): mean 4, var 4/3.
-  const Truncated t(std::make_unique<UniformDist>(0.0, 10.0), 2.0, 6.0);
-  EXPECT_NEAR(t.mean(), 4.0, 1e-6);
-  EXPECT_NEAR(t.variance(), 4.0 / 3.0, 1e-6);
-}
-
-TEST(TruncatedDist, SamplesStayInsideTheBand) {
-  const Truncated t(std::make_unique<LogNormal>(6.0, 1.5), 100.0, 5000.0);
-  Rng rng(77);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = t.sample(rng);
-    EXPECT_GE(x, 100.0);
-    EXPECT_LE(x, 5000.0);
-  }
-}
-
-TEST(TruncatedDist, RejectsZeroMassBand) {
-  EXPECT_THROW(Truncated(std::make_unique<UniformDist>(0.0, 1.0), 5.0, 6.0),
-               std::invalid_argument);
-  EXPECT_THROW(Truncated(std::make_unique<UniformDist>(0.0, 1.0), 0.5, 0.5),
-               std::invalid_argument);
-}
-
-TEST(Wrappers, ComposeShiftedTruncated) {
-  // Shift then truncate: the composition used by the dataset calibration.
-  auto bulk = std::make_unique<Shifted>(
-      std::make_unique<LogNormal>(5.5, 1.0), 80.0);
-  const Truncated t(std::move(bulk), 80.0, 10000.0);
-  EXPECT_GE(t.quantile(0.001), 80.0);
-  EXPECT_LE(t.quantile(0.999), 10000.0);
-  EXPECT_NEAR(t.cdf(t.quantile(0.4)), 0.4, 1e-7);
 }
 
 }  // namespace

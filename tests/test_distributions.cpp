@@ -10,11 +10,8 @@
 
 #include "numerics/integration.hpp"
 #include "stats/distribution.hpp"
-#include "stats/exponential.hpp"
 #include "stats/gamma.hpp"
 #include "stats/lognormal.hpp"
-#include "stats/pareto.hpp"
-#include "stats/uniform.hpp"
 #include "stats/weibull.hpp"
 
 namespace gridsub::stats {
@@ -69,7 +66,7 @@ TEST_P(DistributionProperties, SampleMomentsMatchTheory) {
   }
   const double mean = sum / n;
   const double var = sum2 / n - mean * mean;
-  const double sd = d->stddev();
+  const double sd = std::sqrt(d->variance());
   EXPECT_NEAR(mean, d->mean(), 6.0 * sd / std::sqrt(n) + 1e-9)
       << d->name();
   // Variance estimate needs a looser band (4th-moment dependent).
@@ -97,27 +94,15 @@ INSTANTIATE_TEST_SUITE_P(
              [] { return DistributionPtr(new Weibull(1.8, 400.0)); }},
         Case{"weibull_heavy",
              [] { return DistributionPtr(new Weibull(0.7, 300.0)); }},
-        Case{"pareto",
-             [] { return DistributionPtr(new ParetoLomax(3.5, 500.0)); }},
-        Case{"exponential",
-             [] { return DistributionPtr(new Exponential(1.0 / 350.0)); }},
         Case{"gamma_small_shape",
              [] { return DistributionPtr(new GammaDist(0.6, 200.0)); }},
         Case{"gamma_large_shape",
-             [] { return DistributionPtr(new GammaDist(6.0, 80.0)); }},
-        Case{"uniform",
-             [] { return DistributionPtr(new UniformDist(10.0, 900.0)); }}),
+             [] { return DistributionPtr(new GammaDist(6.0, 80.0)); }}),
     [](const ::testing::TestParamInfo<Case>& param_info) {
       return param_info.param.label;
     });
 
 // ---- family-specific checks -------------------------------------------
-
-TEST(LogNormalDist, FromMomentsRoundTrips) {
-  const auto d = LogNormal::from_moments(570.0, 886.0);
-  EXPECT_NEAR(d.mean(), 570.0, 1e-9);
-  EXPECT_NEAR(d.stddev(), 886.0, 1e-9);
-}
 
 TEST(LogNormalDist, TruncatedMomentConvergesToFullMoment) {
   const LogNormal d(6.0, 1.0);
@@ -138,42 +123,9 @@ TEST(LogNormalDist, RejectsBadSigma) {
 
 TEST(WeibullDist, ShapeOneIsExponential) {
   const Weibull w(1.0, 250.0);
-  const Exponential e(1.0 / 250.0);
   for (double x : {10.0, 100.0, 500.0, 2000.0}) {
-    EXPECT_NEAR(w.cdf(x), e.cdf(x), 1e-12);
+    EXPECT_NEAR(w.cdf(x), 1.0 - std::exp(-x / 250.0), 1e-12);
   }
-}
-
-TEST(ParetoDist, InfiniteMomentsThrow) {
-  EXPECT_THROW(static_cast<void>(ParetoLomax(0.9, 100.0).mean()),
-               std::domain_error);
-  EXPECT_THROW(static_cast<void>(ParetoLomax(1.5, 100.0).variance()),
-               std::domain_error);
-  EXPECT_NO_THROW(static_cast<void>(ParetoLomax(2.5, 100.0).variance()));
-}
-
-TEST(ParetoDist, SurvivalIsPowerLaw) {
-  const ParetoLomax p(2.0, 100.0);
-  // S(x) = (1 + x/100)^-2: doubling (1+x/lambda) quarters the survival.
-  const double s1 = 1.0 - p.cdf(100.0);   // (2)^-2
-  const double s2 = 1.0 - p.cdf(300.0);   // (4)^-2
-  EXPECT_NEAR(s1 / s2, 4.0, 1e-9);
-}
-
-TEST(ExponentialDist, Memorylessness) {
-  const Exponential e(0.01);
-  // P(X > s + t | X > s) == P(X > t).
-  const double s = 50.0, t = 120.0;
-  const double lhs = (1.0 - e.cdf(s + t)) / (1.0 - e.cdf(s));
-  EXPECT_NEAR(lhs, 1.0 - e.cdf(t), 1e-12);
-}
-
-TEST(UniformDist, SupportBounds) {
-  const UniformDist u(3.0, 9.0);
-  EXPECT_DOUBLE_EQ(u.support_lower(), 3.0);
-  EXPECT_DOUBLE_EQ(u.support_upper(), 9.0);
-  EXPECT_DOUBLE_EQ(u.quantile(0.0), 3.0);
-  EXPECT_DOUBLE_EQ(u.quantile(1.0), 9.0);
 }
 
 TEST(GammaDistTest, MeanVarianceClosedForm) {

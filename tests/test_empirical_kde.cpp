@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "numerics/integration.hpp"
-#include "stats/empirical.hpp"
 #include "stats/kde.hpp"
 #include "stats/lognormal.hpp"
 
@@ -19,72 +18,12 @@ std::vector<double> lognormal_sample(std::size_t n, std::uint64_t seed) {
   return xs;
 }
 
-TEST(Empirical, CdfIsTheStepFunction) {
-  const std::vector<double> xs{1.0, 2.0, 2.0, 5.0};
-  const EmpiricalDistribution e(xs);
-  EXPECT_DOUBLE_EQ(e.cdf(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(e.cdf(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(e.cdf(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(e.cdf(4.9), 0.75);
-  EXPECT_DOUBLE_EQ(e.cdf(5.0), 1.0);
-  EXPECT_DOUBLE_EQ(e.cdf(99.0), 1.0);
-}
-
-TEST(Empirical, MeanVarianceMatchSample) {
-  const std::vector<double> xs{2.0, 4.0, 6.0, 8.0};
-  const EmpiricalDistribution e(xs);
-  EXPECT_DOUBLE_EQ(e.mean(), 5.0);
-  EXPECT_NEAR(e.variance(), 20.0 / 3.0, 1e-12);
-}
-
-TEST(Empirical, QuantileInterpolatesOrderStatistics) {
-  const std::vector<double> xs{10.0, 20.0, 30.0};
-  const EmpiricalDistribution e(xs);
-  EXPECT_DOUBLE_EQ(e.quantile(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(e.quantile(0.5), 20.0);
-  EXPECT_DOUBLE_EQ(e.quantile(1.0), 30.0);
-  EXPECT_DOUBLE_EQ(e.quantile(0.25), 15.0);
-}
-
-TEST(Empirical, BootstrapSamplingOnlyReturnsDataPoints) {
-  const std::vector<double> xs{3.0, 1.0, 4.0};
-  const EmpiricalDistribution e(xs);
-  Rng rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const double s = e.sample(rng);
-    EXPECT_TRUE(s == 1.0 || s == 3.0 || s == 4.0);
-  }
-}
-
-TEST(Empirical, ConvergesToTrueCdf) {
-  const auto xs = lognormal_sample(50000, 42);
-  const EmpiricalDistribution e(xs);
-  const LogNormal d(5.5, 0.8);
-  for (double x : {100.0, 250.0, 500.0, 1000.0}) {
-    EXPECT_NEAR(e.cdf(x), d.cdf(x), 0.01) << "x=" << x;
-  }
-}
-
-TEST(Empirical, RejectsEmptySample) {
-  const std::vector<double> empty;
-  EXPECT_THROW(EmpiricalDistribution{empty}, std::invalid_argument);
-}
-
 TEST(Kde, PdfIntegratesToOne) {
   const auto xs = lognormal_sample(2000, 7);
   const KernelDensity kde(xs);
   const double mass = numerics::adaptive_simpson(
       [&](double x) { return kde.pdf(x); }, -2000.0, 20000.0, 1e-8);
   EXPECT_NEAR(mass, 1.0, 1e-3);
-}
-
-TEST(Kde, CdfMatchesIntegralOfPdf) {
-  const auto xs = lognormal_sample(500, 11);
-  const KernelDensity kde(xs);
-  const double x_ref = 300.0;
-  const double integral = numerics::adaptive_simpson(
-      [&](double x) { return kde.pdf(x); }, -2000.0, x_ref, 1e-9);
-  EXPECT_NEAR(kde.cdf(x_ref), integral, 1e-4);
 }
 
 TEST(Kde, ApproximatesTrueDensity) {
@@ -114,8 +53,6 @@ TEST(Kde, WindowedEvaluationMatchesFullSumFarFromTail) {
   const auto xs = lognormal_sample(1000, 23);
   const KernelDensity kde(xs);
   EXPECT_NEAR(kde.pdf(1e7), 0.0, 1e-12);
-  EXPECT_NEAR(kde.cdf(1e7), 1.0, 1e-12);
-  EXPECT_NEAR(kde.cdf(-1e7), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "stats/lognormal.hpp"
 #include "stats/shifted.hpp"
-#include "stats/uniform.hpp"
 
 namespace gridsub::traces {
 namespace {
@@ -56,7 +56,9 @@ TEST(Generator, DifferentSeedsDiffer) {
 }
 
 TEST(Generator, FaultRatioIsRespected) {
-  const stats::UniformDist bulk(10.0, 100.0);  // never an outlier
+  // Median 55 s, sigma 0.5: the mass above the 10^4 s timeout is about
+  // 1e-25, so no draw becomes an outlier.
+  const stats::LogNormal bulk(std::log(55.0), 0.5);
   auto c = small_config();
   c.n_probes = 20000;
   c.fault_ratio = 0.25;
@@ -69,8 +71,8 @@ TEST(Generator, FaultRatioIsRespected) {
 }
 
 TEST(Generator, BulkTailBecomesOutliers) {
-  // Uniform(9000, 11000): about half the draws exceed the timeout.
-  const stats::UniformDist bulk(9000.0, 11000.0);
+  // Median at the 10^4 s timeout: about half the draws exceed it.
+  const stats::LogNormal bulk(std::log(10000.0), 0.1);
   auto c = small_config();
   c.fault_ratio = 0.0;
   c.n_probes = 4000;

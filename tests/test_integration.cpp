@@ -8,45 +8,6 @@
 namespace gridsub::numerics {
 namespace {
 
-TEST(Trapezoid, ExactForLinearFunctions) {
-  const auto f = [](double x) { return 3.0 * x + 2.0; };
-  EXPECT_NEAR(trapezoid(f, 0.0, 4.0, 7), 3.0 * 8.0 + 8.0, 1e-12);
-}
-
-TEST(Trapezoid, ConvergesForQuadratic) {
-  const auto f = [](double x) { return x * x; };
-  EXPECT_NEAR(trapezoid(f, 0.0, 1.0, 2000), 1.0 / 3.0, 1e-6);
-}
-
-TEST(Trapezoid, ZeroWidthIntervalIsZero) {
-  EXPECT_EQ(trapezoid([](double) { return 42.0; }, 2.0, 2.0, 10), 0.0);
-}
-
-TEST(Trapezoid, RejectsBadArguments) {
-  EXPECT_THROW(trapezoid([](double) { return 0.0; }, 0.0, 1.0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(trapezoid([](double) { return 0.0; }, 1.0, 0.0, 4),
-               std::invalid_argument);
-}
-
-TEST(TrapezoidTabulated, MatchesCallableVersion) {
-  std::vector<double> y;
-  const double dx = 0.01;
-  for (int i = 0; i <= 100; ++i) {
-    const double x = dx * i;
-    y.push_back(std::sin(x));
-  }
-  const double expected =
-      trapezoid([](double x) { return std::sin(x); }, 0.0, 1.0, 100);
-  EXPECT_NEAR(trapezoid_tabulated(y, dx), expected, 1e-12);
-}
-
-TEST(Simpson, ExactForCubicPolynomials) {
-  const auto f = [](double x) { return x * x * x - 2.0 * x * x + x; };
-  // Exact integral over [0, 2]: 4 - 16/3 + 2 = 2/3.
-  EXPECT_NEAR(simpson(f, 0.0, 2.0, 4), 2.0 / 3.0, 1e-12);
-}
-
 TEST(AdaptiveSimpson, HandlesPeakedIntegrand) {
   // N(0, 0.01) density integrates to ~1 over [-1, 1].
   const auto f = [](double x) {
@@ -65,7 +26,8 @@ TEST(CumulativeTrapezoid, PrefixValuesMatchDirectIntegrals) {
   std::vector<double> y;
   const double dx = 0.5;
   for (int i = 0; i <= 20; ++i) y.push_back(static_cast<double>(i) * dx);
-  const auto c = cumulative_trapezoid(y, dx);
+  std::vector<double> c;
+  cumulative_trapezoid(y, dx, c);
   ASSERT_EQ(c.size(), y.size());
   EXPECT_EQ(c[0], 0.0);
   // Integral of identity up to x is x^2/2 (trapezoid is exact on linears).
@@ -77,7 +39,8 @@ TEST(CumulativeTrapezoid, PrefixValuesMatchDirectIntegrals) {
 
 TEST(CumulativeTrapezoid, IsMonotoneForNonNegativeIntegrand) {
   std::vector<double> y(101, 0.25);
-  const auto c = cumulative_trapezoid(y, 1.0);
+  std::vector<double> c;
+  cumulative_trapezoid(y, 1.0, c);
   for (std::size_t i = 1; i < c.size(); ++i) EXPECT_GE(c[i], c[i - 1]);
   EXPECT_NEAR(c.back(), 25.0, 1e-12);
 }
@@ -90,22 +53,6 @@ TEST(CumulativeTrapezoid, RejectsEmptyAndBadStep) {
                std::invalid_argument);
   EXPECT_THROW(cumulative_trapezoid(ok, 0.0, out), std::invalid_argument);
 }
-
-// Property sweep: trapezoid error decreases roughly like n^-2 on smooth f.
-class TrapezoidConvergence : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(TrapezoidConvergence, ErrorShrinksWithResolution) {
-  const std::size_t n = GetParam();
-  const auto f = [](double x) { return std::exp(x); };
-  const double exact = std::exp(1.0) - 1.0;
-  const double err = std::abs(trapezoid(f, 0.0, 1.0, n) - exact);
-  const double err2 = std::abs(trapezoid(f, 0.0, 1.0, 2 * n) - exact);
-  EXPECT_LT(err2, err);
-  EXPECT_NEAR(err / err2, 4.0, 0.6);  // second-order convergence
-}
-
-INSTANTIATE_TEST_SUITE_P(Resolutions, TrapezoidConvergence,
-                         ::testing::Values(8, 16, 32, 64, 128));
 
 }  // namespace
 }  // namespace gridsub::numerics

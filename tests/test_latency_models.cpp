@@ -6,8 +6,8 @@
 #include "model/discretized.hpp"
 #include "model/empirical_latency.hpp"
 #include "model/parametric_latency.hpp"
-#include "stats/exponential.hpp"
 #include "stats/lognormal.hpp"
+#include "stats/weibull.hpp"
 #include "test_util.hpp"
 #include "traces/datasets.hpp"
 
@@ -23,8 +23,9 @@ TEST(ParametricModel, FtildeSaturatesBelowOne) {
 }
 
 TEST(ParametricModel, FtildeIsScaledBulkCdf) {
-  auto bulk = std::make_unique<stats::Exponential>(0.01);
-  const stats::Exponential ref(0.01);
+  // Weibull with shape 1 is the exponential law (here with mean 100).
+  auto bulk = std::make_unique<stats::Weibull>(1.0, 100.0);
+  const stats::Weibull ref(1.0, 100.0);
   const ParametricLatencyModel m(std::move(bulk), 0.2, 5000.0);
   for (double t : {10.0, 100.0, 800.0}) {
     EXPECT_NEAR(m.ftilde(t), 0.8 * ref.cdf(t), 1e-12);
@@ -32,8 +33,9 @@ TEST(ParametricModel, FtildeIsScaledBulkCdf) {
 }
 
 TEST(ParametricModel, OutlierRatioCombinesFaultsAndTail) {
-  // Exponential(mean 1000) with horizon 1000: tail mass e^-1.
-  auto bulk = std::make_unique<stats::Exponential>(0.001);
+  // Exponential(mean 1000), i.e. Weibull(1, 1000), with horizon 1000:
+  // tail mass e^-1.
+  auto bulk = std::make_unique<stats::Weibull>(1.0, 1000.0);
   const ParametricLatencyModel m(std::move(bulk), 0.1, 1000.0);
   const double expected = 1.0 - 0.9 * (1.0 - std::exp(-1.0));
   EXPECT_NEAR(m.outlier_ratio(), expected, 1e-12);
@@ -54,10 +56,10 @@ TEST(ParametricModel, RejectsBadArguments) {
   EXPECT_THROW(ParametricLatencyModel(nullptr, 0.0, 100.0),
                std::invalid_argument);
   EXPECT_THROW(ParametricLatencyModel(
-                   std::make_unique<stats::Exponential>(1.0), 1.0, 100.0),
+                   std::make_unique<stats::Weibull>(1.0, 1.0), 1.0, 100.0),
                std::invalid_argument);
   EXPECT_THROW(ParametricLatencyModel(
-                   std::make_unique<stats::Exponential>(1.0), 0.0, 0.0),
+                   std::make_unique<stats::Weibull>(1.0, 1.0), 0.0, 0.0),
                std::invalid_argument);
 }
 

@@ -7,26 +7,13 @@
 namespace gridsub::numerics {
 namespace {
 
-TEST(GoldenSection, FindsQuadraticMinimum) {
-  const auto f = [](double x) { return (x - 3.0) * (x - 3.0) + 1.0; };
-  const auto res = golden_section(f, 0.0, 10.0, 1e-8);
-  EXPECT_NEAR(res.x, 3.0, 1e-6);
-  EXPECT_NEAR(res.value, 1.0, 1e-10);
-}
-
-TEST(GoldenSection, HandlesBoundaryMinimum) {
-  const auto f = [](double x) { return x; };
-  const auto res = golden_section(f, 2.0, 5.0, 1e-8);
-  EXPECT_NEAR(res.x, 2.0, 1e-5);
-}
-
 TEST(BrentMinimize, FindsSmoothMinimumFast) {
   const auto f = [](double x) { return std::cos(x); };  // min at pi
   const auto res = brent_minimize(f, 2.0, 4.0, 1e-10);
   EXPECT_NEAR(res.x, M_PI, 1e-6);
-  // Brent should use far fewer evaluations than golden section.
-  const auto golden = golden_section(f, 2.0, 4.0, 1e-10);
-  EXPECT_LT(res.evaluations, golden.evaluations);
+  // Fewer evaluations than golden-section search needs on this bracket
+  // and tolerance (52).
+  EXPECT_LT(res.evaluations, 52);
 }
 
 TEST(BrentMinimize, QuarticWithFlatBottom) {
@@ -56,7 +43,6 @@ TEST(ScanThenRefine, WorksOnPiecewiseConstantPlateaus) {
 
 TEST(Optimize1D, RejectsInvertedBounds) {
   const auto f = [](double x) { return x * x; };
-  EXPECT_THROW(golden_section(f, 1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(brent_minimize(f, 1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(scan_then_refine(f, 1.0, 0.0), std::invalid_argument);
 }

@@ -7,31 +7,13 @@
 namespace gridsub::numerics {
 namespace {
 
-TEST(Bisection, FindsSimpleRoot) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  const auto res = bisection(f, 0.0, 2.0, 1e-12);
-  EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(res.x, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Bisection, AcceptsRootAtBracketEdge) {
-  const auto f = [](double x) { return x - 1.0; };
-  const auto res = bisection(f, 1.0, 5.0);
-  EXPECT_TRUE(res.converged);
-  EXPECT_DOUBLE_EQ(res.x, 1.0);
-}
-
-TEST(Bisection, RejectsNonBracketingInterval) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW(bisection(f, -1.0, 1.0), std::invalid_argument);
-}
-
 TEST(BrentRoot, ConvergesFasterThanBisection) {
   const auto f = [](double x) { return std::cos(x) - x; };
   const auto brent = brent_root(f, 0.0, 1.0, 1e-14);
-  const auto bisect = bisection(f, 0.0, 1.0, 1e-14);
   EXPECT_NEAR(brent.x, 0.7390851332151607, 1e-10);
-  EXPECT_LT(brent.evaluations, bisect.evaluations);
+  // Fewer evaluations than bisection needs on this bracket and tolerance
+  // (50).
+  EXPECT_LT(brent.evaluations, 50);
 }
 
 TEST(BrentRoot, HandlesSteepFunctions) {

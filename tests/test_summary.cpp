@@ -20,32 +20,13 @@ TEST(Summary, QuantileType7) {
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(median(xs), 2.5);
 }
 
 TEST(Summary, QuantileUnsortedInput) {
   const std::vector<double> xs{9.0, 1.0, 5.0};
-  EXPECT_DOUBLE_EQ(median(xs), 5.0);
-  EXPECT_DOUBLE_EQ(min(xs), 1.0);
-  EXPECT_DOUBLE_EQ(max(xs), 9.0);
-}
-
-TEST(Summary, SkewnessSigns) {
-  const std::vector<double> right{1, 1, 1, 2, 2, 3, 5, 9, 20};
-  EXPECT_GT(skewness(right), 0.5);
-  const std::vector<double> sym{-3, -2, -1, 0, 1, 2, 3};
-  EXPECT_NEAR(skewness(sym), 0.0, 1e-12);
-}
-
-TEST(Summary, SummarizeFillsAllFields) {
-  const std::vector<double> xs{4.0, 8.0, 15.0, 16.0, 23.0, 42.0};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 6u);
-  EXPECT_DOUBLE_EQ(s.min, 4.0);
-  EXPECT_DOUBLE_EQ(s.max, 42.0);
-  EXPECT_DOUBLE_EQ(s.mean, 18.0);
-  EXPECT_DOUBLE_EQ(s.median, 15.5);
-  EXPECT_GT(s.q75, s.q25);
+  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 5.0);
+  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 9.0);
 }
 
 TEST(Summary, ErrorsOnDegenerateInput) {
@@ -55,31 +36,6 @@ TEST(Summary, ErrorsOnDegenerateInput) {
   EXPECT_THROW(variance(one), std::invalid_argument);
   EXPECT_THROW(quantile(empty, 0.5), std::invalid_argument);
   EXPECT_THROW(quantile(one, 2.0), std::invalid_argument);
-  EXPECT_THROW(skewness(one), std::invalid_argument);
-}
-
-TEST(Bootstrap, MeanCiCoversTruthAndShrinks) {
-  Rng rng(123);
-  std::vector<double> xs(400);
-  for (auto& x : xs) x = rng.normal(10.0, 2.0);
-  Rng boot_rng(456);
-  const auto ci = bootstrap_ci(
-      xs, [](std::span<const double> s) { return mean(s); }, 2000, 0.95,
-      boot_rng);
-  EXPECT_LT(ci.lo, ci.estimate);
-  EXPECT_GT(ci.hi, ci.estimate);
-  EXPECT_NEAR(ci.estimate, 10.0, 0.5);
-  // Width should be about 4 * se = 4 * 2/20 = 0.4.
-  EXPECT_LT(ci.hi - ci.lo, 0.8);
-  EXPECT_GT(ci.hi - ci.lo, 0.15);
-}
-
-TEST(Bootstrap, RejectsBadLevel) {
-  const std::vector<double> xs{1.0, 2.0};
-  Rng rng(1);
-  const auto stat = [](std::span<const double> s) { return mean(s); };
-  EXPECT_THROW(bootstrap_ci(xs, stat, 10, 0.0, rng), std::invalid_argument);
-  EXPECT_THROW(bootstrap_ci(xs, stat, 10, 1.0, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,9 +7,9 @@
 
 #include "model/discretized.hpp"
 #include "model/parametric_latency.hpp"
-#include "stats/exponential.hpp"
 #include "stats/lognormal.hpp"
 #include "stats/shifted.hpp"
+#include "stats/weibull.hpp"
 
 namespace gridsub::testutil {
 
@@ -23,12 +23,12 @@ inline model::ParametricLatencyModel make_heavy_model(
 }
 
 /// Memoryless latency: single resubmission is timeout-indifferent here.
+/// Weibull with shape 1 is the exponential law with the given mean.
 inline model::ParametricLatencyModel make_exponential_model(
     double mean = 300.0, double fault_ratio = 0.0,
     double horizon = 20000.0) {
   return model::ParametricLatencyModel(
-      std::make_unique<stats::Exponential>(1.0 / mean), fault_ratio,
-      horizon);
+      std::make_unique<stats::Weibull>(1.0, mean), fault_ratio, horizon);
 }
 
 inline model::DiscretizedLatencyModel discretize(

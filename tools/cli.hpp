@@ -68,17 +68,25 @@ class Cli {
     return get(key).value_or(fallback);
   }
 
+  /// The option's value as a number, or `fallback` when it is absent.
+  /// Exits 2 unless the whole value parses ("12abc" does not).
   [[nodiscard]] double number_or(const std::string& key,
                                  double fallback) const {
     const auto v = get(key);
     if (!v) return fallback;
+    std::size_t parsed = 0;
+    double x = 0.0;
     try {
-      return std::stod(*v);
+      x = std::stod(*v, &parsed);
     } catch (...) {
+      parsed = 0;  // not a number, or out of range
+    }
+    if (parsed == 0 || parsed != v->size()) {
       std::fprintf(stderr, "%s: option '%s' expects a number, got '%s'\n",
                    program_.c_str(), key.c_str(), v->c_str());
       std::exit(2);
     }
+    return x;
   }
 
   [[nodiscard]] bool flag(const std::string& key) const {

@@ -8,13 +8,15 @@
 // The merge is a streamed k-way walk: each file is read line-by-line
 // behind a bounded per-file reorder buffer, cells are emitted in global
 // flat order through exp::JsonStreamSink, and memory stays
-// O(files × window) instead of O(cells). The campaign runner bounds
-// checkpoint record disorder to its own reorder window, so the default
-// --window has orders-of-magnitude headroom; files shuffled harder than
-// that (hand-edited, or from a pre-window gridsub) fail with a clean
-// error and --buffered falls back to the load-everything path.
+// O(files × min(window, cells)) instead of O(cells). The campaign runner
+// bounds checkpoint record disorder to its own reorder window, so the
+// default --window has orders-of-magnitude headroom; files shuffled harder
+// than that (hand-edited, or from a pre-window gridsub) fail with a clean
+// error. A reader only ever buffers distinct cells, so a --window of at
+// least the campaign's cell count merges any record order.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -75,8 +77,8 @@ class EmittedRing {
     if (!slot || slot->flat != flat) {
       throw exp::CheckpointError(
           where + ": duplicate record for cell " + std::to_string(flat) +
-          " is older than the reorder window — raise --window or use "
-          "--buffered");
+          " is older than the reorder window — raise --window; a window of "
+          "at least the campaign's cell count always suffices");
     }
     if (!exp::same_cell_metrics(slot->metrics, cell.metrics)) {
       throw exp::CheckpointError(where + ": conflicting duplicate record "
@@ -140,15 +142,16 @@ bool advance(ShardReader& reader, const exp::CampaignAxes& axes,
   }
 }
 
-/// The streamed merge: k files in, canonical JSON out, O(k × window)
-/// memory. Returns the fold summary for --summary.
+/// The streamed merge: k files in, canonical JSON out,
+/// O(k × min(window, cells)) memory. Returns the fold summary for --summary.
 exp::CampaignSummary merge_streamed(std::vector<ShardReader>& readers,
                                     const exp::CampaignAxes& axes,
                                     std::size_t window, std::ostream& out) {
   exp::JsonStreamSink sink(out);
   sink.begin(axes);
-  EmittedRing ring(window);
   const std::size_t n = axes.cell_count();
+  // Flat indices are below n, so a larger ring would hold nothing more.
+  EmittedRing ring(std::min(window, n));
   for (std::size_t flat = 0; flat < n; ++flat) {
     // Pull records until some reader's buffer holds the next cell; a
     // reader whose buffer hits the window without producing it is stalled
@@ -176,8 +179,9 @@ exp::CampaignSummary merge_streamed(std::vector<ShardReader>& readers,
       if (stalled) {
         throw exp::CheckpointError(
             "cell " + std::to_string(flat) + " of campaign '" + axes.name +
-            "' not found within the reorder window — raise --window or "
-            "use --buffered");
+            "' not found within the reorder window — raise --window; a "
+            "window of at least the campaign's " + std::to_string(n) +
+            " cells always suffices");
       }
       throw exp::CheckpointError(
           "campaign '" + axes.name + "' is incomplete: cell " +
@@ -221,10 +225,10 @@ int main(int argc, char** argv) {
           {"--name", "with --dir: only checkpoints of this campaign"},
           {"--out", "output JSON path (default: stdout)"},
           {"--summary", "also print the aggregate table to stderr"},
-          {"--window", "streamed reorder window in records (default 65536)"},
-          {"--buffered", "load everything in memory instead of streaming"},
+          {"--window", "reorder window in records, a positive integer "
+                       "(default 65536)"},
       },
-      {"--summary", "--buffered"});
+      {"--summary"});
   cli.parse(argc, argv);
 
   try {
@@ -247,68 +251,21 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    std::size_t window = 65536;
-    if (const auto w = cli.get("--window")) {
-      window = static_cast<std::size_t>(std::stoull(*w));
-      if (window == 0) {
-        std::fprintf(stderr, "gridsub_campaign_merge: --window must be "
-                     "positive\n");
-        return 2;
-      }
+    // A positive integer no larger than 2^53, past which doubles skip
+    // integers; merge_streamed caps the ring at the cell count.
+    const double window_arg = cli.number_or("--window", 65536.0);
+    if (!(window_arg >= 1.0 && window_arg <= 0x1p53 &&
+          window_arg == std::floor(window_arg))) {
+      std::fprintf(stderr, "gridsub_campaign_merge: --window must be a "
+                   "positive integer, got '%s'\n",
+                   cli.get_or("--window", "").c_str());
+      return 2;
     }
+    const auto window = static_cast<std::size_t>(window_arg);
     const auto name_filter = cli.get("--name");
 
-    if (cli.flag("--buffered")) {
-      // The pre-streaming path: materialize every checkpoint. Kept as the
-      // fallback for files whose record order exceeds any window.
-      std::vector<exp::CampaignCheckpoint> shards;
-      for (const std::string& path : paths) {
-        exp::CampaignCheckpoint shard = exp::load_checkpoint(path);
-        if (name_filter && shard.axes.name != *name_filter) continue;
-        std::fprintf(stderr, "[merge] %s: campaign '%s' shard %zu/%zu, %zu "
-                     "cells%s\n",
-                     path.c_str(), shard.axes.name.c_str(),
-                     shard.shard.index, shard.shard.count,
-                     shard.cells.size(),
-                     shard.dropped_partial_tail ? " (partial tail dropped)"
-                                                : "");
-        shards.push_back(std::move(shard));
-      }
-      if (shards.empty()) {
-        std::fprintf(stderr,
-                     "gridsub_campaign_merge: no checkpoints matched "
-                     "--name '%s'\n",
-                     name_filter ? name_filter->c_str() : "");
-        return 2;
-      }
-      const exp::CampaignResult result =
-          exp::merge_checkpoints(std::move(shards));
-      const std::string out = cli.get_or("--out", "-");
-      if (out == "-") {
-        result.write_json(std::cout);
-      } else {
-        std::ofstream os(out, std::ios::binary);
-        if (!os) {
-          std::fprintf(stderr, "gridsub_campaign_merge: cannot write "
-                       "'%s'\n", out.c_str());
-          return 1;
-        }
-        result.write_json(os);
-        std::fprintf(stderr, "[merge] wrote %s (%zu cells, %zu aggregate "
-                     "rows)\n",
-                     out.c_str(), result.cells().size(),
-                     result.aggregates().size());
-      }
-      if (cli.flag("--summary")) {
-        std::ostringstream table;
-        result.summary_table().print(table);
-        std::fputs(table.str().c_str(), stderr);
-      }
-      return 0;
-    }
-
-    // Streamed path: open every file, read just the headers, verify they
-    // all describe one campaign, then k-way merge in flat order.
+    // Open every file, read just the headers, verify they all describe
+    // one campaign, then k-way merge in flat order.
     std::vector<ShardReader> readers;
     std::optional<exp::CampaignAxes> axes;
     for (const std::string& path : paths) {
