@@ -11,6 +11,7 @@
 #include "core/cost.hpp"
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
+#include "core/planner.hpp"
 #include "core/single_resubmission.hpp"
 #include "exp/experiment.hpp"
 #include "mc/mc_engine.hpp"
@@ -104,6 +105,27 @@ void BM_CostOptimum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostOptimum)->Unit(benchmark::kMillisecond);
+
+void BM_Recommend(benchmark::State& state) {
+  // The tuning of one advisor refit: recommend() on a 200-observation
+  // window censored at a 4000 s timeout and discretized at 20 s.
+  traces::Trace window("refit-window", 4000.0);
+  for (const traces::ProbeRecord& r : trace_2006().records()) {
+    if (window.size() == 200) break;
+    if (r.status == traces::ProbeStatus::kCompleted &&
+        r.latency < window.timeout()) {
+      window.add_completed(0.0, r.latency);
+    } else {
+      window.add_outlier(0.0);
+    }
+  }
+  const auto m = model::DiscretizedLatencyModel::from_trace(window, 20.0);
+  const core::StrategyPlanner planner(m);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner.recommend());
+  }
+}
+BENCHMARK(BM_Recommend)->Unit(benchmark::kMillisecond);
 
 void BM_McDelayed(benchmark::State& state) {
   const auto& m = model_2006();

@@ -10,6 +10,10 @@ Two input shapes are recognised automatically:
   memory regression in the streaming campaign pipeline blocks the same
   way a time regression does.
 
+Both shapes warn when the two files come from different hosts, build
+types or CPU counts (`num_cpus` / `cpu_count`): their times are then not
+directly comparable.
+
 Use --format markdown to publish the table as a CI job summary.
 
 Exit code is 0 unless a threshold is given: --fail-below X fails when any
@@ -139,7 +143,7 @@ def compare_reports(base_payload, new_payload, md, fail_below,
         print(f"{prefix}only in baseline: {name}")
     for name in sorted(set(new) - set(base)):
         print(f"{prefix}only in candidate: {name}")
-    for key in ("gridsub_build_type", "quick", "host"):
+    for key in ("gridsub_build_type", "quick", "host", "cpu_count"):
         a, b = base_payload.get(key), new_payload.get(key)
         if a != b:
             print(f"{prefix}warning: {key} differs: baseline={a} "
@@ -177,6 +181,11 @@ def context_warnings(base_ctx, new_ctx):
         warnings.append(
             f"hosts differ: baseline={base_ctx.get('host_name', '?')} "
             f"candidate={new_ctx.get('host_name', '?')} — times are not "
+            "directly comparable")
+    if base_ctx.get("num_cpus") != new_ctx.get("num_cpus"):
+        warnings.append(
+            f"CPU counts differ: baseline={base_ctx.get('num_cpus', '?')} "
+            f"candidate={new_ctx.get('num_cpus', '?')} — times are not "
             "directly comparable")
     return warnings
 

@@ -58,17 +58,6 @@ double phi_at_node(std::span<const double> fg, NodeShift shift,
 double cell(double width, double left, double right) {
   return 0.5 * width * (left + right);
 }
-
-double interp_prefix(const std::vector<double>& prefix, double step,
-                     double t) {
-  const double s = t / step;
-  const auto last = static_cast<double>(prefix.size() - 1);
-  if (s <= 0.0) return 0.0;
-  if (s >= last) return prefix.back();
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return prefix[i] + frac * (prefix[i + 1] - prefix[i]);
-}
 }  // namespace
 
 DelayedResubmission::DelayedResubmission(
@@ -92,11 +81,11 @@ bool DelayedResubmission::feasible(double t0, double t_inf) const {
 }
 
 double DelayedResubmission::integral_s(double t) const {
-  return interp_prefix(prefix_s_, model_.step(), t);
+  return numerics::interp_uniform(prefix_s_, model_.step(), t);
 }
 
 double DelayedResubmission::integral_us(double t) const {
-  return interp_prefix(prefix_us_, model_.step(), t);
+  return numerics::interp_uniform(prefix_us_, model_.step(), t);
 }
 
 double DelayedResubmission::overlap(double t0, double length, double q,
@@ -168,6 +157,7 @@ double DelayedResubmission::second_moment(double t0, double t_inf) const {
 
 void DelayedResubmission::Row::reset(double t0) {
   t0_ = t0;
+  floor_ = d_.integral_s(t0);
   nodes_.clear();
 }
 
@@ -374,6 +364,7 @@ DelayedOptimum DelayedResubmission::optimize(double t0_max) const {
   for (std::size_t i = 0; i < kT0Points; ++i) {
     const double t0 = lo + static_cast<double>(i) * h_t0;
     row.reset(t0);
+    if (row.expectation_floor() * (1.0 - kFloorSlack) >= best) continue;
     for (std::size_t j = 0; j < kRatioPoints; ++j) {
       const double ratio = kRatioLo + static_cast<double>(j) * h_ratio;
       const double v = row.expectation(ratio * t0);

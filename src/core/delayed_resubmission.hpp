@@ -41,6 +41,15 @@
 //   which reproduces every printed case and the t∞/t0 asymptote. The
 //   paper evaluates N∥ at l = E_J (parallel_jobs()); the distribution-
 //   averaged E[N∥(J)] is provided as expected_parallel_jobs().
+//
+// * Floors. For a fixed t0, H >= 0 gives E_J >= ∫₀^{t0} s at every t∞ of
+//   the row (Row::expectation_floor()), and N∥ >= 1 under both cost
+//   accountings, so Δcost >= CostModel::delta_cost(1, ∫₀^{t0} s). The grid
+//   scan of optimize() and both Δcost scans of CostModel skip a row whose
+//   floor, shrunk by kFloorSlack, is not below their running best. Ties are
+//   safe: the scans replace the best only on a strict <, so a skipped point
+//   could at most have equalled it, and every optimum is the full scan's
+//   bit for bit.
 
 #include <cstddef>
 #include <span>
@@ -69,6 +78,9 @@ class DelayedResubmission {
     /// sweep begins at the first feasible read.
     void reset(double t0);
     [[nodiscard]] double t0() const { return t0_; }
+    /// ∫₀^{t0} s: no expectation(t∞) of the row is below it, up to the
+    /// roundings kFloorSlack covers (see "Floors" above).
+    [[nodiscard]] double expectation_floor() const { return floor_; }
 
     /// Equals d.expectation(t0(), t_inf) bit for bit.
     [[nodiscard]] double expectation(double t_inf);
@@ -87,6 +99,7 @@ class DelayedResubmission {
 
     const DelayedResubmission& d_;
     double t0_ = 0.0;
+    double floor_ = 0.0;       ///< ∫₀^{t0} s
     std::size_t shift_ = 0;    ///< j = ⌊t0/step⌋
     double shift_frac_ = 0.0;  ///< φ = t0/step - j
     numerics::KahanAccumulator acc_;
@@ -143,7 +156,9 @@ class DelayedResubmission {
 
   /// Global minimization of E_J over the feasible triangle, parameterized
   /// as (t0, ratio = t∞/t0) with ratio in (1, 2]: a 96 × 40 grid scan, one
-  /// Row per t0, then Nelder–Mead from the best cell. `t0_max` < 0 selects
+  /// Row per t0, then Nelder–Mead from the best cell. The scan skips a row
+  /// whose floor is not below the best cell so far (see "Floors"), which
+  /// leaves the best cell and the optimum unchanged. `t0_max` < 0 selects
   /// horizon/2.
   [[nodiscard]] DelayedOptimum optimize(double t0_max = -1.0) const;
 

@@ -12,20 +12,6 @@ namespace gridsub::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double interp_prefix(const std::vector<double>& prefix, double step,
-                     double t) {
-  // prefix[i] is the integral up to i*step; linear interpolation matches
-  // the trapezoid construction only approximately between nodes, which is
-  // fine at the step sizes used (the integrand is bounded by 1).
-  const double s = t / step;
-  const auto last = static_cast<double>(prefix.size() - 1);
-  if (s <= 0.0) return 0.0;
-  if (s >= last) return prefix.back();
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return prefix[i] + frac * (prefix[i + 1] - prefix[i]);
-}
 }  // namespace
 
 MultipleSubmission::MultipleSubmission(
@@ -52,19 +38,26 @@ double MultipleSubmission::success_probability(double t_inf) const {
   return 1.0 - q;
 }
 
+// prefix[i] is the integral up to i*step; linear interpolation matches the
+// trapezoid construction only approximately between nodes, which is fine at
+// the step sizes used (the integrand is bounded by 1).
 double MultipleSubmission::integral_a(double t) const {
-  return interp_prefix(prefix_a_, model_.step(), t);
+  return numerics::interp_uniform(prefix_a_, model_.step(), t);
 }
 
 double MultipleSubmission::integral_b(double t) const {
-  return interp_prefix(prefix_b_, model_.step(), t);
+  return numerics::interp_uniform(prefix_b_, model_.step(), t);
 }
 
 double MultipleSubmission::expectation(double t_inf) const {
   if (!(t_inf > 0.0)) return kInf;
+  return expectation_at(t_inf, integral_a(t_inf));
+}
+
+double MultipleSubmission::expectation_at(double t_inf, double a) const {
   const double p = success_probability(t_inf);
   if (!(p > 0.0)) return kInf;
-  return integral_a(t_inf) / p;
+  return a / p;
 }
 
 double MultipleSubmission::second_moment(double t_inf) const {
@@ -115,7 +108,10 @@ TimeoutOptimum MultipleSubmission::optimize(double t_min,
                static_cast<double>(model_.grid_size() - 1)));
   for (std::size_t i = i_lo; i <= i_hi; ++i) {
     const double t = model_.t_at(i);
-    const double v = expectation(t);
+    const double a = integral_a(t);
+    // E_J(t') >= A(t') >= A(t) at every later node t': none can win.
+    if (a * (1.0 - kFloorSlack) >= best_v) break;
+    const double v = expectation_at(t, a);
     if (v < best_v) {
       best_v = v;
       best_t = t;

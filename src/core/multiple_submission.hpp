@@ -43,7 +43,10 @@ class MultipleSubmission {
   [[nodiscard]] double expected_submissions(double t_inf) const;
 
   /// Minimizes E_J over t∞ in [t_min, t_max] (defaults: one grid step to
-  /// the horizon). Grid scan + Brent refinement.
+  /// the horizon). Grid scan + Brent refinement. E_J(t) = A(t)/p >= A(t)
+  /// and A does not decrease, so the scan stops at the first node whose
+  /// A(t), shrunk by kFloorSlack, reaches the best E_J so far; the best
+  /// node and the Brent bracket are the full scan's.
   [[nodiscard]] TimeoutOptimum optimize(double t_min = -1.0,
                                         double t_max = -1.0) const;
 
@@ -55,6 +58,8 @@ class MultipleSubmission {
  private:
   /// Success probability by t∞: 1 - (1-F̃(t∞))^b.
   [[nodiscard]] double success_probability(double t_inf) const;
+  /// expectation(t∞) given a = A(t∞), for a scan that has already read A.
+  [[nodiscard]] double expectation_at(double t_inf, double a) const;
   /// Interpolated prefix integrals.
   [[nodiscard]] double integral_a(double t) const;
   [[nodiscard]] double integral_b(double t) const;

@@ -26,6 +26,12 @@ struct DelayedOptimum {
   double n_parallel = 1.0;  ///< N∥ evaluated at E_J (paper's §6.1 measure)
 };
 
+/// Relative slack by which the tuning scans shrink a lower bound on E_J
+/// before they skip the points it rules out. Assembling E_J from the bound
+/// costs a few roundings; 1e-12 covers them a thousand times over, so a
+/// skipped point can never have beaten the running best.
+inline constexpr double kFloorSlack = 1e-12;
+
 /// Strategy families studied by the paper.
 enum class StrategyKind {
   kSingleResubmission,  ///< §4: timeout + resubmit

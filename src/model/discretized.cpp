@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "model/empirical_latency.hpp"
+#include "numerics/integration.hpp"
 #include "numerics/interpolation.hpp"
 
 namespace gridsub::model {
@@ -65,13 +66,7 @@ DiscretizedLatencyModel DiscretizedLatencyModel::from_grid(
 }
 
 double DiscretizedLatencyModel::ftilde(double t) const {
-  if (t <= 0.0) return 0.0;
-  const double s = t / step_;
-  const auto last = static_cast<double>(ftilde_.size() - 1);
-  if (s >= last) return ftilde_.back();
-  const auto i = static_cast<std::size_t>(s);
-  const double frac = s - static_cast<double>(i);
-  return ftilde_[i] + frac * (ftilde_[i + 1] - ftilde_[i]);
+  return numerics::interp_uniform(ftilde_, step_, t);
 }
 
 double DiscretizedLatencyModel::density(double t) const {

@@ -15,6 +15,7 @@
 // construction, no type-erased indirection per sample.
 
 #include <cmath>
+#include <cstddef>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -75,5 +76,20 @@ double adaptive_simpson(F&& f, double a, double b, double tol = 1e-9,
 /// non-empty y and dx > 0.
 void cumulative_trapezoid(std::span<const double> y, double dx,
                           std::vector<double>& out);
+
+/// Linear interpolation at `t` of samples y[i] taken at i*dx: 0 for
+/// t <= 0 and y.back() from the last node on. DiscretizedLatencyModel reads
+/// F̃ through it, and the tuning kernels their cumulative_trapezoid prefix
+/// integrals. Requires a non-empty y and dx > 0.
+inline double interp_uniform(std::span<const double> y, double dx,
+                             double t) {
+  if (t <= 0.0) return 0.0;
+  const double s = t / dx;
+  const auto last = static_cast<double>(y.size() - 1);
+  if (s >= last) return y.back();
+  const auto i = static_cast<std::size_t>(s);
+  const double frac = s - static_cast<double>(i);
+  return y[i] + frac * (y[i + 1] - y[i]);
+}
 
 }  // namespace gridsub::numerics

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
 
 namespace gridsub::tools {
 namespace {
@@ -83,6 +84,48 @@ TEST(CliDeathTest, TrailingGarbageAfterNumberExits) {
   cli.parse(static_cast<int>(argv.size()), argv.data());
   EXPECT_EXIT((void)cli.number_or("--count", 0.0),
               ::testing::ExitedWithCode(2), "expects a number");
+}
+
+TEST(CliDeathTest, NonFiniteNumberExits) {
+  for (const char* value : {"nan", "inf", "-inf", "1e999"}) {
+    auto cli = make_cli();
+    std::array argv{const_cast<char*>("tool"), const_cast<char*>("--count"),
+                    const_cast<char*>(value)};
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EXIT((void)cli.number_or("--count", 0.0),
+                ::testing::ExitedWithCode(2), "expects a number")
+        << value;
+  }
+}
+
+TEST(Cli, CountReadsWholeNumbersInRange) {
+  for (const auto& [value, want] :
+       {std::pair{"0", 0}, std::pair{"7", 7}, std::pair{"100", 100},
+        std::pair{"1e2", 100}}) {
+    auto cli = make_cli();
+    std::array argv{const_cast<char*>("tool"), const_cast<char*>("--count"),
+                    const_cast<char*>(value)};
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(cli.count_or("--count", -1, 0, 100), want) << value;
+  }
+  auto cli = make_cli();
+  std::array argv{const_cast<char*>("tool")};
+  cli.parse(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(cli.count_or("--count", -1, 0, 100), -1);  // absent: fallback
+}
+
+TEST(CliDeathTest, CountRejectsWhatNoCastMayTake) {
+  // Each is rejected before any cast: a negative count, a fraction, a value
+  // past every integer type here, and a NaN.
+  for (const char* value : {"-5", "2.5", "1e30", "nan", "101"}) {
+    auto cli = make_cli();
+    std::array argv{const_cast<char*>("tool"), const_cast<char*>("--count"),
+                    const_cast<char*>(value)};
+    cli.parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EXIT((void)cli.count_or("--count", 1, 0, 100),
+                ::testing::ExitedWithCode(2), "option '--count' expects")
+        << value;
+  }
 }
 
 TEST(CliDeathTest, HelpExitsZero) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -127,6 +130,99 @@ TEST(CostModel, CostOptimumIsNoWorseThanNearbyIntegerPoints) {
               << (definition == CostDefinition::kFleet) << ", offset " << d0
               << "," << di;
         }
+      }
+    }
+  }
+}
+
+/// optimize_delayed_cost() without its row floors: the same 8 s lattice
+/// and ±10 s window that follows the running best, from the public Row,
+/// parallel_jobs_at() and delta_cost(). Returns false when no point is
+/// feasible.
+bool unpruned_cost_optimum(const CostModel& cost, double t0_lo, double t0_hi,
+                           CostDefinition definition, CostEvaluation& out) {
+  const auto& m = cost.latency_model();
+  const double lo = (t0_lo > 0.0) ? t0_lo : std::max(16.0, 4.0 * m.step());
+  const double hi =
+      (t0_hi > 0.0) ? t0_hi
+                    : std::min(0.5 * m.horizon(),
+                               4.0 * cost.baseline().metrics.expectation);
+  DelayedResubmission::Row row(cost.delayed());
+  double best_t0 = 0.0, best_tinf = 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  const auto visit = [&](double t_inf) {
+    const double ej = row.expectation(t_inf);
+    if (!std::isfinite(ej)) return;
+    const double n_par =
+        definition == CostDefinition::kFleet
+            ? row.expected_job_seconds(t_inf) / ej
+            : DelayedResubmission::parallel_jobs_at(ej, row.t0(), t_inf);
+    const double v = cost.delta_cost(n_par, ej);
+    if (v < best) {
+      best = v;
+      best_t0 = row.t0();
+      best_tinf = t_inf;
+    }
+  };
+  for (double t0 = std::ceil(lo); t0 <= hi; t0 += 8.0) {
+    row.reset(t0);
+    for (double t_inf = t0 + 1.0; t_inf <= std::min(2.0 * t0, m.horizon());
+         t_inf += 8.0) {
+      visit(t_inf);
+    }
+  }
+  if (!std::isfinite(best)) return false;
+  for (double t0 = std::max(std::ceil(lo), best_t0 - 10.0);
+       t0 <= std::min(hi, best_t0 + 10.0); t0 += 1.0) {
+    row.reset(t0);
+    for (double t_inf = std::max(t0 + 1.0, best_tinf - 10.0);
+         t_inf <= std::min({2.0 * t0, m.horizon(), best_tinf + 10.0});
+         t_inf += 1.0) {
+      visit(t_inf);
+    }
+  }
+  out = cost.evaluate_delayed(best_t0, best_tinf);
+  return true;
+}
+
+TEST(CostModel, RowFloorsLeaveTheCostOptimumBitIdentical) {
+  // The row floors only skip rows that cannot beat the running best, so
+  // every field equals the unpruned scan's, with ==, on every net model,
+  // under both accountings, with default and with explicit t0 bounds.
+  for (const auto& [label, m] : testutil::floor_net_models()) {
+    const CostModel cost(m);
+    // Explicit bounds: a fractional sub-range of the default t0 range.
+    const double t0_min = std::max(16.0, 4.0 * m.step());
+    const double span =
+        std::min(0.5 * m.horizon(), 4.0 * cost.baseline().metrics.expectation) -
+        t0_min;
+    const double bounds[][2] = {
+        {-1.0, -1.0}, {t0_min + 0.13 * span + 0.37, t0_min + 0.61 * span}};
+    for (const auto& [lo, hi] : bounds) {
+      for (const auto definition :
+           {CostDefinition::kPaperPoint, CostDefinition::kFleet}) {
+        const std::string where =
+            label + ", t0 in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "], fleet " +
+            std::to_string(definition == CostDefinition::kFleet);
+        CostEvaluation want;
+        if (!unpruned_cost_optimum(cost, lo, hi, definition, want)) {
+          EXPECT_THROW((void)cost.optimize_delayed_cost(lo, hi, definition),
+                       std::runtime_error)
+              << where;
+          continue;
+        }
+        const CostEvaluation got =
+            cost.optimize_delayed_cost(lo, hi, definition);
+        EXPECT_EQ(got.kind, want.kind) << where;
+        EXPECT_EQ(got.t0, want.t0) << where;
+        EXPECT_EQ(got.t_inf, want.t_inf) << where;
+        EXPECT_EQ(got.b, want.b) << where;
+        EXPECT_EQ(got.expectation, want.expectation) << where;
+        EXPECT_EQ(got.n_parallel, want.n_parallel) << where;
+        EXPECT_EQ(got.delta_cost, want.delta_cost) << where;
+        EXPECT_EQ(got.n_parallel_fleet, want.n_parallel_fleet) << where;
+        EXPECT_EQ(got.delta_cost_fleet, want.delta_cost_fleet) << where;
       }
     }
   }

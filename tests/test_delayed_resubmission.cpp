@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/single_resubmission.hpp"
+#include "numerics/optimize2d.hpp"
 #include "test_util.hpp"
 
 namespace gridsub::core {
@@ -292,6 +295,94 @@ TEST(DelayedResubmission, RowReadsEqualOneShotCallsAndAFineReference) {
           EXPECT_NEAR(w, w_ref, bound * w_ref)
               << "step " << c.step << " t0 " << t0 << " t_inf " << t_inf;
         }
+      }
+    }
+  }
+}
+
+/// optimize() without its row floors: the full 96 × 40 grid of Row reads,
+/// then Nelder–Mead from the best cell on one-shot evaluations.
+DelayedOptimum unpruned_delayed_optimum(const DelayedResubmission& d,
+                                        double t0_max) {
+  const auto& m = d.latency_model();
+  const double lo = 4.0 * m.step();
+  const double hi = (t0_max > 0.0) ? t0_max : 0.5 * m.horizon();
+  const double h_t0 = (hi - lo) / 95.0;
+  const double h_ratio = (2.0 - 1.02) / 39.0;
+  double best = std::numeric_limits<double>::infinity();
+  double best_t0 = 0.0, best_ratio = 0.0;
+  DelayedResubmission::Row row(d);
+  for (std::size_t i = 0; i < 96; ++i) {
+    const double t0 = lo + static_cast<double>(i) * h_t0;
+    row.reset(t0);
+    for (std::size_t j = 0; j < 40; ++j) {
+      const double ratio = 1.02 + static_cast<double>(j) * h_ratio;
+      const double v = row.expectation(ratio * t0);
+      if (v < best) {
+        best = v;
+        best_t0 = t0;
+        best_ratio = ratio;
+      }
+    }
+  }
+  if (std::isfinite(best)) {
+    const auto refined = numerics::nelder_mead(
+        [&d](double t0, double ratio) {
+          return d.expectation(t0, ratio * t0);
+        },
+        {best_t0, best_ratio}, {0.5 * h_t0 + 1e-9, 0.5 * h_ratio + 1e-9},
+        1e-10);
+    if (refined.value <= best && std::isfinite(refined.value)) {
+      best_t0 = refined.x;
+      best_ratio = refined.y;
+    }
+  }
+  DelayedOptimum opt;
+  opt.t0 = best_t0;
+  opt.t_inf = std::min(best_ratio * best_t0, m.horizon());
+  opt.metrics = d.evaluate(opt.t0, opt.t_inf);
+  opt.n_parallel = d.parallel_jobs(opt.t0, opt.t_inf);
+  return opt;
+}
+
+TEST(DelayedResubmission, RowFloorsLeaveTheOptimumBitIdentical) {
+  for (const auto& [label, m] : testutil::floor_net_models()) {
+    const DelayedResubmission d(m);
+    for (const double t0_max : {-1.0, 0.3 * m.horizon()}) {
+      const DelayedOptimum want = unpruned_delayed_optimum(d, t0_max);
+      const DelayedOptimum got = d.optimize(t0_max);
+      const std::string where = label + ", t0_max " + std::to_string(t0_max);
+      EXPECT_EQ(got.t0, want.t0) << where;
+      EXPECT_EQ(got.t_inf, want.t_inf) << where;
+      EXPECT_EQ(got.metrics.expectation, want.metrics.expectation) << where;
+      EXPECT_EQ(got.metrics.std_deviation, want.metrics.std_deviation)
+          << where;
+      EXPECT_EQ(got.n_parallel, want.n_parallel) << where;
+    }
+  }
+}
+
+TEST(DelayedResubmission, RowFloorBoundsEveryReadOfItsRow) {
+  // The floors' premise, read on a lattice of every net model: E_J, and
+  // with it E[W], is at least the row's floor shrunk by kFloorSlack, and
+  // N∥ at l = E_J is at least 1 up to the same slack.
+  for (const auto& [label, m] : testutil::floor_net_models()) {
+    const DelayedResubmission d(m);
+    DelayedResubmission::Row row(d);
+    const double h = std::max(m.step(), m.horizon() / 160.0);
+    for (double t0 = m.step() / 3.0; t0 < 0.5 * m.horizon(); t0 += h) {
+      row.reset(t0);
+      const double floor = row.expectation_floor() * (1.0 - kFloorSlack);
+      for (double t_inf = t0 + 0.5 * m.step(); t_inf <= 2.0 * t0;
+           t_inf += 0.37 * h) {
+        const double ej = row.expectation(t_inf);
+        if (!std::isfinite(ej)) continue;
+        EXPECT_GE(ej, floor) << label << " t0 " << t0 << " t_inf " << t_inf;
+        EXPECT_GE(row.expected_job_seconds(t_inf), ej)
+            << label << " t0 " << t0 << " t_inf " << t_inf;
+        EXPECT_GE(DelayedResubmission::parallel_jobs_at(ej, t0, t_inf),
+                  1.0 - kFloorSlack)
+            << label << " t0 " << t0 << " t_inf " << t_inf;
       }
     }
   }

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/single_resubmission.hpp"
+#include "numerics/optimize1d.hpp"
 #include "test_util.hpp"
 
 namespace gridsub::core {
@@ -149,6 +152,58 @@ TEST(MultipleSubmission, OptimizeRespectsBounds) {
   EXPECT_GE(opt.t_inf, 300.0 - 1e-9);
   EXPECT_LE(opt.t_inf, 1200.0 + 1e-9);
   EXPECT_THROW((void)multi.optimize(500.0, 100.0), std::invalid_argument);
+}
+
+/// optimize() without its prefix floor: every node of [t_min, t_max],
+/// then Brent in the two cells around the best node.
+TimeoutOptimum unpruned_multiple_optimum(const MultipleSubmission& multi,
+                                         double t_min, double t_max) {
+  const auto& m = multi.latency_model();
+  const double step = m.step();
+  const double lo = (t_min > 0.0) ? t_min : step;
+  const double hi =
+      (t_max > 0.0) ? std::min(t_max, m.horizon()) : m.horizon();
+  double best_t = lo;
+  double best_v = multi.expectation(lo);
+  const auto i_lo = static_cast<std::size_t>(std::ceil(lo / step));
+  const auto i_hi = static_cast<std::size_t>(std::min(
+      std::floor(hi / step), static_cast<double>(m.grid_size() - 1)));
+  for (std::size_t i = i_lo; i <= i_hi; ++i) {
+    const double v = multi.expectation(m.t_at(i));
+    if (v < best_v) {
+      best_v = v;
+      best_t = m.t_at(i);
+    }
+  }
+  const auto refined = numerics::brent_minimize(
+      [&multi](double t) { return multi.expectation(t); },
+      std::max(lo, best_t - step), std::min(hi, best_t + step), 1e-6);
+  TimeoutOptimum opt;
+  opt.t_inf = refined.value < best_v ? refined.x : best_t;
+  opt.metrics = multi.evaluate(opt.t_inf);
+  return opt;
+}
+
+TEST(MultipleSubmission, PrefixFloorLeavesTheOptimumBitIdentical) {
+  for (const auto& [label, m] : testutil::floor_net_models()) {
+    for (const int b : {1, 2, 5, 10}) {
+      const MultipleSubmission multi(m, b);
+      const double bounds[][2] = {{-1.0, -1.0},
+                                  {2.5 * m.step(), 0.6 * m.horizon()}};
+      for (const auto& [lo, hi] : bounds) {
+        const TimeoutOptimum want = unpruned_multiple_optimum(multi, lo, hi);
+        const TimeoutOptimum got = multi.optimize(lo, hi);
+        const std::string where = label + ", b " + std::to_string(b) +
+                                  ", t in [" + std::to_string(lo) + ", " +
+                                  std::to_string(hi) + "]";
+        EXPECT_EQ(got.t_inf, want.t_inf) << where;
+        EXPECT_EQ(got.metrics.expectation, want.metrics.expectation)
+            << where;
+        EXPECT_EQ(got.metrics.std_deviation, want.metrics.std_deviation)
+            << where;
+      }
+    }
+  }
 }
 
 // Property sweep across (b, t_inf): sanity invariants of eq. 3/4.

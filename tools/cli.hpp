@@ -5,6 +5,8 @@
 // Supports --key value and --flag forms plus -h/--help; unknown options
 // are an error so typos fail fast rather than being silently ignored.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -69,7 +71,8 @@ class Cli {
   }
 
   /// The option's value as a number, or `fallback` when it is absent.
-  /// Exits 2 unless the whole value parses ("12abc" does not).
+  /// Exits 2 unless the whole value parses to a finite number ("12abc",
+  /// "nan" and "inf" do not).
   [[nodiscard]] double number_or(const std::string& key,
                                  double fallback) const {
     const auto v = get(key);
@@ -81,12 +84,34 @@ class Cli {
     } catch (...) {
       parsed = 0;  // not a number, or out of range
     }
-    if (parsed == 0 || parsed != v->size()) {
+    if (parsed == 0 || parsed != v->size() || !std::isfinite(x)) {
       std::fprintf(stderr, "%s: option '%s' expects a number, got '%s'\n",
                    program_.c_str(), key.c_str(), v->c_str());
       std::exit(2);
     }
     return x;
+  }
+
+  /// The option's value as a whole number in [lo, hi], or `fallback` when
+  /// it is absent. Exits 2 on anything else (a fraction, a value out of
+  /// range, "nan"), checked before any cast. Requires
+  /// -2^53 <= lo <= hi <= 2^53, where doubles hold every integer.
+  [[nodiscard]] std::int64_t count_or(const std::string& key,
+                                      std::int64_t fallback, std::int64_t lo,
+                                      std::int64_t hi) const {
+    const auto v = get(key);
+    if (!v) return fallback;
+    const double x = number_or(key, 0.0);
+    if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi) &&
+          x == std::floor(x))) {
+      std::fprintf(stderr,
+                   "%s: option '%s' expects a whole number in [%lld, %lld], "
+                   "got '%s'\n",
+                   program_.c_str(), key.c_str(), static_cast<long long>(lo),
+                   static_cast<long long>(hi), v->c_str());
+      std::exit(2);
+    }
+    return static_cast<std::int64_t>(x);
   }
 
   [[nodiscard]] bool flag(const std::string& key) const {

@@ -8,6 +8,7 @@
 // gridsub-lint: allow-file(printf-float) CLI console diagnostics only
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,7 @@
 #include "stats/weibull.hpp"
 #include "traces/trace_io.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gridsub;
   tools::Cli cli("gridsub-fit",
                  "trace statistics and parametric latency fits",
@@ -67,4 +68,8 @@ int main(int argc, char** argv) {
       "paper's approach — so a mediocre parametric fit is informative, "
       "not blocking.\n");
   return 0;
+} catch (const std::exception& e) {
+  // A library error (unreadable input, bad parameter) ends in one line.
+  std::fprintf(stderr, "gridsub-fit: %s\n", e.what());
+  return 1;
 }

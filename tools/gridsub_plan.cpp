@@ -8,6 +8,7 @@
 // gridsub-lint: allow-file(printf-float) CLI console diagnostics only
 
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "cli.hpp"
@@ -16,7 +17,7 @@
 #include "model/discretized.hpp"
 #include "traces/trace_io.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gridsub;
   tools::Cli cli(
       "gridsub-plan", "recommend a submission strategy from a probe trace",
@@ -25,7 +26,8 @@ int main(int argc, char** argv) {
           {"--objective", "cost (default) or latency"},
           {"--budget", "max mean parallel jobs for --objective latency "
                        "(default 5)"},
-          {"--max-b", "largest multiple-submission size tried (default 10)"},
+          {"--max-b", "largest multiple-submission size tried, 1 to 1000 "
+                      "(default 10)"},
           {"--step", "model grid step in seconds (default 1)"},
           {"--stability", "probe the optimum's +-5 s stability (Table 5)"},
       },
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   options.max_parallel_jobs = cli.number_or("--budget", 5.0);
-  options.max_b = static_cast<int>(cli.number_or("--max-b", 10.0));
+  options.max_b = static_cast<int>(cli.count_or("--max-b", 10, 1, 1000));
 
   const auto rec = planner.recommend(options);
   std::printf("trace: %s (%zu probes)\n", trace.name().c_str(),
@@ -98,4 +100,8 @@ int main(int argc, char** argv) {
                 100.0 * rep.max_rel_diff);
   }
   return 0;
+} catch (const std::exception& e) {
+  // A library error (unreadable input, bad parameter) ends in one line.
+  std::fprintf(stderr, "gridsub-plan: %s\n", e.what());
+  return 1;
 }

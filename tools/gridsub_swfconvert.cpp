@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -35,7 +36,7 @@
 #include "traces/swf.hpp"
 #include "traces/workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gridsub;
   tools::Cli cli(
       "gridsub-swfconvert",
@@ -70,8 +71,9 @@ int main(int argc, char** argv) {
   }
 
   traces::SwfReadOptions options;
-  options.user = static_cast<int>(cli.number_or("--user", -1.0));
-  options.group = static_cast<int>(cli.number_or("--group", -1.0));
+  constexpr std::int64_t kMaxId = std::numeric_limits<int>::max();
+  options.user = static_cast<int>(cli.count_or("--user", -1, 0, kMaxId));
+  options.group = static_cast<int>(cli.count_or("--group", -1, 0, kMaxId));
 
   const double window_start = cli.number_or("--window-start", 0.0);
   const double window_end =
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
           ? window_start + cli.number_or("--window-length", 0.0)
           : std::numeric_limits<double>::infinity();
   const auto max_jobs =
-      static_cast<std::size_t>(cli.number_or("--max-jobs", 0.0));
+      static_cast<std::size_t>(cli.count_or("--max-jobs", 0, 0, 1LL << 53));
 
   std::ifstream is(*in);
   if (!is) {
@@ -92,7 +94,8 @@ int main(int argc, char** argv) {
 
   // One streaming pass: filter (reader) -> window -> sample -> cap. Only
   // kept jobs are materialized; everything else costs a line parse.
-  stats::Rng rng(static_cast<std::uint64_t>(cli.number_or("--seed", 1.0)));
+  stats::Rng rng(
+      static_cast<std::uint64_t>(cli.count_or("--seed", 1, 0, 1LL << 53)));
   traces::SwfReadReport report;
   traces::for_each_swf_job(
       is, options,
@@ -138,4 +141,8 @@ int main(int argc, char** argv) {
     traces::write_workload_csv(std::cout, w);
   }
   return 0;
+} catch (const std::exception& e) {
+  // A library error (unreadable input, bad parameter) ends in one line.
+  std::fprintf(stderr, "gridsub-swfconvert: %s\n", e.what());
+  return 1;
 }

@@ -9,7 +9,9 @@
 
 // gridsub-lint: allow-file(printf-float) CLI console diagnostics only
 
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -17,19 +19,19 @@
 #include "traces/datasets.hpp"
 #include "traces/trace_io.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace gridsub;
   tools::Cli cli(
       "gridsub-tracegen", "generate synthetic probe traces (CSV)",
       {
           {"--dataset", "paper dataset name (e.g. 2007-51, 2007/08)"},
           {"--out", "output CSV path (default: stdout)"},
-          {"--probes", "custom: number of probes (default 1000)"},
+          {"--probes", "custom: number of probes, 1 to 10^7 (default 1000)"},
           {"--mean", "custom: target mean latency below timeout (s)"},
           {"--stddev", "custom: target latency std deviation (s)"},
           {"--rho", "custom: outlier ratio in [0,1) (default 0.05)"},
           {"--shift", "custom: latency floor (default 100 s)"},
-          {"--seed", "custom: RNG seed (default 1)"},
+          {"--seed", "custom: RNG seed, 0 to 2^53 (default 1)"},
           {"--list", "list the named paper datasets and exit"},
       },
       {"--list"});
@@ -55,13 +57,13 @@ int main(int argc, char** argv) {
     traces::DatasetConfig config;
     config.name = "custom";
     config.n_probes =
-        static_cast<std::size_t>(cli.number_or("--probes", 1000));
+        static_cast<std::size_t>(cli.count_or("--probes", 1000, 1, 10000000));
     config.target_mean = cli.number_or("--mean", 500.0);
     config.target_stddev = cli.number_or("--stddev", 700.0);
     config.outlier_ratio = cli.number_or("--rho", 0.05);
     config.shift = cli.number_or("--shift", 100.0);
     config.seed =
-        static_cast<std::uint64_t>(cli.number_or("--seed", 1.0));
+        static_cast<std::uint64_t>(cli.count_or("--seed", 1, 0, 1LL << 53));
     trace = traces::make_trace(config);
   } else {
     std::fprintf(stderr,
@@ -82,4 +84,8 @@ int main(int argc, char** argv) {
     traces::write_csv(std::cout, trace);
   }
   return 0;
+} catch (const std::exception& e) {
+  // A library error (unreadable input, bad parameter) ends in one line.
+  std::fprintf(stderr, "gridsub-tracegen: %s\n", e.what());
+  return 1;
 }
