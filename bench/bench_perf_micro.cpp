@@ -19,6 +19,7 @@
 #include "sim/computing_element.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/grid.hpp"
+#include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/rng.hpp"
 #include "traces/datasets.hpp"
@@ -330,6 +331,17 @@ void BM_ScenarioWeekCell(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScenarioWeekCell)->Unit(benchmark::kMillisecond);
+
+void BM_PathDelay(benchmark::State& state) {
+  // One matchmaking delay of the egee_like network (5 hops, mean 25 s,
+  // shape 1.2): drawn once for every job the WMS accepts.
+  const sim::NetworkModel network(sim::GridConfig::egee_like().wms.network);
+  stats::Rng rng(20090611);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(network.sample_path_delay(rng));
+  }
+}
+BENCHMARK(BM_PathDelay);
 
 void BM_DesEventRate(benchmark::State& state) {
   for (auto _ : state) {

@@ -120,8 +120,10 @@ int main() {
                "peaks, bursts, and outage backlogs inflate E_J relative to "
                "the stationary control — the regime the paper's cross-week "
                "tuning claim must survive. Timeout-based resubmission "
-               "degrades most when load concentrates (burst/outage weeks); "
-               "multiple submission buys back latency at the cost of extra "
-               "broker traffic, as in the stationary experiments.\n";
+               "degrades most when load concentrates into peaks (burst and "
+               "diurnal weeks), while the outage backlog costs every "
+               "strategy least; multiple submission buys back latency at "
+               "the cost of extra broker traffic, as in the stationary "
+               "experiments.\n";
   return 0;
 }

@@ -4,16 +4,22 @@
 
 namespace gridsub::sim {
 
-NetworkModel::NetworkModel(const NetworkConfig& config)
-    : config_(config),
-      per_hop_(config.hop_shape, config.hop_mean / config.hop_shape) {
+namespace {
+
+const NetworkConfig& checked(const NetworkConfig& config) {
   if (config.hops < 1) throw std::invalid_argument("NetworkModel: hops < 1");
+  return config;
 }
 
+}  // namespace
+
+NetworkModel::NetworkModel(const NetworkConfig& config)
+    : config_(checked(config)),
+      path_(config.hops * config.hop_shape,
+            config.hop_mean / config.hop_shape) {}
+
 double NetworkModel::sample_path_delay(stats::Rng& rng) const {
-  double total = 0.0;
-  for (int i = 0; i < config_.hops; ++i) total += per_hop_.sample(rng);
-  return total;
+  return path_.sample(rng);
 }
 
 }  // namespace gridsub::sim

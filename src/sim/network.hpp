@@ -7,6 +7,13 @@
 // model the aggregate per-hop overhead as gamma-distributed delays with a
 // configurable hop count — enough to give the latency floor and bulk the
 // probe campaigns observe.
+//
+// A path's delay is drawn once, not hop by hop: the hops are iid
+// Gamma(hop_shape, hop_mean / hop_shape), and a sum of independent gammas
+// with a common scale is gamma with the shapes added, so the total is
+// exactly Gamma(hops · hop_shape, hop_mean / hop_shape) — mean
+// hops · hop_mean, variance hops · hop_mean² / hop_shape. One draw costs
+// what one hop did; the WMS samples a path for every job it accepts.
 
 #include "stats/gamma.hpp"
 #include "stats/rng.hpp"
@@ -24,14 +31,14 @@ class NetworkModel {
  public:
   explicit NetworkModel(const NetworkConfig& config);
 
-  /// Total delay across all hops for one traversal.
+  /// Total delay across all hops for one traversal (one gamma draw).
   [[nodiscard]] double sample_path_delay(stats::Rng& rng) const;
 
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
  private:
   NetworkConfig config_;
-  stats::GammaDist per_hop_;
+  stats::GammaDist path_;  ///< law of the sum over all hops
 };
 
 }  // namespace gridsub::sim

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <utility>
@@ -85,6 +88,79 @@ TEST(EventQueue, PushEmptyCallbackThrows) {
   EventQueue q;
   EXPECT_THROW(q.push(1.0, nullptr), std::invalid_argument);
   EXPECT_THROW(q.push(1.0, SmallFn{}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, PushRejectsNanBeforeTakingAnything) {
+  // The heap orders an integer image of the time, in which a NaN would
+  // sort after +inf; push must refuse it before a slot or seq is taken.
+  EventQueue q;
+  q.push(1.0, [] {});
+  EXPECT_THROW(q.push(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(q.push(-std::numeric_limits<double>::quiet_NaN(), [] {},
+                      /*daemon=*/true),
+               std::invalid_argument);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.live_size(), 1u);
+  EXPECT_EQ(q.queued(), 1u);
+  // The refused pushes left the tie-break counter alone: two later
+  // pushes at the same time still fire in push order.
+  std::vector<int> order;
+  q.push(2.0, [&order] { order.push_back(1); });
+  q.push(2.0, [&order] { order.push_back(2); });
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, NegativeZeroTiesWithPositiveZero) {
+  // -0.0 == +0.0 under the double compare, so a -0.0 pushed after a +0.0
+  // fires second; the queue files it as +0.0 and hands that time back.
+  EventQueue q;
+  std::vector<int> order;
+  q.push(0.0, [&order] { order.push_back(1); });
+  q.push(-0.0, [&order] { order.push_back(2); });
+  q.push(-1e-300, [&order] { order.push_back(0); });
+  EXPECT_EQ(q.next_time(), -1e-300);
+  q.pop().fn();
+  for (int i = 0; i < 2; ++i) {
+    EventQueue::Fired fired = q.pop();
+    EXPECT_EQ(fired.time, 0.0);
+    EXPECT_FALSE(std::signbit(fired.time));
+    fired.fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueue, ExtremeTimesPopInTimeThenPushOrder) {
+  // Negative, zero, subnormal, huge and infinite times, each pushed
+  // several times in shuffled order, must pop exactly as a std::set on
+  // (time, seq) orders them, and every time must come back bit for bit.
+  using limits = std::numeric_limits<double>;
+  const std::vector<double> times = {
+      -limits::infinity(), -1e300, -2.5, -limits::denorm_min(), 0.0, -0.0,
+      limits::denorm_min(), 1e-300, 1.0, 1.0 + 1e-15, 1e300, limits::max(),
+      limits::infinity()};
+  stats::Rng rng(271828);
+  EventQueue q;
+  std::set<std::pair<double, std::size_t>> reference;  // (time, seq)
+  std::vector<EventId> ids;
+  std::size_t last_fired = 0;
+  for (std::size_t seq = 0; seq < 400; ++seq) {
+    const double t = times[rng.uniform_int(times.size())];
+    ids.push_back(q.push(t, [&last_fired, seq] { last_fired = seq; }));
+    reference.emplace(t == 0.0 ? 0.0 : t, seq);
+  }
+  for (const auto& [time, seq] : reference) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(q.next_time()),
+              std::bit_cast<std::uint64_t>(time));
+    EventQueue::Fired fired = q.pop();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(fired.time),
+              std::bit_cast<std::uint64_t>(time));
+    ASSERT_EQ(fired.id, ids[seq]);
+    fired.fn();
+    ASSERT_EQ(last_fired, seq);
+  }
   EXPECT_TRUE(q.empty());
 }
 

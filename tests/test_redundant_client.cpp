@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "sim/grid.hpp"
 
 namespace gridsub::sched {
@@ -70,8 +73,12 @@ TEST(RedundantClient, MoreCopiesReduceMeanSlowdown) {
   // background lands unevenly (random dispatch over heterogeneous sites)
   // and the client's load view is minutes-stale, so a single "least
   // loaded" pick often queues behind a burst while K copies hedge it.
-  const auto run = [](int k) {
+  // The claim is about the mean over grids: on one grid, whether a K=1
+  // job is lost to a fault and waits out the 6000 s safety timeout can
+  // decide the gap alone, so both K run on the same eight grid seeds.
+  const auto run = [](int k, std::uint64_t seed) {
     sim::GridConfig config = small_grid();
+    config.seed = seed;
     config.wms.dispatch = sim::WmsConfig::Dispatch::kUniformRandom;
     // ~85% utilization: busy but stable queues (capacity is 78 slots).
     config.background.arrival_rate = 0.055;
@@ -83,12 +90,23 @@ TEST(RedundantClient, MoreCopiesReduceMeanSlowdown) {
     spec.info_staleness = 600.0;
     RedundantClient client(grid, spec, 120, 400.0);
     client.start();
-    grid.simulator().run_until(grid.simulator().now() + 6e7);
-    EXPECT_TRUE(client.done()) << "k=" << k;
+    // Outcomes are final once every task is back (within ~1e5 s), so the
+    // run stops there instead of simulating the whole horizon.
+    sim::Simulator& des = grid.simulator();
+    const double horizon = des.now() + 6e7;
+    while (!client.done() && des.now() < horizon) {
+      des.run_until(std::min(des.now() + 3600.0, horizon));
+    }
+    EXPECT_TRUE(client.done()) << "k=" << k << " seed=" << seed;
     return client.mean_slowdown();
   };
-  const double s1 = run(1);
-  const double s4 = run(4);
+  double s1 = 0.0;
+  double s4 = 0.0;
+  for (const std::uint64_t seed :
+       {20090611u, 1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+    s1 += run(1, seed) / 8.0;
+    s4 += run(4, seed) / 8.0;
+  }
   EXPECT_LT(s4, s1);
 }
 

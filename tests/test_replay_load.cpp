@@ -165,6 +165,36 @@ TEST(ReplayLoad, UnsortedWorkloadIsReplayedInTimeOrder) {
   EXPECT_EQ(replay.emitted(), 3u);
 }
 
+TEST(ReplayLoad, TiedArrivalsKeepTheirInputOrder) {
+  // Jobs with the same arrival reach the WMS in input order, whether the
+  // workload comes sorted (replayed as given) or not (stable-sorted). The
+  // WMS draws matchmaking delays in submission order, so on a one-slot
+  // element the total queue wait tells which runtime was submitted first.
+  const auto queue_wait = [](const traces::Workload& w) {
+    GridConfig config = small_grid_config();
+    config.elements = {{1, 0.0}};
+    GridSimulation grid(config);
+    grid.attach_replay(w);
+    grid.simulator().run();
+    EXPECT_EQ(grid.metrics().jobs_completed, 3u);
+    return grid.metrics().total_queue_wait;
+  };
+  traces::Workload short_first("short-first");  // sorted as given
+  short_first.add_job(0.0, 10.0);
+  short_first.add_job(0.0, 1000.0);
+  short_first.add_job(500.0, 1.0);
+  traces::Workload shuffled("shuffled");  // sorts to short_first
+  shuffled.add_job(500.0, 1.0);
+  shuffled.add_job(0.0, 10.0);
+  shuffled.add_job(0.0, 1000.0);
+  traces::Workload long_first("long-first");
+  long_first.add_job(0.0, 1000.0);
+  long_first.add_job(0.0, 10.0);
+  long_first.add_job(500.0, 1.0);
+  EXPECT_EQ(queue_wait(shuffled), queue_wait(short_first));
+  EXPECT_NE(queue_wait(long_first), queue_wait(short_first));
+}
+
 // The stationary Poisson source shares the bug class the replay subsystem
 // was audited against: runtime_mean <= 0 used to silently poison the
 // log-normal's mu with log(<=0) instead of failing fast.
