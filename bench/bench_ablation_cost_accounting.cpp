@@ -8,8 +8,8 @@
 // Monte Carlo as the referee.
 //
 // Both stages are campaigns: one cell per ratio for the sweep (cells on a
-// single-thread pool because the MC referee inside each shards across the
-// shared pool), one cell per accounting for the minima.
+// single-thread pool because the MC referee inside each spreads across
+// the shared pool), one cell per accounting for the minima.
 
 #include <cstdio>
 #include <iostream>
@@ -40,8 +40,8 @@ int main() {
                                       1.5, 1.6, 1.8, 2.0};
 
   exp::CampaignAxes axes;
-  // mc_reps is an evaluator parameter, so it joins the campaign identity:
-  // a quick-mode checkpoint must not resume a full-mode run.
+  // mc_reps is an evaluator parameter, so it joins the campaign name: the
+  // quick and full runs write different campaign JSON files.
   axes.name = "ablation_cost_accounting_" + std::to_string(mc_reps);
   axes.scenario_axis = "t_inf/t0";
   axes.strategy_axis = "stage";
@@ -100,7 +100,6 @@ int main() {
                                 {"dcost_point", opt.delta_cost},
                                 {"dcost_fleet", opt.delta_cost_fleet}};
       });
-  if (!result || !minima) return 0;  // shard mode: cells are on disk
 
   report::Table table({"t_inf/t0", "t0 (s)", "t_inf (s)", "E_J (s)",
                        "N// point", "N// fleet", "N// MC", "dcost point",
@@ -108,14 +107,14 @@ int main() {
   for (std::size_t sc = 0; sc < ratios.size(); ++sc) {
     table.row()
         .cell(ratios[sc], 2)
-        .cell(result->mean(sc, 0, "t0"), 0)
-        .cell(result->mean(sc, 0, "t_inf"), 0)
-        .cell(result->mean(sc, 0, "ej"), 1)
-        .cell(result->mean(sc, 0, "npar_point"), 3)
-        .cell(result->mean(sc, 0, "npar_fleet"), 3)
-        .cell(result->mean(sc, 0, "npar_mc"), 3)
-        .cell(result->mean(sc, 0, "dcost_point"), 3)
-        .cell(result->mean(sc, 0, "dcost_fleet"), 3);
+        .cell(result.mean(sc, 0, "t0"), 0)
+        .cell(result.mean(sc, 0, "t_inf"), 0)
+        .cell(result.mean(sc, 0, "ej"), 1)
+        .cell(result.mean(sc, 0, "npar_point"), 3)
+        .cell(result.mean(sc, 0, "npar_fleet"), 3)
+        .cell(result.mean(sc, 0, "npar_mc"), 3)
+        .cell(result.mean(sc, 0, "dcost_point"), 3)
+        .cell(result.mean(sc, 0, "dcost_fleet"), 3);
   }
   table.print(std::cout);
 
@@ -125,11 +124,11 @@ int main() {
   for (std::size_t sc = 0; sc < min_axes.scenario_labels.size(); ++sc) {
     optima.row()
         .cell(min_axes.scenario_labels[sc])
-        .cell(minima->mean(sc, 0, "t0"), 0)
-        .cell(minima->mean(sc, 0, "t_inf"), 0)
-        .cell(minima->mean(sc, 0, "ej"), 1)
-        .cell(minima->mean(sc, 0, "dcost_point"), 3)
-        .cell(minima->mean(sc, 0, "dcost_fleet"), 3);
+        .cell(minima.mean(sc, 0, "t0"), 0)
+        .cell(minima.mean(sc, 0, "t_inf"), 0)
+        .cell(minima.mean(sc, 0, "ej"), 1)
+        .cell(minima.mean(sc, 0, "dcost_point"), 3)
+        .cell(minima.mean(sc, 0, "dcost_fleet"), 3);
   }
   optima.print(std::cout);
 

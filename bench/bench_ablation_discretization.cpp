@@ -4,12 +4,10 @@
 // delayed optima plus model-construction and optimization wall time.
 //
 // One campaign cell per step on the experiment engine: optima are
-// deterministic (and checkpoint/shard-ready). Wall time is inherently
-// impure, so it stays *out* of the campaign metrics (the checkpointed
-// JSON must honor the byte-identical resume/shard contract) and is
-// collected on the side: cells restored from a checkpoint print "-" in
-// the timing column, and under a wide pool cells time their concurrent
-// execution.
+// deterministic. Wall time is inherently impure, so it stays *out* of the
+// campaign metrics (the campaign JSON must be byte-identical at any
+// thread count) and is collected on the side; under a wide pool cells
+// time their concurrent execution.
 
 #include <algorithm>
 #include <chrono>
@@ -56,7 +54,7 @@ int main() {
   axes.strategy_labels = {"tune"};
   axes.root_seed = 20090611;
 
-  std::vector<double> elapsed_ms(steps.size(), -1.0);
+  std::vector<double> elapsed_ms(steps.size(), 0.0);
   const auto result = bench::run_campaign(
       axes, [&trace, &steps, &elapsed_ms](const exp::CellContext& ctx) {
         const auto t_start = std::chrono::steady_clock::now();
@@ -75,31 +73,26 @@ int main() {
                                 {"ej_multi5", e5},
                                 {"ej_delayed", ed}};
       });
-  if (!result) return 0;  // shard mode: cells are on disk
 
-  const double ref1 = result->mean(0, 0, "ej_single");
-  const double ref5 = result->mean(0, 0, "ej_multi5");
-  const double refd = result->mean(0, 0, "ej_delayed");
+  const double ref1 = result.mean(0, 0, "ej_single");
+  const double ref5 = result.mean(0, 0, "ej_multi5");
+  const double refd = result.mean(0, 0, "ej_delayed");
   report::Table table({"step(s)", "E_J single", "E_J multi(b=5)",
                        "E_J delayed", "err vs ref", "build+opt ms"});
   for (std::size_t sc = 0; sc < steps.size(); ++sc) {
-    const double e1 = result->mean(sc, 0, "ej_single");
-    const double e5 = result->mean(sc, 0, "ej_multi5");
-    const double ed = result->mean(sc, 0, "ej_delayed");
+    const double e1 = result.mean(sc, 0, "ej_single");
+    const double e5 = result.mean(sc, 0, "ej_multi5");
+    const double ed = result.mean(sc, 0, "ej_delayed");
     const double err = std::max({std::abs(e1 - ref1) / ref1,
                                  std::abs(e5 - ref5) / ref5,
                                  std::abs(ed - refd) / refd});
-    auto& row = table.row()
-                    .cell(steps[sc], 1)
-                    .cell(e1, 1)
-                    .cell(e5, 1)
-                    .cell(ed, 1)
-                    .percent(err, 2);
-    if (elapsed_ms[sc] >= 0.0) {
-      row.cell(elapsed_ms[sc], 1);
-    } else {
-      row.cell(std::string("-"));  // cell restored from a checkpoint
-    }
+    table.row()
+        .cell(steps[sc], 1)
+        .cell(e1, 1)
+        .cell(e5, 1)
+        .cell(ed, 1)
+        .percent(err, 2)
+        .cell(elapsed_ms[sc], 1);
   }
   table.print(std::cout);
   std::cout << "\ntakeaway: 1-2 s steps are indistinguishable from the "

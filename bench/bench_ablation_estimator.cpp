@@ -5,8 +5,7 @@
 //
 // One campaign cell per estimator: the fitted models are built once up
 // front and shared read-only, each cell tunes all three strategies on its
-// estimator, and the decision table falls out of the campaign result —
-// which also gives the sweep checkpoint/shard support for free.
+// estimator, and the decision table falls out of the campaign result.
 
 #include <iostream>
 #include <memory>
@@ -74,7 +73,6 @@ int main() {
                                 {"ej_delayed", dopt.metrics.expectation},
                                 {"min_dcost", copt.delta_cost}};
       });
-  if (!result) return 0;  // shard mode: cells are on disk
 
   report::Table table({"estimator", "opt t_inf (single)", "E_J single",
                        "opt t0/t_inf (delayed)", "E_J delayed",
@@ -82,14 +80,14 @@ int main() {
   for (std::size_t sc = 0; sc < labels.size(); ++sc) {
     table.row()
         .cell(labels[sc])
-        .cell(result->mean(sc, 0, "t_inf_single"), 0)
-        .cell(result->mean(sc, 0, "ej_single"), 1)
+        .cell(result.mean(sc, 0, "t_inf_single"), 0)
+        .cell(result.mean(sc, 0, "ej_single"), 1)
         .cell(std::to_string(
-                  static_cast<int>(result->mean(sc, 0, "t0"))) +
+                  static_cast<int>(result.mean(sc, 0, "t0"))) +
               "/" +
-              std::to_string(static_cast<int>(result->mean(sc, 0, "t_inf"))))
-        .cell(result->mean(sc, 0, "ej_delayed"), 1)
-        .cell(result->mean(sc, 0, "min_dcost"), 3);
+              std::to_string(static_cast<int>(result.mean(sc, 0, "t_inf"))))
+        .cell(result.mean(sc, 0, "ej_delayed"), 1)
+        .cell(result.mean(sc, 0, "min_dcost"), 3);
   }
   table.print(std::cout);
   std::cout << "\ntakeaway: the decision structure (delayed helps, "

@@ -9,8 +9,7 @@
 //
 // The (size × resample) sweep is a campaign: each replication is one
 // bootstrap resample whose RNG stream is the cell seed, so the sweep is
-// byte-reproducible at any thread count and checkpoints/shards across
-// processes like every other campaign.
+// byte-reproducible at any thread count.
 
 #include <algorithm>
 #include <cmath>
@@ -73,7 +72,7 @@ int main() {
   axes.replications = resamples;
   axes.root_seed = 0x5A11;
 
-  const auto result = bench::run_campaign_streamed(
+  const auto result = bench::run_campaign(
       axes, [&](const exp::CellContext& ctx) {
         stats::Rng rng(ctx.seed);
         const auto sub = resample(full_trace, sizes[ctx.scenario], rng);
@@ -90,10 +89,8 @@ int main() {
                      oracle_dcost -
                  1.0}};
       });
-  if (!result) return 0;  // shard mode: cells are on disk
 
-  // Max regret comes from the fold's running extrema — no per-cell
-  // storage, so the sweep aggregates in constant memory at any size.
+  // Max regret is the group maximum over the resamples.
   report::Table table({"n probes", "DKW eps (95%)", "E_J regret mean",
                        "E_J regret max", "dcost regret mean",
                        "dcost regret max"});
@@ -103,10 +100,10 @@ int main() {
     table.row()
         .cell(static_cast<long long>(sizes[sc]))
         .cell(dkw, 3)
-        .percent(result->mean(sc, 0, "ej_regret"), 2)
-        .percent(result->max(sc, 0, "ej_regret"), 2)
-        .percent(result->mean(sc, 0, "dcost_regret"), 2)
-        .percent(result->max(sc, 0, "dcost_regret"), 2);
+        .percent(result.mean(sc, 0, "ej_regret"), 2)
+        .percent(result.max(sc, 0, "ej_regret"), 2)
+        .percent(result.mean(sc, 0, "dcost_regret"), 2)
+        .percent(result.max(sc, 0, "dcost_regret"), 2);
   }
   table.print(std::cout);
   std::cout

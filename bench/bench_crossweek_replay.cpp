@@ -150,9 +150,7 @@ int main() {
 
   // ---- Stage 1+2: per-week probe campaign -> F̃ fit -> tuned params ----
   // The fit evaluator is pure in the cell context: every parameter the
-  // evaluation campaign needs travels in the stage metrics, so the stage
-  // checkpoints/resumes like any campaign and sibling shard processes
-  // load the published .stage file instead of re-probing 12 weeks.
+  // evaluation campaign needs travels in the cell metrics.
   exp::CampaignAxes fit_axes;
   fit_axes.name = "crossweek_fit";
   fit_axes.scenario_axis = "week";
@@ -160,28 +158,17 @@ int main() {
   for (const auto& w : weeks) fit_axes.scenario_labels.push_back(w.label);
   fit_axes.strategy_labels = {"fit+tune"};
   fit_axes.root_seed = kRootSeed;
-  // The stage identity names the inputs the fit depends on: the week
-  // roster plus the probe/tuning constants. Changing any of them retires
-  // a previously published stage instead of silently reusing it.
-  std::string fit_identity = "weeks=";
-  for (const auto& w : weeks) {
-    fit_identity += w.label + ":" + w.workload->name() + ",";
-  }
-  fit_identity += ";base_rate=" + std::to_string(kBaseRate) +
-                  ";budget=" + std::to_string(kMultipleBudget);
-  const exp::StageResult fit = bench::run_stage_campaign(
-      fit_axes,
-      [&](const exp::CellContext& ctx) {
+  const exp::CampaignResult fit =
+      bench::run_campaign(fit_axes, [&](const exp::CellContext& ctx) {
         const TunedParams p = fit_and_tune(weeks[ctx.scenario], ctx.seed);
         return exp::CellMetrics{{"probes", p.probes}, {"rho", p.rho},
                                 {"t0", p.t0},         {"t_inf", p.t_inf},
                                 {"t_inf_single", p.t_inf_single},
                                 {"b", static_cast<double>(p.b)},
                                 {"t_inf_multiple", p.t_inf_multiple}};
-      },
-      fit_identity);
+      });
   std::vector<TunedParams> tuned(n_weeks);
-  for (const exp::CellResult& cell : fit.result.cells()) {
+  for (const exp::CellResult& cell : fit.cells()) {
     TunedParams& p = tuned[cell.context.scenario];
     p.t0 = bench::cell_metric(cell, "t0");
     p.t_inf = bench::cell_metric(cell, "t_inf");
@@ -229,7 +216,7 @@ int main() {
   clients.warm_up = kWarmUp;
 
   const auto result =
-      bench::run_campaign_streamed(eval_axes, [&](const exp::CellContext& ctx) {
+      bench::run_campaign(eval_axes, [&](const exp::CellContext& ctx) {
         const std::size_t prev = (ctx.scenario + n_weeks - 1) % n_weeks;
         sim::StrategySpec spec;
         switch (ctx.strategy) {
@@ -255,17 +242,16 @@ int main() {
         return exp::run_strategy_cell(weeks[ctx.scenario], spec, clients,
                                       ctx.seed);
       });
-  if (!result) return 0;  // shard mode: cells are on disk
 
   report::Table table({"week", "naive J", "delayed(prev) J", "+/-",
                        "multiple(prev) J", "delayed(own) J",
                        "gain vs naive", "transfer penalty"});
   double gain_sum = 0.0, penalty_sum = 0.0, penalty_max = 0.0;
   for (std::size_t w = 0; w < n_weeks; ++w) {
-    const double naive_j = result->mean(w, 0, "mean_J");
-    const double prev_j = result->mean(w, 1, "mean_J");
-    const double multi_j = result->mean(w, 2, "mean_J");
-    const double own_j = result->mean(w, 3, "mean_J");
+    const double naive_j = result.mean(w, 0, "mean_J");
+    const double prev_j = result.mean(w, 1, "mean_J");
+    const double multi_j = result.mean(w, 2, "mean_J");
+    const double own_j = result.mean(w, 3, "mean_J");
     const double gain = naive_j > 0.0 ? 1.0 - prev_j / naive_j : 0.0;
     const double penalty = own_j > 0.0 ? prev_j / own_j - 1.0 : 0.0;
     gain_sum += gain;
@@ -275,7 +261,7 @@ int main() {
         .cell(weeks[w].label)
         .cell(naive_j, 1)
         .cell(prev_j, 1)
-        .cell(result->sem(w, 1, "mean_J"), 1)
+        .cell(result.sem(w, 1, "mean_J"), 1)
         .cell(multi_j, 1)
         .cell(own_j, 1)
         .percent(gain)

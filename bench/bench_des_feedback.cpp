@@ -45,8 +45,7 @@ int main() {
   spec.replications = 1;       // each cell is already a 24-client average
   spec.root_seed = 20090611;
 
-  const auto result = bench::run_campaign_streamed(spec);
-  if (!result) return 0;  // shard mode: cells are on disk
+  const auto result = bench::run_campaign(spec);
 
   report::Table table({"b", "mean J (s)", "mean subs/task", "jobs submitted",
                        "jobs canceled", "cancel frac",
@@ -54,12 +53,12 @@ int main() {
   for (std::size_t s = 0; s < spec.strategies.size(); ++s) {
     table.row()
         .cell(spec.strategies[s].label)
-        .cell(result->mean(0, s, "mean_J"), 1)
-        .cell(result->mean(0, s, "mean_subs"), 2)
-        .cell(static_cast<long long>(result->mean(0, s, "jobs_submitted")))
-        .cell(static_cast<long long>(result->mean(0, s, "jobs_canceled")))
-        .cell(result->mean(0, s, "cancel_frac"), 3)
-        .cell(result->mean(0, s, "mean_queue_wait"), 1);
+        .cell(result.mean(0, s, "mean_J"), 1)
+        .cell(result.mean(0, s, "mean_subs"), 2)
+        .cell(static_cast<long long>(result.mean(0, s, "jobs_submitted")))
+        .cell(static_cast<long long>(result.mean(0, s, "jobs_canceled")))
+        .cell(result.mean(0, s, "cancel_frac"), 3)
+        .cell(result.mean(0, s, "mean_queue_wait"), 1);
   }
   table.print(std::cout);
   std::cout << "\ntakeaway: individual gains persist at moderate b, but "

@@ -3,11 +3,10 @@
 // 2006-IX. Also arbitrates the printed eq. 5 against the survival form.
 //
 // Both tables are campaigns on the experiment engine (one cell per
-// parameter configuration), so the validation sweep checkpoints, resumes,
-// and shards across processes like every other campaign. Cells run on a
-// dedicated single-thread pool: the MC engine inside each cell shards its
-// replications across the *shared* pool, and nesting campaign cells on
-// that same pool would stall its workers.
+// parameter configuration). Cells run on a dedicated single-thread pool:
+// the MC engine inside each cell spreads its replications across the
+// *shared* pool, and nesting campaign cells on that same pool would stall
+// its workers.
 
 #include <cmath>
 #include <iostream>
@@ -72,9 +71,9 @@ int main() {
   const std::vector<Config> configs = validation_configs();
 
   exp::CampaignAxes axes;
-  // The replication count is an evaluator parameter, so it must be part
-  // of the campaign identity: otherwise a quick-mode checkpoint would be
-  // silently resumed by a full-mode run (and vice versa).
+  // The replication count is an evaluator parameter, so it joins the
+  // campaign name: the quick and full runs write different campaign JSON
+  // files.
   axes.name = "mc_validation_" + std::to_string(mc_reps);
   axes.scenario_axis = "config";
   axes.strategy_axis = "check";
@@ -151,10 +150,8 @@ int main() {
             {"mc", mc.mean_latency}};
   };
 
-  const auto result = bench::run_campaign_streamed(axes, evaluate, options);
-  const auto arb =
-      bench::run_campaign_streamed(arb_axes, arb_evaluate, options);
-  if (!result || !arb) return 0;  // shard mode: cells are on disk
+  const auto result = bench::run_campaign(axes, evaluate, options);
+  const auto arb = bench::run_campaign(arb_axes, arb_evaluate, options);
 
   report::Table table({"strategy", "params", "E_J model", "E_J mc",
                        "sigma model", "sigma mc", "N_par model", "N_par mc",
@@ -162,17 +159,17 @@ int main() {
   for (std::size_t sc = 0; sc < configs.size(); ++sc) {
     const std::string& label = configs[sc].label;
     const std::size_t split = label.find(' ');
-    const double ej = result->mean(sc, 0, "ej_model");
-    const double ej_mc = result->mean(sc, 0, "ej_mc");
+    const double ej = result.mean(sc, 0, "ej_model");
+    const double ej_mc = result.mean(sc, 0, "ej_mc");
     table.row()
         .cell(label.substr(0, split))
         .cell(label.substr(split + 1))
         .cell(ej, 1)
         .cell(ej_mc, 1)
-        .cell(result->mean(sc, 0, "sigma_model"), 1)
-        .cell(result->mean(sc, 0, "sigma_mc"), 1)
-        .cell(result->mean(sc, 0, "npar_model"), 3)
-        .cell(result->mean(sc, 0, "npar_mc"), 3)
+        .cell(result.mean(sc, 0, "sigma_model"), 1)
+        .cell(result.mean(sc, 0, "sigma_mc"), 1)
+        .cell(result.mean(sc, 0, "npar_model"), 3)
+        .cell(result.mean(sc, 0, "npar_mc"), 3)
         .percent((ej_mc - ej) / ej, 2);
   }
   table.print(std::cout);
@@ -185,9 +182,9 @@ int main() {
     arb_table.row()
         .cell(arb_pairs[sc].first, 0)
         .cell(arb_pairs[sc].second, 0)
-        .cell(arb->mean(sc, 0, "survival"), 1)
-        .cell(arb->mean(sc, 0, "eq5"), 1)
-        .cell(arb->mean(sc, 0, "mc"), 1);
+        .cell(arb.mean(sc, 0, "survival"), 1)
+        .cell(arb.mean(sc, 0, "eq5"), 1)
+        .cell(arb.mean(sc, 0, "mc"), 1);
   }
   arb_table.print(std::cout);
   std::cout << "\nMonte Carlo sides with the survival form; the printed "

@@ -18,9 +18,7 @@
 // across thread counts and machines (docs/determinism.md), and wall time
 // is neither. The simulated results (tasks done, mean J, submissions) are
 // deterministic; the events/sec column is honest wall-clock and varies.
-// The scale-out conventions are still honored: GRIDSUB_SHARD="i/N" runs
-// only the work items with index % N == i, and GRIDSUB_PROGRESS=1 emits a
-// shard-aware completed/total + ETA meter on stderr.
+// GRIDSUB_PROGRESS=1 emits a completed/total + ETA meter on stderr.
 //
 // GRIDSUB_BENCH_QUICK=1 caps the sweep at 10^5 clients (a full simulated
 // week under CI); the full run extends to 10^6.
@@ -157,24 +155,17 @@ PointResult run_point(
   return result;
 }
 
-/// Work-item scheduler honoring GRIDSUB_SHARD + GRIDSUB_PROGRESS for a
-/// plain (non-campaign) bench: items are owned round-robin by shard, and
-/// the meter extrapolates ETA from completed owned items.
+/// Runs the bench's work items in order; with GRIDSUB_PROGRESS=1 it
+/// reports each finished item on stderr with an ETA extrapolated from the
+/// items done so far.
 class ItemRunner {
  public:
-  ItemRunner() : env_(bench::campaign_env()) {
+  explicit ItemRunner(std::size_t total) : total_(total) {
     const char* v = std::getenv("GRIDSUB_PROGRESS");
     meter_ = v != nullptr && v[0] == '1';
   }
 
-  [[nodiscard]] bool owns(std::size_t index) const {
-    return !env_.shard_mode() || index % env_.shard.count == env_.shard.index;
-  }
-
-  /// Runs `fn` if this shard owns item `index`; returns true if run.
-  bool run(std::size_t index, std::size_t total, const std::string& label,
-           const std::function<void()>& fn) {
-    if (!owns(index)) return false;
+  void run(const std::string& label, const std::function<void()>& fn) {
     const auto start = std::chrono::steady_clock::now();
     fn();
     elapsed_ += std::chrono::duration<double>(
@@ -182,28 +173,17 @@ class ItemRunner {
                     .count();
     ++completed_;
     if (meter_) {
-      std::size_t owned = 0;
-      for (std::size_t i = 0; i < total; ++i) owned += owns(i) ? 1 : 0;
-      const double eta =
-          completed_ > 0
-              ? elapsed_ / static_cast<double>(completed_) *
-                    static_cast<double>(owned - completed_)
-              : 0.0;
+      const double eta = elapsed_ / static_cast<double>(completed_) *
+                         static_cast<double>(total_ - completed_);
       std::fprintf(stderr,
-                   "[scale_million%s] %zu/%zu done (%s), elapsed %.1fs, "
+                   "[scale_million] %zu/%zu done (%s), elapsed %.1fs, "
                    "eta %.1fs\n",
-                   env_.shard_mode()
-                       ? (" shard " + std::to_string(env_.shard.index) + "/" +
-                          std::to_string(env_.shard.count))
-                             .c_str()
-                       : "",
-                   completed_, owned, label.c_str(), elapsed_, eta);
+                   completed_, total_, label.c_str(), elapsed_, eta);
     }
-    return true;
   }
 
  private:
-  bench::CampaignEnv env_;
+  std::size_t total_;
   bool meter_ = false;
   std::size_t completed_ = 0;
   double elapsed_ = 0.0;
@@ -227,44 +207,39 @@ int main() {
   const std::size_t eq_clients = quick ? 10'000 : 100'000;
   const double eq_horizon = 1.2e5;
 
-  // Item list (fixed order => stable shard ownership): sweep points,
-  // equilibrium fractions.
+  // Work items: sweep points, then equilibrium fractions.
   const std::vector<int> eq_tuned_of_4 = {0, 1, 2, 4};
-  const std::size_t n_items = sweep.size() + eq_tuned_of_4.size();
-  ItemRunner runner;
-  std::size_t item = 0;
+  ItemRunner runner(sweep.size() + eq_tuned_of_4.size());
 
   // --- 1. scale sweep ---------------------------------------------------
   const traces::Workload stationary =
       traces::make_scenario("stationary-week");
   std::vector<PointResult> sweep_results;
   for (const std::size_t n : sweep) {
-    runner.run(item++, n_items, "sweep n=" + std::to_string(n), [&] {
+    runner.run("sweep n=" + std::to_string(n), [&] {
       sweep_results.push_back(run_point(n, week, tasks,
                                         /*slots_per_client_x1000=*/1000,
                                         mixed_spec, &stationary));
     });
   }
-  if (!sweep_results.empty()) {
-    report::Table table({"clients", "events", "events/s", "wall (s)",
-                         "tasks done", "mean J (s)", "mean subs",
-                         "peak RSS (MiB)"});
-    for (const PointResult& r : sweep_results) {
-      table.row()
-          .cell(static_cast<long long>(r.clients))
-          .cell(static_cast<long long>(r.events))
-          .cell(r.events_per_second, 0)
-          .cell(r.wall_seconds, 2)
-          .cell(static_cast<long long>(r.tasks_done))
-          .cell(r.mean_latency, 1)
-          .cell(r.mean_submissions, 2)
-          .cell(r.rss_mib, 1);
-    }
-    std::cout << "scenario week replayed into one grid, mixed "
-                 "single/multiple/delayed population:\n";
-    table.print(std::cout);
-    std::cout << '\n';
+  report::Table sweep_table({"clients", "events", "events/s", "wall (s)",
+                             "tasks done", "mean J (s)", "mean subs",
+                             "peak RSS (MiB)"});
+  for (const PointResult& r : sweep_results) {
+    sweep_table.row()
+        .cell(static_cast<long long>(r.clients))
+        .cell(static_cast<long long>(r.events))
+        .cell(r.events_per_second, 0)
+        .cell(r.wall_seconds, 2)
+        .cell(static_cast<long long>(r.tasks_done))
+        .cell(r.mean_latency, 1)
+        .cell(r.mean_submissions, 2)
+        .cell(r.rss_mib, 1);
   }
+  std::cout << "scenario week replayed into one grid, mixed "
+               "single/multiple/delayed population:\n";
+  sweep_table.print(std::cout);
+  std::cout << '\n';
 
   // --- 2. everyone-tunes equilibrium ------------------------------------
   struct EqRow {
@@ -273,57 +248,52 @@ int main() {
   };
   std::vector<EqRow> eq_rows;
   for (const int tuned : eq_tuned_of_4) {
-    runner.run(item++, n_items,
-               "equilibrium " + std::to_string(25 * tuned) + "% tuned", [&] {
-                 const auto spec_for = [tuned](std::size_t i) {
-                   // Interleaved assignment: every block of 4 clients has
-                   // `tuned` tuned members, so groups see the same grid.
-                   if (static_cast<int>(i % 4) < tuned) {
-                     sim::StrategySpec tuned_spec;
-                     tuned_spec.kind =
-                         core::StrategyKind::kMultipleSubmission;
-                     tuned_spec.b = 3;
-                     tuned_spec.t_inf = 900.0;
-                     return tuned_spec;
-                   }
-                   sim::StrategySpec naive;
-                   naive.kind = core::StrategyKind::kSingleResubmission;
-                   naive.t_inf = 1500.0;
-                   return naive;
-                 };
-                 // Scarce capacity (0.15 slots/client vs. the sweep's
-                 // 1.0) and 600 s tasks: a losing copy that got a seat
-                 // burns real slot-time before its sibling's completion
-                 // cancels it, so everyone tuning has a visible cost.
-                 eq_rows.push_back(
-                     {tuned, run_point(eq_clients, eq_horizon,
-                                       /*tasks=*/3,
-                                       /*slots_per_client_x1000=*/150,
-                                       spec_for, nullptr,
-                                       /*task_runtime=*/600.0)});
-               });
+    runner.run("equilibrium " + std::to_string(25 * tuned) + "% tuned", [&] {
+      const auto spec_for = [tuned](std::size_t i) {
+        // Interleaved assignment: every block of 4 clients has `tuned`
+        // tuned members, so groups see the same grid.
+        if (static_cast<int>(i % 4) < tuned) {
+          sim::StrategySpec tuned_spec;
+          tuned_spec.kind = core::StrategyKind::kMultipleSubmission;
+          tuned_spec.b = 3;
+          tuned_spec.t_inf = 900.0;
+          return tuned_spec;
+        }
+        sim::StrategySpec naive;
+        naive.kind = core::StrategyKind::kSingleResubmission;
+        naive.t_inf = 1500.0;
+        return naive;
+      };
+      // Scarce capacity (0.15 slots/client vs. the sweep's 1.0) and
+      // 600 s tasks: a losing copy that got a seat burns real slot-time
+      // before its sibling's completion cancels it, so everyone tuning has
+      // a visible cost.
+      eq_rows.push_back({tuned, run_point(eq_clients, eq_horizon,
+                                          /*tasks=*/3,
+                                          /*slots_per_client_x1000=*/150,
+                                          spec_for, nullptr,
+                                          /*task_runtime=*/600.0)});
+    });
   }
-  if (!eq_rows.empty()) {
-    report::Table table({"tuned share", "tasks done", "mean J (s)",
-                         "mean subs", "queue wait (s)", "events"});
-    for (const EqRow& row : eq_rows) {
-      table.row()
-          .cell(std::to_string(25 * row.tuned_of_4) + "%")
-          .cell(static_cast<long long>(row.result.tasks_done))
-          .cell(row.result.mean_latency, 1)
-          .cell(row.result.mean_submissions, 2)
-          .cell(row.result.mean_queue_wait, 1)
-          .cell(static_cast<long long>(row.result.events));
-    }
-    std::cout << "everyone-tunes equilibrium, " << eq_clients
-              << " clients (extends bench_des_feedback):\n";
-    table.print(std::cout);
-    std::cout << "\ntakeaway: partial adoption lowers mean J, but as "
-                 "adoption approaches 100% the gain erodes — J rises back "
-                 "above the partial-adoption rows while submissions per "
-                 "task and broker traffic multiply: individually optimal "
-                 "is not collectively optimal, the paper's stated caveat "
-                 "made quantitative.\n";
+  report::Table eq_table({"tuned share", "tasks done", "mean J (s)",
+                          "mean subs", "queue wait (s)", "events"});
+  for (const EqRow& row : eq_rows) {
+    eq_table.row()
+        .cell(std::to_string(25 * row.tuned_of_4) + "%")
+        .cell(static_cast<long long>(row.result.tasks_done))
+        .cell(row.result.mean_latency, 1)
+        .cell(row.result.mean_submissions, 2)
+        .cell(row.result.mean_queue_wait, 1)
+        .cell(static_cast<long long>(row.result.events));
   }
+  std::cout << "everyone-tunes equilibrium, " << eq_clients
+            << " clients (extends bench_des_feedback):\n";
+  eq_table.print(std::cout);
+  std::cout << "\ntakeaway: partial adoption lowers mean J, but as "
+               "adoption approaches 100% the gain erodes — J rises back "
+               "above the partial-adoption rows while submissions per "
+               "task and broker traffic multiply: individually optimal "
+               "is not collectively optimal, the paper's stated caveat "
+               "made quantitative.\n";
   return 0;
 }

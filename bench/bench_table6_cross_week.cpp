@@ -26,22 +26,16 @@ int main() {
   const std::vector<std::string> weeks = {"2007-51", "2007-52", "2007-53",
                                           "2008-01", "2008-02", "2008-03",
                                           "2007/08"};
-  // Stage 1: per-week Δcost optimization on the campaign engine, with its
-  // output persisted as a stage checkpoint: the tuned (t0, t∞) travel in
-  // the stage metrics, so a killed run resumes mid-tune and sibling shard
-  // processes load the published stage instead of re-optimizing 7 weeks.
+  // Stage 1: per-week Δcost optimization on the campaign engine; the
+  // tuned (t0, t∞) travel in the cell metrics.
   exp::CampaignAxes tune_axes;
   tune_axes.name = "table6_tune";
   tune_axes.scenario_axis = "week";
   tune_axes.strategy_axis = "stage";
   tune_axes.scenario_labels = weeks;
   tune_axes.strategy_labels = {"tune"};
-  std::string tune_identity = "datasets=";
-  for (const auto& w : weeks) tune_identity += w + ",";
-  tune_identity += ";step=" + std::to_string(bench::kStep);
-  const exp::StageResult tuned = bench::run_stage_campaign(
-      tune_axes,
-      [&](const exp::CellContext& ctx) {
+  const exp::CampaignResult tuned =
+      bench::run_campaign(tune_axes, [&](const exp::CellContext& ctx) {
         const auto model = bench::load_model(weeks[ctx.scenario]);
         const core::CostModel cost(model);
         const core::CostEvaluation opt = cost.optimize_delayed_cost();
@@ -49,14 +43,12 @@ int main() {
                                 {"t_inf", opt.t_inf},
                                 {"E_J", opt.expectation},
                                 {"d_cost", opt.delta_cost}};
-      },
-      tune_identity);
+      });
 
-  // Tuned parameters come from the stage metrics; the target-week cost
-  // models are deterministic functions of the dataset names, rebuilt here
-  // once per process (cheap next to the optimization the stage skips).
+  // Tuned parameters come from the stage-1 metrics; the target-week cost
+  // models are deterministic functions of the dataset names, rebuilt here.
   std::vector<core::CostEvaluation> opt(weeks.size());
-  for (const exp::CellResult& cell : tuned.result.cells()) {
+  for (const exp::CellResult& cell : tuned.cells()) {
     core::CostEvaluation& o = opt[cell.context.scenario];
     o.t0 = bench::cell_metric(cell, "t0");
     o.t_inf = bench::cell_metric(cell, "t_inf");
@@ -73,14 +65,14 @@ int main() {
   }
 
   // Stage 2: the full transfer matrix — source week's parameters scored on
-  // the target week's model, streamed straight into fold aggregates.
+  // the target week's model.
   exp::CampaignAxes transfer_axes;
   transfer_axes.name = "table6_transfer";
   transfer_axes.scenario_axis = "evaluated on";
   transfer_axes.strategy_axis = "params from";
   transfer_axes.scenario_labels = weeks;
   transfer_axes.strategy_labels = weeks;
-  const auto transfer = bench::run_campaign_streamed(
+  const auto transfer = bench::run_campaign(
       transfer_axes, [&](const exp::CellContext& ctx) {
         const core::CostEvaluation& p = opt[ctx.strategy];
         const auto e = cost[ctx.scenario]->evaluate_delayed(p.t0, p.t_inf);
@@ -89,20 +81,19 @@ int main() {
                                 {"E_J", e.expectation},
                                 {"d_cost", e.delta_cost}};
       });
-  if (!transfer) return 0;  // shard mode: cells are on disk
 
   for (std::size_t target = 0; target < weeks.size(); ++target) {
     std::cout << "evaluated on " << weeks[target] << ":\n";
     report::Table table({"params from", "t0", "t_inf", "E_J", "d_cost"});
-    const double own = transfer->mean(target, target, "d_cost");
+    const double own = transfer.mean(target, target, "d_cost");
     double max_diff = 0.0, prev_diff = std::nan("");
     for (std::size_t source = 0; source < weeks.size(); ++source) {
-      const double d_cost = transfer->mean(target, source, "d_cost");
+      const double d_cost = transfer.mean(target, source, "d_cost");
       table.row()
           .cell(weeks[source] + (source == target ? " (own)" : ""))
-          .cell(transfer->mean(target, source, "t0"), 0)
-          .cell(transfer->mean(target, source, "t_inf"), 0)
-          .cell(report::seconds(transfer->mean(target, source, "E_J")))
+          .cell(transfer.mean(target, source, "t0"), 0)
+          .cell(transfer.mean(target, source, "t_inf"), 0)
+          .cell(report::seconds(transfer.mean(target, source, "E_J")))
           .cell(d_cost, 3);
       max_diff = std::max(max_diff, (d_cost - own) / own);
       if (target > 0 && source + 1 == target) {

@@ -11,7 +11,7 @@
 // the stationary control so only the load *shape* differs.
 //
 // The (scenario × strategy × replication) sweep runs on the campaign
-// engine (src/exp): cells are sharded across the thread pool with
+// engine (src/exp): cells are spread across the thread pool with
 // per-cell seeds split from the root seed, so the output is
 // bit-reproducible at any thread count.
 
@@ -94,21 +94,20 @@ int main() {
   shape.print(std::cout);
   std::cout << "\n";
 
-  const auto result = bench::run_campaign_streamed(spec);
-  if (!result) return 0;  // shard mode: cells are on disk
+  const auto result = bench::run_campaign(spec);
 
   for (std::size_t s = 0; s < spec.strategies.size(); ++s) {
     report::Table table({"scenario", "tasks done", "mean J (s)", "+/-",
                          "mean subs/task", "J vs stationary"});
-    const double base_j = result->mean(0, s, "mean_J");
+    const double base_j = result.mean(0, s, "mean_J");
     for (std::size_t sc = 0; sc < spec.scenarios.size(); ++sc) {
       table.row()
           .cell(spec.scenarios[sc].label)
-          .cell(static_cast<long long>(result->mean(sc, s, "tasks_done")))
-          .cell(result->mean(sc, s, "mean_J"), 1)
-          .cell(result->sem(sc, s, "mean_J"), 1)
-          .cell(result->mean(sc, s, "mean_subs"), 2)
-          .cell(base_j > 0.0 ? result->mean(sc, s, "mean_J") / base_j : 0.0,
+          .cell(static_cast<long long>(result.mean(sc, s, "tasks_done")))
+          .cell(result.mean(sc, s, "mean_J"), 1)
+          .cell(result.sem(sc, s, "mean_J"), 1)
+          .cell(result.mean(sc, s, "mean_subs"), 2)
+          .cell(base_j > 0.0 ? result.mean(sc, s, "mean_J") / base_j : 0.0,
                 3);
     }
     std::cout << "strategy " << spec.strategies[s].label << ":\n";

@@ -24,6 +24,18 @@ the number of suites in the GRIDSUB_TESTS_* lists and N adds the
 literally named add_test() tooling entries and one golden test per
 GRIDSUB_GOLDEN_BENCHES entry.
 
+Also checks that README.md and docs/*.md, code fences included, name no
+binary or script that is gone:
+
+  * a whole backticked `bench_<name>` needs bench/bench_<name>.cpp;
+  * a gridsub_<name> word, and a build*/tools/<name> or build*/bench/<name>
+    path, needs tools/<name>.cpp or bench/<name>.cpp (gridsub_perfbench
+    is built from perfbench/);
+  * a scripts/<file> path must exist.
+
+Globs (`bench_fig*`) and file names (bench/bench_util.hpp,
+gridsub_build_info.json) are not binary names.
+
 Exit code 1 with a file:line report on any violation.
 """
 
@@ -45,6 +57,14 @@ CMAKE_COMMENT_RE = re.compile(r"(^|\s)#[^\n]*")
 DOC_TEST_COUNT_RE = re.compile(r"(\d+) ctest tests \((\d+) GoogleTest suites")
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+
+# Binary and script names in prose and code fences. The lookaheads reject
+# globs (bench_fig*) and file names (gridsub_build_info.json).
+BACKTICK_RE = re.compile(r"`([^`\n]+)`")
+BENCH_NAME_RE = re.compile(r"bench_\w+")
+TOOL_NAME_RE = re.compile(r"(?<!\w)gridsub_\w+(?![\w.*])")
+BUILD_PATH_RE = re.compile(r"(?<![\w/])build[\w-]*/(?:tools|bench)/(\w+)(?![\w.*])")
+SCRIPT_PATH_RE = re.compile(r"(?<![\w/])scripts/([\w-]+(?:\.[\w-]+)*)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 
 
@@ -113,6 +133,41 @@ def check_file(repo_root, path, errors):
                     errors.append(
                         f"{path}:{lineno}: anchor '#{anchor}' not found "
                         f"in {os.path.relpath(dest, repo_root)}")
+
+
+def binary_exists(repo_root, name):
+    """True when `name` is built from this repo: tools/<name>.cpp,
+    bench/<name>.cpp, or perfbench/ for gridsub_perfbench."""
+    if name == "gridsub_perfbench":
+        return os.path.isdir(os.path.join(repo_root, "perfbench"))
+    return any(os.path.exists(os.path.join(repo_root, d, name + ".cpp"))
+               for d in ("tools", "bench"))
+
+
+def check_names(repo_root, path, errors):
+    """Flag bench/tool binaries and scripts a doc names that are gone."""
+    rel = os.path.relpath(path, repo_root)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
+        stale = []
+        for span in BACKTICK_RE.findall(line):
+            if BENCH_NAME_RE.fullmatch(span) and not os.path.exists(
+                    os.path.join(repo_root, "bench", span + ".cpp")):
+                stale.append(f"bench '{span}' (no bench/{span}.cpp)")
+        for name in TOOL_NAME_RE.findall(line):
+            if not binary_exists(repo_root, name):
+                stale.append(f"binary '{name}' (no source in tools/ or "
+                             "bench/)")
+        for name in BUILD_PATH_RE.findall(line):
+            if not binary_exists(repo_root, name):
+                stale.append(f"binary '{name}' (no source in tools/ or "
+                             "bench/)")
+        for name in SCRIPT_PATH_RE.findall(line):
+            if not os.path.exists(os.path.join(repo_root, "scripts", name)):
+                stale.append(f"script 'scripts/{name}' (no such file)")
+        for what in dict.fromkeys(stale):
+            errors.append(f"{rel}:{lineno}: names a missing {what}")
 
 
 def check_lint_allows(repo_root, errors):
@@ -192,6 +247,8 @@ def main():
             errors.append(f"{path}: missing")
             continue
         check_file(repo_root, path, errors)
+        if os.path.basename(path) != "ROADMAP.md":
+            check_names(repo_root, path, errors)
     check_lint_allows(repo_root, errors)
     check_test_counts(repo_root, errors)
 

@@ -2,13 +2,13 @@
 """Determinism linter for output-affecting modules (no external deps).
 
 gridsub's contract is byte-identical output for a given (inputs, root
-seed) at any thread count, resume point, or shard split.  That property
-is easy to break with one innocuous line — iterating an unordered
-container into a fold, formatting a double through the locale-sensitive
-iostream path, seeding from the wall clock.  This linter scans the
-modules whose output reaches users (src/exp, src/report, src/stats,
-src/traces, tools) plus the simulation core the trajectories flow
-through (src/sim, src/online) for the known failure patterns.
+seed) at any thread count.  That property is easy to break with one
+innocuous line — iterating an unordered container into a fold,
+formatting a double through the locale-sensitive iostream path, seeding
+from the wall clock.  This linter scans the modules whose output reaches
+users (src/exp, src/report, src/stats, src/traces, tools) plus the
+simulation core the trajectories flow through (src/sim, src/online) for
+the known failure patterns.
 
 Rules (name — what it flags):
 

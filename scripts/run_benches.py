@@ -6,11 +6,11 @@ captured stdout are written to a single JSON file (one entry per bench)
 together with the git revision, so successive PRs accumulate a comparable
 perf trajectory in the repo-root BENCH_*.json files. Peak RSS comes from
 the kernel's accounting for the child (wait4 → ru_maxrss), so memory
-regressions in the streaming campaign pipeline show up in the same diffs
-as time regressions (scripts/compare_bench.py reports both).
+regressions show up in the same diffs as time regressions
+(scripts/compare_bench.py reports both).
 
 --progress forwards GRIDSUB_PROGRESS=1 to the benches and lets their
-stderr flow straight to the terminal, so long campaigns show shard-aware
+stderr flow straight to the terminal, so long campaigns show
 completed/total + ETA lines while they run.
 
 bench_perf_micro (google-benchmark) is handled specially: it is run with
@@ -22,14 +22,6 @@ CMake configure writes at the build root and refuses to record numbers
 from a non-Release (or sanitized) build; --allow-debug downgrades the
 refusal to a loud warning. Diff two recorded micro JSONs with
 scripts/compare_bench.py.
-
-Campaign scale-out: --checkpoint-dir makes every campaign bench write
-per-campaign checkpoint files (and the canonical <campaign>.json) there,
-so an interrupted invocation resumes instead of restarting; --shard i/N
-additionally restricts each campaign to its cell partition — run the
-same command with i = 0..N-1 (any mix of hosts), then fold the shard
-checkpoints with tools/gridsub_campaign_merge. Both flags are forwarded
-to the benches as GRIDSUB_CHECKPOINT_DIR / GRIDSUB_SHARD.
 """
 
 import argparse
@@ -165,21 +157,12 @@ def git_revision(repo_root):
         return "unknown"
 
 
-def run_report_bench(path, timeout, quick, shard=None, checkpoint_dir=None,
-                     progress=False):
+def run_report_bench(path, timeout, quick, progress=False):
     # Campaign benches honour GRIDSUB_BENCH_QUICK=1 by shrinking
     # replications (never axis coverage) so smoke runs stay fast. Set the
     # variable explicitly both ways: a full run must not silently inherit
     # quick mode from the caller's shell.
     env = dict(os.environ, GRIDSUB_BENCH_QUICK="1" if quick else "0")
-    if shard:
-        env["GRIDSUB_SHARD"] = shard
-    else:
-        env.pop("GRIDSUB_SHARD", None)
-    if checkpoint_dir:
-        env["GRIDSUB_CHECKPOINT_DIR"] = checkpoint_dir
-    else:
-        env.pop("GRIDSUB_CHECKPOINT_DIR", None)
     if progress:
         env["GRIDSUB_PROGRESS"] = "1"
     else:
@@ -239,31 +222,11 @@ def main():
                              "anyway (a loud warning replaces the refusal)")
     parser.add_argument("--timeout", type=float, default=600.0,
                         help="per-bench timeout in seconds")
-    parser.add_argument("--shard", default=None, metavar="i/N",
-                        help="run only cell partition i of N in every "
-                             "campaign bench (requires --checkpoint-dir; "
-                             "merge with gridsub_campaign_merge)")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="campaign checkpoint directory: interrupted "
-                             "runs resume, finished campaigns also write "
-                             "<campaign>.json here")
     parser.add_argument("--progress", action="store_true",
                         help="forward GRIDSUB_PROGRESS=1 and stream bench "
-                             "stderr to the terminal (live shard-aware "
-                             "completed/total + ETA lines)")
+                             "stderr to the terminal (live completed/total "
+                             "+ ETA lines)")
     args = parser.parse_args()
-
-    if args.shard:
-        parts = args.shard.split("/")
-        if (len(parts) != 2 or not all(p.isdigit() for p in parts)
-                or int(parts[1]) == 0 or int(parts[0]) >= int(parts[1])):
-            parser.error(f"--shard '{args.shard}' is not 'i/N' with "
-                         "0 <= i < N")
-        if not args.checkpoint_dir:
-            parser.error("--shard requires --checkpoint-dir (shard cells "
-                         "live only in checkpoint files)")
-    if args.checkpoint_dir:
-        os.makedirs(args.checkpoint_dir, exist_ok=True)
 
     build_info = read_build_info(args.bin_dir)
     build_type = enforce_release_build(build_info, args.allow_debug)
@@ -278,7 +241,6 @@ def main():
         "cpu_count": os.cpu_count(),
         "gridsub_build_type": build_type or "unknown",
         "quick": args.quick,
-        "shard": args.shard,
         "results": {},
     }
 
@@ -302,7 +264,6 @@ def main():
                                     args.timeout, build_type)
         else:
             entry = run_report_bench(path, args.timeout, args.quick,
-                                     args.shard, args.checkpoint_dir,
                                      args.progress)
         report["results"][name] = entry
         if entry.get("exit_code") != 0 or entry.get("error"):

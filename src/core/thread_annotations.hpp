@@ -3,13 +3,14 @@
 // Clang thread-safety annotations + the annotated lock primitives the
 // concurrent layers build on.
 //
-// The campaign runner's determinism contract (exp/campaign.hpp) and the
-// crash-safety promise of the checkpoint writer both reduce to lock
-// discipline: certain state may only be touched with a specific mutex
-// held. TSan checks that discipline dynamically, on the schedules a test
-// run happens to see; Clang's -Wthread-safety analysis checks it
-// *statically*, on every build, including Release builds that never run
-// a sanitizer. This header provides
+// The thread pool, the campaign runner's progress counter
+// (exp/campaign.cpp), the MC engine and the advisor service all reduce
+// their thread safety to lock discipline: certain state may only be
+// touched with a specific mutex held. TSan checks that discipline
+// dynamically, on the schedules a test run happens to see; Clang's
+// -Wthread-safety analysis checks it *statically*, on every build,
+// including Release builds that never run a sanitizer. This header
+// provides
 //
 //   * GRIDSUB_GUARDED_BY / GRIDSUB_REQUIRES / ... — the standard
 //     capability-annotation macros, expanding to nothing on compilers

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
+#include <exception>
 #include <future>
-#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "core/thread_annotations.hpp"
-#include "exp/checkpoint.hpp"
 #include "exp/fold.hpp"
+#include "exp/json_util.hpp"
 #include "stats/rng.hpp"
 
 namespace gridsub::exp {
@@ -54,17 +51,6 @@ CellContext CampaignAxes::cell(std::size_t flat) const {
   return ctx;
 }
 
-void CampaignShard::validate() const {
-  if (count == 0) {
-    throw std::invalid_argument("CampaignShard: zero shard count");
-  }
-  if (index >= count) {
-    throw std::invalid_argument("CampaignShard: index " +
-                                std::to_string(index) + " not below count " +
-                                std::to_string(count));
-  }
-}
-
 void CampaignAxes::validate() const {
   if (scenario_labels.empty()) {
     throw std::invalid_argument("CampaignAxes: no scenario labels");
@@ -80,57 +66,139 @@ void CampaignAxes::validate() const {
 CampaignResult::CampaignResult(CampaignAxes axes,
                                std::vector<CellResult> cells)
     : axes_(std::move(axes)), cells_(std::move(cells)) {
-  // Aggregate through the same streaming folds the sinks use, in flat
-  // order: replications of one (scenario, strategy) group are contiguous,
-  // so each group folds in a fixed order regardless of the execution
-  // schedule — and the buffered and streamed paths stay byte-identical
-  // by construction.
-  const std::size_t reps = std::max<std::size_t>(1, axes_.replications);
-  const std::size_t whole = (cells_.size() / reps) * reps;
-  AggregateFold fold(axes_);
-  for (std::size_t flat = 0; flat < whole; ++flat) fold.add(cells_[flat]);
-  aggregates_ = fold.take_rows();
+  axes_.validate();
+  if (cells_.size() != axes_.cell_count()) {
+    throw std::invalid_argument("CampaignResult: " +
+                                std::to_string(cells_.size()) +
+                                " cells for a grid of " +
+                                std::to_string(axes_.cell_count()));
+  }
+  // Replications of one (scenario, strategy) group are contiguous in flat
+  // order, so each group folds in a fixed order whatever the schedule.
+  const std::size_t reps = axes_.replications;
+  groups_.resize(cells_.size() / reps);
+  std::vector<MomentFold> folds;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const CellMetrics& schema = cells_[g * reps].metrics;
+    folds.assign(schema.size(), MomentFold());
+    for (std::size_t r = 0; r < reps; ++r) {
+      const CellResult& cell = cells_[g * reps + r];
+      const bool schema_matches =
+          cell.metrics.size() == schema.size() &&
+          std::equal(schema.begin(), schema.end(), cell.metrics.begin(),
+                     [](const auto& a, const auto& b) {
+                       return a.first == b.first;
+                     });
+      if (!schema_matches) {
+        throw std::logic_error(
+            "campaign '" + axes_.name + "': replications of group (" +
+            axes_.scenario_labels[cell.context.scenario] + ", " +
+            axes_.strategy_labels[cell.context.strategy] +
+            ") emitted mismatched metric names");
+      }
+      for (std::size_t m = 0; m < schema.size(); ++m) {
+        folds[m].add(cell.metrics[m].second);
+      }
+    }
+    groups_[g].reserve(schema.size());
+    for (std::size_t m = 0; m < schema.size(); ++m) {
+      groups_[g].push_back(Aggregate{schema[m].first, folds[m].mean(),
+                                     folds[m].sem(), folds[m].max()});
+    }
+  }
 }
 
-const AggregateRow& CampaignResult::aggregate(std::size_t scenario,
-                                              std::size_t strategy) const {
+const CampaignResult::Aggregate& CampaignResult::aggregate(
+    std::size_t scenario, std::size_t strategy,
+    const std::string& metric) const {
   // Check each axis, not just the flattened index: an off-by-one on the
   // strategy axis must throw, not alias the next scenario's group.
   if (scenario >= axes_.scenario_labels.size() ||
       strategy >= axes_.strategy_labels.size()) {
-    throw std::out_of_range("CampaignResult::aggregate: bad cell group");
+    throw std::out_of_range("CampaignResult: bad cell group");
   }
-  return aggregates_[scenario * axes_.strategy_labels.size() + strategy];
+  for (const Aggregate& a :
+       groups_[scenario * axes_.strategy_labels.size() + strategy]) {
+    if (a.name == metric) return a;
+  }
+  throw std::out_of_range("CampaignResult: unknown metric '" + metric + "'");
 }
 
 double CampaignResult::mean(std::size_t scenario, std::size_t strategy,
                             const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).mean;
+  return aggregate(scenario, strategy, metric).mean;
 }
 
 double CampaignResult::sem(std::size_t scenario, std::size_t strategy,
                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).sem;
+  return aggregate(scenario, strategy, metric).sem;
 }
 
-report::Table CampaignResult::summary_table(
-    const std::vector<std::string>& metrics) const {
-  return exp::summary_table(axes_, aggregates_, metrics);
+double CampaignResult::max(std::size_t scenario, std::size_t strategy,
+                           const std::string& metric) const {
+  return aggregate(scenario, strategy, metric).max;
 }
 
 void CampaignResult::write_json(std::ostream& os) const {
-  detail::write_campaign_json_prefix(os, axes_);
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    detail::write_campaign_json_cell(os, axes_, cells_[i],
-                                     i + 1 == cells_.size());
+  using detail::json_escape;
+  using detail::json_number;
+  os << "{\n  \"schema\": \"gridsub-campaign-v1\",\n  \"name\": ";
+  json_escape(os, axes_.name);
+  os << ",\n  \"root_seed\": " << axes_.root_seed;
+  os << ",\n  \"axes\": {";
+  json_escape(os, axes_.scenario_axis);
+  os << ": [";
+  for (std::size_t i = 0; i < axes_.scenario_labels.size(); ++i) {
+    if (i > 0) os << ", ";
+    json_escape(os, axes_.scenario_labels[i]);
   }
-  detail::write_campaign_json_aggregates(os, axes_, aggregates_);
-}
+  os << "], ";
+  json_escape(os, axes_.strategy_axis);
+  os << ": [";
+  for (std::size_t i = 0; i < axes_.strategy_labels.size(); ++i) {
+    if (i > 0) os << ", ";
+    json_escape(os, axes_.strategy_labels[i]);
+  }
+  os << "], \"replications\": " << axes_.replications << "},\n";
 
-std::string CampaignResult::to_json() const {
-  std::ostringstream ss;
-  write_json(ss);
-  return ss.str();
+  os << "  \"cells\": [\n";
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const CellResult& cell = cells_[i];
+    os << "    {\"scenario\": ";
+    json_escape(os, axes_.scenario_labels[cell.context.scenario]);
+    os << ", \"strategy\": ";
+    json_escape(os, axes_.strategy_labels[cell.context.strategy]);
+    os << ", \"replication\": " << cell.context.replication;
+    os << ", \"seed\": " << cell.context.seed << ", \"metrics\": {";
+    for (std::size_t m = 0; m < cell.metrics.size(); ++m) {
+      if (m > 0) os << ", ";
+      json_escape(os, cell.metrics[m].first);
+      os << ": ";
+      json_number(os, cell.metrics[m].second);
+    }
+    os << "}}" << (i + 1 < cells_.size() ? "," : "") << "\n";
+  }
+
+  os << "  ],\n  \"aggregates\": [\n";
+  const std::size_t strategies = axes_.strategy_labels.size();
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    os << "    {\"scenario\": ";
+    json_escape(os, axes_.scenario_labels[g / strategies]);
+    os << ", \"strategy\": ";
+    json_escape(os, axes_.strategy_labels[g % strategies]);
+    os << ", \"replications\": " << axes_.replications << ", \"metrics\": {";
+    for (std::size_t m = 0; m < groups_[g].size(); ++m) {
+      if (m > 0) os << ", ";
+      json_escape(os, groups_[g][m].name);
+      os << ": {\"mean\": ";
+      json_number(os, groups_[g][m].mean);
+      os << ", \"stderr\": ";
+      json_number(os, groups_[g][m].sem);
+      os << "}";
+    }
+    os << "}}" << (g + 1 < groups_.size() ? "," : "") << "\n";
+  }
+  os << "  ]\n}\n";
 }
 
 CampaignRunner::CampaignRunner(CampaignOptions options)
@@ -138,322 +206,29 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
 
 namespace {
 
-/// Cells already on disk before this run, restored from the checkpoint.
-struct ResumeState {
-  std::vector<bool> have;
-  std::vector<CellMetrics> metrics;  ///< valid where have[flat]
-  /// True when there is no usable checkpoint content yet (file absent or
-  /// blank) and the header must be written before the first record.
-  bool fresh = true;
-  /// Bytes of the file that parsed cleanly; a dropped partial tail is
-  /// truncated away before appending so it cannot glue onto new records.
-  std::size_t valid_bytes = 0;
-  /// The kept content lacks its final newline (whole-JSON clipped tail);
-  /// the writer must emit '\n' before its first appended record.
-  bool missing_final_newline = false;
-
-  explicit ResumeState(std::size_t n) : have(n, false), metrics(n) {}
-};
-
-/// Loads `path` if it holds checkpoint content and verifies it belongs to
-/// exactly this (axes, shard) before trusting any recorded cell.
-ResumeState resume_from(const std::string& path, const CampaignAxes& axes,
-                        const CampaignShard& shard) {
-  ResumeState state(axes.cell_count());
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return state;  // no checkpoint yet
-  std::string content((std::istreambuf_iterator<char>(is)),
-                      std::istreambuf_iterator<char>());
-  if (content.empty() ||
-      content.find_first_not_of(" \t\r\n") == std::string::npos) {
-    return state;  // an empty placeholder file
-  }
-  if (content.find('\n') == std::string::npos) {
-    // A newline-less file can be the artifact of a kill during the very
-    // first (header) write — but only if it reads as a clipped header.
-    // Then no record can exist and the run starts fresh (the writer
-    // truncates to valid_bytes = 0 before writing the new header). Any
-    // other newline-less content means checkpoint_path points at some
-    // unrelated file, which must never be silently overwritten.
-    constexpr std::string_view kHeaderPrefix =
-        "{\"schema\": \"gridsub-checkpoint-v1\"";
-    const std::size_t overlap =
-        std::min(content.size(), kHeaderPrefix.size());
-    if (content.compare(0, overlap, kHeaderPrefix, 0, overlap) != 0) {
-      throw CheckpointError(path +
-                            ": not a gridsub checkpoint — refusing to "
-                            "overwrite it");
-    }
-    return state;
-  }
-  CampaignCheckpoint checkpoint = parse_checkpoint(content, path);
-  if (!same_campaign(checkpoint.axes, axes)) {
-    throw CheckpointError(path + ": checkpoint belongs to campaign '" +
-                          checkpoint.axes.name +
-                          "' with different axes/replications/root seed — "
-                          "refusing to resume '" + axes.name + "' from it");
-  }
-  if (checkpoint.shard.index != shard.index ||
-      checkpoint.shard.count != shard.count) {
-    throw CheckpointError(
-        path + ": checkpoint was written by shard " +
-        std::to_string(checkpoint.shard.index) + "/" +
-        std::to_string(checkpoint.shard.count) + ", not shard " +
-        std::to_string(shard.index) + "/" + std::to_string(shard.count) +
-        " — resume with the same partition or merge instead");
-  }
-  state.fresh = false;
-  state.valid_bytes = checkpoint.valid_bytes;
-  state.missing_final_newline = checkpoint.missing_final_newline;
-  for (CellResult& cell : checkpoint.cells) {
-    state.have[cell.context.flat] = true;
-    state.metrics[cell.context.flat] = std::move(cell.metrics);
-  }
-  return state;
-}
-
-/// The streaming core behind run / run_with_sink / run_shard.
-///
-/// Workers claim pending cells from an atomic cursor in ascending flat
-/// order; a claim may start evaluating only when fewer than
-/// `reorder_window` earlier claims are still undelivered, so completed
-/// cells never pile up beyond the window. Completions land in a
-/// window-sized ring and are drained — interleaved with checkpoint-
-/// restored cells — to the sink in strictly ascending flat order. This
-/// cannot deadlock: deliveries follow claim order, so the minimal
-/// in-flight claim always has every earlier claim already delivered and
-/// its own gate open.
-///
-/// Lock discipline (compiler-checked through the GRIDSUB_GUARDED_BY
-/// annotations): every field of the reorder/delivery state is guarded by
-/// `mu_`; checkpoint appends go through CheckpointWriter's own internal
-/// lock *outside* `mu_`, so the two mutexes never nest. Everything not
-/// annotated is either immutable after construction (owned_, pending_,
-/// resume_.have, window_) or touched only before workers start / after
-/// they join.
-class CellStream {
+/// Serializes on_progress calls so snapshots arrive one at a time, each
+/// with a larger `completed` than the last.
+class ProgressCounter {
  public:
-  CellStream(const CampaignOptions& options, const CampaignAxes& axes,
-             const CellEvaluator& evaluate, ResumeState resume,
-             CampaignSink* sink)
-      : options_(options),
-        axes_(axes),
-        evaluate_(evaluate),
-        resume_(std::move(resume)),
-        sink_(sink),
-        shard_(options.shard),
-        pool_(options.pool != nullptr ? *options.pool
-                                      : par::ThreadPool::shared()) {
-    if (!options_.checkpoint_path.empty()) {
-      CheckpointWriter::Resume tail;
-      tail.fresh = resume_.fresh;
-      tail.valid_bytes = resume_.valid_bytes;
-      tail.missing_final_newline = resume_.missing_final_newline;
-      writer_.emplace(options_.checkpoint_path, axes_, shard_, tail);
-    }
+  ProgressCounter(const std::function<void(const CampaignProgress&)>& report,
+                  std::size_t total)
+      : report_(report), total_(total) {}
 
-    // Owned cells in ascending flat order; the not-yet-done subset is
-    // the claim list workers race down.
-    for (std::size_t flat = 0; flat < axes_.cell_count(); ++flat) {
-      if (!shard_.owns(flat)) continue;
-      owned_.push_back(flat);
-      if (!resume_.have[flat]) pending_.push_back(flat);
-    }
-    resumed_count_ = owned_.size() - pending_.size();
-    window_ = options_.reorder_window > 0
-                  ? options_.reorder_window
-                  : std::max<std::size_t>(16, 2 * pool_.thread_count());
-    // Claim k's completion parks in ring_[k % ring_.size()] until
-    // drained; the gate keeps at most `window_` claims undelivered, so a
-    // window-sized ring can never collide.
-    ring_.resize(std::max<std::size_t>(
-        1, std::min(window_, pending_.size())));
-  }
-
-  /// Runs the stream to completion; returns the number of cells freshly
-  /// evaluated. Rethrows the lowest-claim worker error after all cells
-  /// have settled.
-  std::size_t run() {
-    if (sink_ != nullptr) sink_->begin(axes_);
-
-    {
-      // Baseline: deliver the restored prefix (everything, on a fully
-      // resumed run) and let a resume-aware ETA start from `completed`.
-      const core::MutexLock lock(mu_);
-      report_progress();
-      try {
-        drain();
-      } catch (...) {
-        record_error(0);
-      }
-    }
-
-    const std::size_t workers =
-        std::min(std::max<std::size_t>(1, pool_.thread_count()),
-                 pending_.size());
-    std::vector<std::future<void>> futures;
-    futures.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-      futures.push_back(pool_.submit([this] { worker(); }));
-    }
-    for (auto& f : futures) f.get();  // workers swallow their own errors
-
-    {
-      const core::MutexLock lock(mu_);
-      if (first_error_) std::rethrow_exception(first_error_);
-      if (deliver_pos_ != owned_.size()) {
-        throw std::logic_error(
-            "CampaignRunner: drained " + std::to_string(deliver_pos_) +
-            " of " + std::to_string(owned_.size()) +
-            " cells with no error");
-      }
-    }
-    if (sink_ != nullptr) sink_->end();
-    return pending_.size();
+  void advance() GRIDSUB_EXCLUDES(mu_) {
+    if (!report_) return;
+    const core::MutexLock lock(mu_);
+    ++completed_;
+    report_(CampaignProgress{completed_, total_});
   }
 
  private:
-  void worker() {
-    while (true) {
-      const std::size_t claim =
-          next_claim_.fetch_add(1, std::memory_order_relaxed);
-      if (claim >= pending_.size()) return;
-      {
-        core::MutexLock lock(mu_);
-        gate_.wait(mu_, [this, claim]() GRIDSUB_REQUIRES(mu_) {
-          return aborted_ || claim < drained_fresh_ + window_;
-        });
-      }
-      const std::size_t flat = pending_[claim];
-      try {
-        CellResult result;
-        result.context = axes_.cell(flat);
-        result.metrics = evaluate_(result.context);
-        // Record first, outside the stream lock (the writer locks
-        // itself): a kill after this line leaves the cell persisted even
-        // if it was never delivered, which resume handles as a benign
-        // duplicate of work never re-done.
-        if (writer_.has_value()) writer_->append(result);
-        const core::MutexLock lock(mu_);
-        ++fresh_done_;
-        report_progress();
-        if (!aborted_) {
-          ring_[claim % ring_.size()] = std::move(result);
-          drain();
-        }
-        gate_.notify_all();
-      } catch (...) {
-        // Evaluation, checkpoint-append, or sink failure: remember the
-        // error, open every gate, and keep claiming — remaining cells
-        // still evaluate (and checkpoint) so a rerun resumes close to
-        // where this one failed.
-        const core::MutexLock lock(mu_);
-        record_error(claim);
-        gate_.notify_all();
-      }
-    }
-  }
-
-  /// Delivers every cell that is ready, in flat order: restored cells
-  /// immediately, fresh ones as their ring slot fills.
-  void drain() GRIDSUB_REQUIRES(mu_) {
-    while (deliver_pos_ < owned_.size()) {
-      const std::size_t flat = owned_[deliver_pos_];
-      CellResult cell;
-      if (resume_.have[flat]) {
-        cell.context = axes_.cell(flat);
-        cell.metrics = std::move(resume_.metrics[flat]);
-      } else {
-        std::optional<CellResult>& slot =
-            ring_[drained_fresh_ % ring_.size()];
-        if (!slot.has_value()) break;  // next fresh cell still in flight
-        cell = std::move(*slot);
-        slot.reset();
-        ++drained_fresh_;
-        gate_.notify_all();
-      }
-      if (sink_ != nullptr) sink_->on_cell(cell);
-      ++deliver_pos_;
-    }
-  }
-
-  void record_error(std::size_t claim) GRIDSUB_REQUIRES(mu_) {
-    // Keep the lowest-claim error: deterministic choice among racers.
-    if (!first_error_ || claim < first_error_claim_) {
-      first_error_ = std::current_exception();
-      first_error_claim_ = claim;
-    }
-    aborted_ = true;
-  }
-
-  void report_progress() GRIDSUB_REQUIRES(mu_) {
-    if (!options_.on_progress) return;
-    CampaignProgress p;
-    p.completed = resumed_count_ + fresh_done_;
-    p.total = owned_.size();
-    p.fresh = fresh_done_;
-    p.shard = shard_;
-    options_.on_progress(p);
-  }
-
-  const CampaignOptions& options_;
-  const CampaignAxes& axes_;
-  const CellEvaluator& evaluate_;
-  ResumeState resume_;  ///< have[] immutable; metrics[] consumed in drain()
-  CampaignSink* sink_;
-  const CampaignShard shard_;
-  par::ThreadPool& pool_;
-  std::optional<CheckpointWriter> writer_;  ///< internally locked
-  std::vector<std::size_t> owned_;    ///< immutable once workers start
-  std::vector<std::size_t> pending_;  ///< immutable once workers start
-  std::size_t resumed_count_ = 0;
-  std::size_t window_ = 0;
-
+  const std::function<void(const CampaignProgress&)>& report_;
+  const std::size_t total_;
   core::Mutex mu_;
-  core::CondVar gate_;
-  std::atomic<std::size_t> next_claim_{0};
-  std::vector<std::optional<CellResult>> ring_ GRIDSUB_GUARDED_BY(mu_);
-  std::size_t drained_fresh_ GRIDSUB_GUARDED_BY(mu_) = 0;
-  std::size_t deliver_pos_ GRIDSUB_GUARDED_BY(mu_) = 0;
-  std::size_t fresh_done_ GRIDSUB_GUARDED_BY(mu_) = 0;
-  bool aborted_ GRIDSUB_GUARDED_BY(mu_) = false;
-  std::exception_ptr first_error_ GRIDSUB_GUARDED_BY(mu_);
-  std::size_t first_error_claim_ GRIDSUB_GUARDED_BY(mu_) = 0;
+  std::size_t completed_ GRIDSUB_GUARDED_BY(mu_) = 0;
 };
 
-std::size_t run_cells(const CampaignOptions& options,
-                      const CampaignAxes& axes,
-                      const CellEvaluator& evaluate, ResumeState resume,
-                      CampaignSink* sink) {
-  CellStream stream(options, axes, evaluate, std::move(resume), sink);
-  return stream.run();
-}
-
 }  // namespace
-
-void CampaignRunner::run_with_sink(const CampaignAxes& axes,
-                                   const CellEvaluator& evaluate,
-                                   CampaignSink& sink) const {
-  axes.validate();
-  if (!evaluate) {
-    throw std::invalid_argument("CampaignRunner::run_with_sink: null "
-                                "evaluator");
-  }
-  options_.shard.validate();
-  if (options_.shard.active()) {
-    throw std::invalid_argument(
-        "CampaignRunner::run_with_sink: options name shard " +
-        std::to_string(options_.shard.index) + "/" +
-        std::to_string(options_.shard.count) +
-        " but a sink run produces the whole grid — use run_shard() and "
-        "merge_checkpoints()");
-  }
-  ResumeState resume(axes.cell_count());
-  if (!options_.checkpoint_path.empty()) {
-    resume = resume_from(options_.checkpoint_path, axes, options_.shard);
-  }
-  (void)run_cells(options_, axes, evaluate, std::move(resume), &sink);
-}
 
 CampaignResult CampaignRunner::run(const CampaignAxes& axes,
                                    const CellEvaluator& evaluate) const {
@@ -461,40 +236,43 @@ CampaignResult CampaignRunner::run(const CampaignAxes& axes,
   if (!evaluate) {
     throw std::invalid_argument("CampaignRunner::run: null evaluator");
   }
-  options_.shard.validate();
-  if (options_.shard.active()) {
-    throw std::invalid_argument(
-        "CampaignRunner::run: options name shard " +
-        std::to_string(options_.shard.index) + "/" +
-        std::to_string(options_.shard.count) +
-        " but run() produces the whole grid — use run_shard() and "
-        "merge_checkpoints()");
-  }
-  ResumeState resume(axes.cell_count());
-  if (!options_.checkpoint_path.empty()) {
-    resume = resume_from(options_.checkpoint_path, axes, options_.shard);
-  }
-  CollectSink collect;
-  (void)run_cells(options_, axes, evaluate, std::move(resume), &collect);
-  return collect.take();
-}
+  par::ThreadPool& pool =
+      options_.pool != nullptr ? *options_.pool : par::ThreadPool::shared();
+  const std::size_t total = axes.cell_count();
 
-std::size_t CampaignRunner::run_shard(const CampaignAxes& axes,
-                                      const CellEvaluator& evaluate,
-                                      CampaignSink* sink) const {
-  axes.validate();
-  if (!evaluate) {
-    throw std::invalid_argument("CampaignRunner::run_shard: null evaluator");
+  // Each worker writes only the slots of the flat indices it claimed, so
+  // the vectors need no lock; the futures' join publishes the writes.
+  std::vector<CellResult> cells(total);
+  std::vector<std::exception_ptr> errors(total);
+  std::atomic<std::size_t> cursor{0};
+  ProgressCounter progress(options_.on_progress, total);
+  const auto worker = [&] {
+    for (std::size_t flat = cursor.fetch_add(1, std::memory_order_relaxed);
+         flat < total;
+         flat = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        cells[flat].context = axes.cell(flat);
+        cells[flat].metrics = evaluate(cells[flat].context);
+        progress.advance();
+      } catch (...) {
+        errors[flat] = std::current_exception();
+      }
+    }
+  };
+
+  const std::size_t workers =
+      std::min(std::max<std::size_t>(1, pool.thread_count()), total);
+  std::vector<std::future<void>> futures;
+  futures.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    futures.push_back(pool.submit(worker));
   }
-  options_.shard.validate();
-  if (options_.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "CampaignRunner::run_shard: options.checkpoint_path is required "
-        "(the shard's cells live only in the checkpoint file)");
+  for (auto& f : futures) f.get();  // workers keep every cell's error
+
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  ResumeState resume =
-      resume_from(options_.checkpoint_path, axes, options_.shard);
-  return run_cells(options_, axes, evaluate, std::move(resume), sink);
+  return CampaignResult(axes, std::move(cells));
 }
 
 }  // namespace gridsub::exp

@@ -106,19 +106,15 @@ CellMetrics run_strategy_cell(const ScenarioCase& scenario,
   };
 }
 
-CellEvaluator make_cell_evaluator(const ExperimentSpec& spec) {
-  return [&spec](const CellContext& ctx) {
-    return run_strategy_cell(spec.scenarios[ctx.scenario],
-                             spec.strategies[ctx.strategy].spec, spec.clients,
-                             ctx.seed);
-  };
-}
-
 CampaignResult run_experiment(const ExperimentSpec& spec,
                               const CampaignOptions& options) {
   spec.validate();
-  const CampaignRunner runner(options);
-  return runner.run(spec.axes(), make_cell_evaluator(spec));
+  return CampaignRunner(options).run(
+      spec.axes(), [&spec](const CellContext& ctx) {
+        return run_strategy_cell(spec.scenarios[ctx.scenario],
+                                 spec.strategies[ctx.strategy].spec,
+                                 spec.clients, ctx.seed);
+      });
 }
 
 }  // namespace gridsub::exp

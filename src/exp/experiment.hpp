@@ -21,11 +21,7 @@
 // (campaign.hpp) — the cell seed is derived from (root_seed, scenario,
 // strategy, replication) alone, and run_strategy_cell consumes *only*
 // that seed as entropy. A spec's result is therefore byte-identical at
-// any thread count, across interrupted-and-resumed runs, and across
-// multi-process shards merged with exp/checkpoint.hpp: pass
-// CampaignOptions with a checkpoint_path (and optionally a shard) to
-// run_experiment, or drive CampaignRunner::run_shard directly with
-// make_cell_evaluator(spec).
+// any thread count.
 
 #include <cstddef>
 #include <cstdint>
@@ -99,14 +95,9 @@ struct ExperimentSpec {
                                             const ClientConfig& clients,
                                             std::uint64_t seed);
 
-/// The evaluator run_experiment drives: resolves the cell's scenario and
-/// strategy from the spec and calls run_strategy_cell with the cell seed.
-/// For callers that operate the CampaignRunner directly (checkpointed or
-/// sharded runs, benches with custom options). `spec` is captured by
-/// reference and must outlive the returned evaluator.
-[[nodiscard]] CellEvaluator make_cell_evaluator(const ExperimentSpec& spec);
-
-/// Runs the spec on the campaign engine (spec need only live for the call).
+/// Runs the spec on the campaign engine: each cell resolves its scenario
+/// and strategy from the spec and calls run_strategy_cell with the cell
+/// seed (spec need only live for the call).
 [[nodiscard]] CampaignResult run_experiment(const ExperimentSpec& spec,
                                             const CampaignOptions& options = {});
 

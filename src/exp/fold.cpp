@@ -1,20 +1,8 @@
 #include "exp/fold.hpp"
 
 #include <cmath>
-#include <ostream>
-#include <stdexcept>
-#include <utility>
-
-#include "exp/json_util.hpp"
 
 namespace gridsub::exp {
-
-using detail::json_escape;
-using detail::json_number;
-
-// ---------------------------------------------------------------------------
-// MomentFold
-// ---------------------------------------------------------------------------
 
 void MomentFold::add(double x) {
   // Neumaier-compensated sum (numerics/kahan.hpp's recurrence, inlined so
@@ -46,292 +34,5 @@ double MomentFold::sem() const {
   return std::sqrt(m2_ / static_cast<double>(n_ - 1) /
                    static_cast<double>(n_));
 }
-
-void MomentFold::reset() { *this = MomentFold(); }
-
-// ---------------------------------------------------------------------------
-// AggregateFold
-// ---------------------------------------------------------------------------
-
-AggregateFold::AggregateFold(CampaignAxes axes) : axes_(std::move(axes)) {
-  axes_.validate();
-  rows_.reserve(axes_.scenario_labels.size() * axes_.strategy_labels.size());
-}
-
-const AggregateRow* AggregateFold::add(const CellResult& cell) {
-  if (cell.context.flat != folded_) {
-    throw std::logic_error(
-        "AggregateFold: cell " + std::to_string(cell.context.flat) +
-        " delivered out of order (expected " + std::to_string(folded_) +
-        ") — the reorder window must feed folds in flat order");
-  }
-  if (cell.context.replication == 0) {
-    // First replication defines the group's metric schema.
-    names_.clear();
-    open_.assign(cell.metrics.size(), MomentFold());
-    names_.reserve(cell.metrics.size());
-    for (const auto& [name, value] : cell.metrics) names_.push_back(name);
-  }
-  const bool schema_matches = [&] {
-    if (cell.metrics.size() != names_.size()) return false;
-    for (std::size_t m = 0; m < names_.size(); ++m) {
-      if (cell.metrics[m].first != names_[m]) return false;
-    }
-    return true;
-  }();
-  if (!schema_matches) {
-    throw std::logic_error(
-        "campaign '" + axes_.name + "': replications of group (" +
-        axes_.scenario_labels[cell.context.scenario] + ", " +
-        axes_.strategy_labels[cell.context.strategy] +
-        ") emitted mismatched metric names");
-  }
-  for (std::size_t m = 0; m < names_.size(); ++m) {
-    open_[m].add(cell.metrics[m].second);
-  }
-  ++folded_;
-  if (cell.context.replication + 1 < axes_.replications) return nullptr;
-
-  AggregateRow row;
-  row.scenario = cell.context.scenario;
-  row.strategy = cell.context.strategy;
-  row.replications = axes_.replications;
-  row.metrics.reserve(names_.size());
-  for (std::size_t m = 0; m < names_.size(); ++m) {
-    AggregateRow::Metric metric;
-    metric.name = names_[m];
-    metric.mean = open_[m].mean();
-    metric.sem = open_[m].sem();
-    metric.min = open_[m].min();
-    metric.max = open_[m].max();
-    row.metrics.push_back(std::move(metric));
-  }
-  rows_.push_back(std::move(row));
-  return &rows_.back();
-}
-
-// ---------------------------------------------------------------------------
-// Shared accessors and renderers
-// ---------------------------------------------------------------------------
-
-const AggregateRow::Metric& find_metric(const AggregateRow& row,
-                                        const std::string& name) {
-  for (const auto& m : row.metrics) {
-    if (m.name == name) return m;
-  }
-  throw std::out_of_range("CampaignResult: unknown metric '" + name + "'");
-}
-
-report::Table summary_table(const CampaignAxes& axes,
-                            const std::vector<AggregateRow>& rows,
-                            const std::vector<std::string>& metrics) {
-  std::vector<std::string> names = metrics;
-  if (names.empty() && !rows.empty()) {
-    for (const auto& m : rows.front().metrics) names.push_back(m.name);
-  }
-  std::vector<std::string> headers = {axes.scenario_axis,
-                                      axes.strategy_axis};
-  for (const auto& n : names) headers.push_back(n);
-  report::Table table(std::move(headers));
-  for (const auto& row : rows) {
-    auto& r = table.row()
-                  .cell(axes.scenario_labels[row.scenario])
-                  .cell(axes.strategy_labels[row.strategy]);
-    for (const auto& n : names) r.cell(find_metric(row, n).mean, 3);
-  }
-  return table;
-}
-
-const AggregateRow& CampaignSummary::aggregate(std::size_t scenario,
-                                               std::size_t strategy) const {
-  // Check each axis, not just the flattened index: an off-by-one on the
-  // strategy axis must throw, not alias the next scenario's group.
-  if (scenario >= axes.scenario_labels.size() ||
-      strategy >= axes.strategy_labels.size()) {
-    throw std::out_of_range("CampaignSummary::aggregate: bad cell group");
-  }
-  return rows[scenario * axes.strategy_labels.size() + strategy];
-}
-
-double CampaignSummary::mean(std::size_t scenario, std::size_t strategy,
-                             const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).mean;
-}
-
-double CampaignSummary::sem(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).sem;
-}
-
-double CampaignSummary::min(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).min;
-}
-
-double CampaignSummary::max(std::size_t scenario, std::size_t strategy,
-                            const std::string& metric) const {
-  return find_metric(aggregate(scenario, strategy), metric).max;
-}
-
-report::Table CampaignSummary::summary_table(
-    const std::vector<std::string>& metrics) const {
-  return exp::summary_table(axes, rows, metrics);
-}
-
-report::Series CampaignSummary::metric_series(
-    std::size_t strategy, const std::string& metric) const {
-  if (strategy >= axes.strategy_labels.size()) {
-    throw std::out_of_range("CampaignSummary::metric_series: bad strategy");
-  }
-  report::Series series;
-  series.label = axes.strategy_labels[strategy] + " " + metric;
-  series.x.reserve(axes.scenario_labels.size());
-  series.y.reserve(axes.scenario_labels.size());
-  for (std::size_t s = 0; s < axes.scenario_labels.size(); ++s) {
-    series.x.push_back(static_cast<double>(s));
-    series.y.push_back(mean(s, strategy, metric));
-  }
-  return series;
-}
-
-// ---------------------------------------------------------------------------
-// Sinks
-// ---------------------------------------------------------------------------
-
-void CampaignSink::begin(const CampaignAxes&) {}
-void CampaignSink::end() {}
-
-void CollectSink::begin(const CampaignAxes& axes) {
-  axes_ = axes;
-  cells_.clear();
-  cells_.reserve(axes.cell_count());
-}
-
-void CollectSink::on_cell(const CellResult& cell) { cells_.push_back(cell); }
-
-CampaignResult CollectSink::take() {
-  return CampaignResult(std::move(axes_), std::move(cells_));
-}
-
-void FoldSink::begin(const CampaignAxes& axes) { fold_.emplace(axes); }
-
-void FoldSink::on_cell(const CellResult& cell) {
-  if (!fold_) throw std::logic_error("FoldSink: on_cell before begin");
-  fold_->add(cell);
-}
-
-CampaignSummary FoldSink::take() {
-  if (!fold_) throw std::logic_error("FoldSink: take before begin");
-  CampaignSummary summary;
-  summary.axes = fold_->axes();
-  summary.rows = fold_->take_rows();
-  return summary;
-}
-
-JsonStreamSink::JsonStreamSink(std::ostream& os) : os_(&os) {}
-
-void JsonStreamSink::begin(const CampaignAxes& axes) {
-  fold_.emplace(axes);
-  detail::write_campaign_json_prefix(*os_, axes);
-  if (!*os_) throw std::runtime_error("JsonStreamSink: write failed");
-}
-
-void JsonStreamSink::on_cell(const CellResult& cell) {
-  if (!fold_) throw std::logic_error("JsonStreamSink: on_cell before begin");
-  const CampaignAxes& axes = fold_->axes();
-  detail::write_campaign_json_cell(*os_, axes, cell,
-                                   cell.context.flat + 1 ==
-                                       axes.cell_count());
-  fold_->add(cell);
-  if (!*os_) throw std::runtime_error("JsonStreamSink: write failed");
-}
-
-void JsonStreamSink::end() {
-  if (!fold_) throw std::logic_error("JsonStreamSink: end before begin");
-  detail::write_campaign_json_aggregates(*os_, fold_->axes(), fold_->rows());
-  os_->flush();
-  if (!*os_) throw std::runtime_error("JsonStreamSink: write failed");
-  ended_ = true;
-}
-
-CampaignSummary JsonStreamSink::take() {
-  if (!ended_) throw std::logic_error("JsonStreamSink: take before end");
-  CampaignSummary summary;
-  summary.axes = fold_->axes();
-  summary.rows = fold_->take_rows();
-  return summary;
-}
-
-// ---------------------------------------------------------------------------
-// Canonical campaign JSON, emitted piecewise
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-void write_campaign_json_prefix(std::ostream& os, const CampaignAxes& axes) {
-  os << "{\n  \"schema\": \"gridsub-campaign-v1\",\n  \"name\": ";
-  json_escape(os, axes.name);
-  os << ",\n  \"root_seed\": " << axes.root_seed;
-  os << ",\n  \"axes\": {";
-  json_escape(os, axes.scenario_axis);
-  os << ": [";
-  for (std::size_t i = 0; i < axes.scenario_labels.size(); ++i) {
-    if (i > 0) os << ", ";
-    json_escape(os, axes.scenario_labels[i]);
-  }
-  os << "], ";
-  json_escape(os, axes.strategy_axis);
-  os << ": [";
-  for (std::size_t i = 0; i < axes.strategy_labels.size(); ++i) {
-    if (i > 0) os << ", ";
-    json_escape(os, axes.strategy_labels[i]);
-  }
-  os << "], \"replications\": " << axes.replications << "},\n";
-  os << "  \"cells\": [\n";
-}
-
-void write_campaign_json_cell(std::ostream& os, const CampaignAxes& axes,
-                              const CellResult& cell, bool last) {
-  os << "    {\"scenario\": ";
-  json_escape(os, axes.scenario_labels[cell.context.scenario]);
-  os << ", \"strategy\": ";
-  json_escape(os, axes.strategy_labels[cell.context.strategy]);
-  os << ", \"replication\": " << cell.context.replication;
-  os << ", \"seed\": " << cell.context.seed << ", \"metrics\": {";
-  for (std::size_t m = 0; m < cell.metrics.size(); ++m) {
-    if (m > 0) os << ", ";
-    json_escape(os, cell.metrics[m].first);
-    os << ": ";
-    json_number(os, cell.metrics[m].second);
-  }
-  os << "}}" << (last ? "" : ",") << "\n";
-}
-
-void write_campaign_json_aggregates(std::ostream& os,
-                                    const CampaignAxes& axes,
-                                    const std::vector<AggregateRow>& rows) {
-  os << "  ],\n  \"aggregates\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const AggregateRow& row = rows[i];
-    os << "    {\"scenario\": ";
-    json_escape(os, axes.scenario_labels[row.scenario]);
-    os << ", \"strategy\": ";
-    json_escape(os, axes.strategy_labels[row.strategy]);
-    os << ", \"replications\": " << row.replications << ", \"metrics\": {";
-    for (std::size_t m = 0; m < row.metrics.size(); ++m) {
-      if (m > 0) os << ", ";
-      json_escape(os, row.metrics[m].name);
-      os << ": {\"mean\": ";
-      json_number(os, row.metrics[m].mean);
-      os << ", \"stderr\": ";
-      json_number(os, row.metrics[m].sem);
-      os << "}";
-    }
-    os << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
-}  // namespace detail
 
 }  // namespace gridsub::exp

@@ -2,24 +2,37 @@
 
 // A strict parser for the subset of JSON gridsub's own writers emit:
 // objects, arrays, strings, and numbers (null stands in for non-finite
-// metric values, mirroring json_util.hpp's writer). Checkpoints, stage
-// files, and campaign JSON are machine formats written and read only by
-// gridsub, so any deviation is treated as corruption and reported with
-// byte offsets via CheckpointError.
+// values, mirroring json_util.hpp's writer). Its one input today is the
+// advisor recovery dump (serve/advisor.hpp), a machine format written and
+// read only by gridsub, so any deviation is treated as corruption and
+// reported with its byte offset via JsonParseError.
 //
-// Extracted from checkpoint.cpp so the streamed merge tool and the stage
-// loader can parse records line-by-line without materializing whole files.
+// Nesting is bounded: gridsub's writers nest at most 5 levels (the
+// advisor dump 4, the campaign JSON 5), so a document deeper than
+// kMaxDepth is rejected as corrupt before the recursion can exhaust the
+// stack.
 
 #include <charconv>
 #include <cctype>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "exp/checkpoint.hpp"
+namespace gridsub::exp {
+
+/// Raised on malformed, truncated, or too deeply nested JSON, and on a
+/// missing or mistyped key.
+class JsonParseError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+}  // namespace gridsub::exp
 
 namespace gridsub::exp::detail {
 
@@ -37,6 +50,9 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted; well above the writers' 5.
+  static constexpr std::size_t kMaxDepth = 64;
+
   JsonParser(std::string_view text, const std::string& origin)
       : text_(text), origin_(origin) {}
 
@@ -50,14 +66,13 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw CheckpointError(origin_ + ": " + what + " (byte " +
-                          std::to_string(pos_) + ")");
+    throw JsonParseError(origin_ + ": " + what + " (byte " +
+                         std::to_string(pos_) + ")");
   }
 
   void skip_ws() {
     // Newlines included: the advisor recovery dump (serve/advisor.hpp)
-    // is pretty-printed JSON, unlike the one-record-per-line checkpoint
-    // format (whose line splitting happens before this parser runs).
+    // is pretty-printed JSON.
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' ||
             text_[pos_] == '\n' || text_[pos_] == '\r')) {
@@ -80,8 +95,17 @@ class JsonParser {
   [[nodiscard]] JsonValue value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = text_[pos_] == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return string_value();
       case 'n': return null_value();
       case 't':
@@ -221,6 +245,7 @@ class JsonParser {
   std::string_view text_;
   std::string origin_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays and objects around pos_
 };
 
 // ---------------------------------------------------------------------------
@@ -234,14 +259,14 @@ class JsonParser {
   for (const auto& [k, v] : obj.object) {
     if (k == key) return v;
   }
-  throw CheckpointError(origin + ": missing key \"" + key + "\"");
+  throw JsonParseError(origin + ": missing key \"" + key + "\"");
 }
 
 [[nodiscard]] inline const std::string& get_string(
     const JsonValue& obj, const std::string& key, const std::string& origin) {
   const JsonValue& v = get_key(obj, key, origin);
   if (v.kind != JsonValue::Kind::kString) {
-    throw CheckpointError(origin + ": key \"" + key + "\" is not a string");
+    throw JsonParseError(origin + ": key \"" + key + "\" is not a string");
   }
   return v.string;
 }
@@ -251,8 +276,8 @@ class JsonParser {
                                             const std::string& origin) {
   const JsonValue& v = get_key(obj, key, origin);
   if (v.kind != JsonValue::Kind::kNumber || !v.is_integer) {
-    throw CheckpointError(origin + ": key \"" + key +
-                          "\" is not an unsigned integer");
+    throw JsonParseError(origin + ": key \"" + key +
+                         "\" is not an unsigned integer");
   }
   return v.integer;
 }
@@ -264,7 +289,7 @@ class JsonParser {
   // null is the writer's spelling for non-finite doubles (json_util.hpp).
   if (v.kind != JsonValue::Kind::kNumber &&
       v.kind != JsonValue::Kind::kNull) {
-    throw CheckpointError(origin + ": key \"" + key + "\" is not a number");
+    throw JsonParseError(origin + ": key \"" + key + "\" is not a number");
   }
   return v.number;
 }
@@ -274,27 +299,9 @@ class JsonParser {
                                    const std::string& origin) {
   const JsonValue& v = get_key(obj, key, origin);
   if (v.kind != JsonValue::Kind::kBool) {
-    throw CheckpointError(origin + ": key \"" + key + "\" is not a boolean");
+    throw JsonParseError(origin + ": key \"" + key + "\" is not a boolean");
   }
   return v.boolean;
-}
-
-[[nodiscard]] inline std::vector<std::string> get_string_array(
-    const JsonValue& obj, const std::string& key, const std::string& origin) {
-  const JsonValue& v = get_key(obj, key, origin);
-  if (v.kind != JsonValue::Kind::kArray) {
-    throw CheckpointError(origin + ": key \"" + key + "\" is not an array");
-  }
-  std::vector<std::string> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
-    if (e.kind != JsonValue::Kind::kString) {
-      throw CheckpointError(origin + ": key \"" + key +
-                            "\" holds a non-string element");
-    }
-    out.push_back(e.string);
-  }
-  return out;
 }
 
 }  // namespace gridsub::exp::detail

@@ -1,8 +1,8 @@
 #pragma once
 
 // Internal deterministic-JSON output helpers shared by the campaign
-// result writer (campaign.cpp) and the checkpoint writer (checkpoint.cpp).
-// Not part of the public exp/ API.
+// result writer (campaign.cpp) and the advisor recovery dump
+// (serve/advisor.cpp). Not part of the public exp/ API.
 
 #include <charconv>
 #include <cmath>

@@ -43,28 +43,6 @@ std::function<void(std::uint64_t)> FaultInjector::refresher_hook() {
   };
 }
 
-exp::IoFaultHook FaultInjector::io_hook() {
-  return [this](std::uint64_t write_index,
-                std::size_t payload_bytes) -> exp::IoFaultDirective {
-    const exp::IoFaultDirective d =
-        schedule_.io_fault(write_index, payload_bytes);
-    switch (d.kind) {
-      case exp::IoFaultDirective::Kind::kShortWrite:
-        record(FaultClass::kIoShortWrite, write_index);
-        break;
-      case exp::IoFaultDirective::Kind::kEnospc:
-        record(FaultClass::kIoEnospc, write_index);
-        break;
-      case exp::IoFaultDirective::Kind::kTornTail:
-        record(FaultClass::kIoTornTail, write_index);
-        break;
-      case exp::IoFaultDirective::Kind::kNone:
-        break;
-    }
-    return d;
-  };
-}
-
 void FaultInjector::record(FaultClass cls, std::uint64_t id) {
   const core::MutexLock lock(mu_);
   events_.push_back(FaultEvent{cls, id});

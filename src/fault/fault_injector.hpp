@@ -14,9 +14,7 @@
 //     the owning ingest worker (yield loop — no clocks) on scheduled
 //     job indices;
 //   * refresher_hook() plugs into AdvisorConfig::refresh_fault and
-//     pauses scheduled refresh generations the same way;
-//   * io_hook() plugs into exp::CheckpointWriter and injects the three
-//     disk-failure classes (short write / ENOSPC / torn tail).
+//     pauses scheduled refresh generations the same way.
 //
 // The injected-event log is the determinism witness: every event is
 // (fault class, stable id), and events() returns them sorted, so two
@@ -37,7 +35,6 @@
 #include <vector>
 
 #include "core/thread_annotations.hpp"
-#include "exp/checkpoint.hpp"
 #include "fault/fault_schedule.hpp"
 #include "serve/request_loop.hpp"
 
@@ -52,9 +49,6 @@ enum class FaultClass : std::uint8_t {
   kTransientReply,
   kIngestStall,
   kRefresherPause,
-  kIoShortWrite,
-  kIoEnospc,
-  kIoTornTail,
 };
 
 [[nodiscard]] constexpr std::string_view to_string(FaultClass cls) {
@@ -73,19 +67,13 @@ enum class FaultClass : std::uint8_t {
       return "ingest-stall";
     case FaultClass::kRefresherPause:
       return "refresher-pause";
-    case FaultClass::kIoShortWrite:
-      return "io-short-write";
-    case FaultClass::kIoEnospc:
-      return "io-enospc";
-    case FaultClass::kIoTornTail:
-      return "io-torn-tail";
   }
   return "unknown";
 }
 
 /// One injected fault: the class and the stable operation id the
-/// schedule keyed the decision on (request id, job index, generation,
-/// or write index — see FaultSchedule).
+/// schedule keyed the decision on (request id, job index, or
+/// generation — see FaultSchedule).
 struct FaultEvent {
   FaultClass cls = FaultClass::kDropRequest;
   std::uint64_t id = 0;
@@ -114,10 +102,6 @@ class FaultInjector {
   /// For AdvisorConfig::refresh_fault: deterministic pause on scheduled
   /// refresh generations.
   [[nodiscard]] std::function<void(std::uint64_t)> refresher_hook();
-
-  /// For exp::CheckpointWriter: injects the scheduled I/O failure class
-  /// per write index.
-  [[nodiscard]] exp::IoFaultHook io_hook();
 
   /// Records one injected event (hooks and FaultyTransport call this).
   void record(FaultClass cls, std::uint64_t id) GRIDSUB_EXCLUDES(mu_);

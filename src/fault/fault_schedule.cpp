@@ -1,7 +1,5 @@
 #include "fault/fault_schedule.hpp"
 
-#include <algorithm>
-
 namespace gridsub::fault {
 
 namespace {
@@ -13,8 +11,6 @@ constexpr std::uint64_t kTagRequest = 0x7265717561736b31ULL;
 constexpr std::uint64_t kTagReply = 0x7265706c79666c74ULL;
 constexpr std::uint64_t kTagIngest = 0x696e676573747374ULL;
 constexpr std::uint64_t kTagRefresher = 0x7265667265736872ULL;
-constexpr std::uint64_t kTagIo = 0x696f6661756c7473ULL;
-constexpr std::uint64_t kTagIoKeep = 0x696f6b6565706273ULL;
 
 [[nodiscard]] bool in_unit(double p) { return p >= 0.0 && p <= 1.0; }
 
@@ -24,11 +20,9 @@ bool FaultScheduleConfig::validate() const {
   return in_unit(drop_request) && in_unit(delay_request) &&
          in_unit(duplicate_request) && in_unit(drop_reply) &&
          in_unit(transient_reply) && in_unit(ingest_stall) &&
-         in_unit(refresher_pause) && in_unit(io_short_write) &&
-         in_unit(io_enospc) && in_unit(io_torn_tail) &&
+         in_unit(refresher_pause) &&
          drop_request + delay_request + duplicate_request <= 1.0 &&
-         drop_reply + transient_reply <= 1.0 &&
-         io_short_write + io_enospc + io_torn_tail <= 1.0 && delay_ops > 0 &&
+         drop_reply + transient_reply <= 1.0 && delay_ops > 0 &&
          transient_attempts > 0;
 }
 
@@ -78,31 +72,6 @@ bool FaultSchedule::ingest_stall(std::uint64_t job_index) const {
 
 bool FaultSchedule::refresher_pause(std::uint64_t generation) const {
   return unit(kTagRefresher, generation) < config_.refresher_pause;
-}
-
-exp::IoFaultDirective FaultSchedule::io_fault(std::uint64_t write_index,
-                                              std::size_t payload_bytes) const {
-  exp::IoFaultDirective d;
-  const double u = unit(kTagIo, write_index);
-  if (u < config_.io_short_write) {
-    d.kind = exp::IoFaultDirective::Kind::kShortWrite;
-  } else if (u < config_.io_short_write + config_.io_enospc) {
-    d.kind = exp::IoFaultDirective::Kind::kEnospc;
-    return d;
-  } else if (u < config_.io_short_write + config_.io_enospc +
-                     config_.io_torn_tail) {
-    d.kind = exp::IoFaultDirective::Kind::kTornTail;
-  } else {
-    return d;
-  }
-  // Keep a strict prefix: at least one byte lands, the terminating
-  // newline never does, so the artifact is exactly the clipped final
-  // line the checkpoint crash model promises to repair.
-  const std::size_t span = payload_bytes > 1 ? payload_bytes - 1 : 1;
-  d.keep_bytes = 1 + static_cast<std::size_t>(mix(kTagIoKeep, write_index) %
-                                              static_cast<std::uint64_t>(span));
-  d.keep_bytes = std::min(d.keep_bytes, payload_bytes);
-  return d;
 }
 
 }  // namespace gridsub::fault

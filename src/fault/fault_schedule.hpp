@@ -5,24 +5,20 @@
 // A FaultSchedule answers "does operation X suffer fault Y?" as a pure
 // function of (seed, fault class, operation identity). Identity is a
 // stable 64-bit id that does not depend on scheduling: the request id,
-// the global workload job index, the refresh generation, or the
-// checkpoint write index. Arrival order, thread ids, and wall time never
-// enter a decision, so the *set* of injected faults — and therefore the
-// sorted injected-event log — is byte-identical at any thread count.
-// That is the property the determinism wall (test_fault_determinism)
-// pins, and the reason this directory sits under
-// scripts/lint_determinism.py with zero waivers: no wall clocks, no
-// std::rand, no unordered-container iteration.
+// the global workload job index, or the refresh generation. Arrival
+// order, thread ids, and wall time never enter a decision, so the *set*
+// of injected faults — and therefore the sorted injected-event log — is
+// byte-identical at any thread count. That is the property the
+// determinism wall (test_fault_determinism) pins, and the reason this
+// directory sits under scripts/lint_determinism.py with zero waivers: no
+// wall clocks, no std::rand, no unordered-container iteration.
 //
 // Probabilities for one identity domain are rolled from a *single* hash
 // draw against cumulative thresholds, so fault classes that share a
 // domain (drop/delay/duplicate on requests) are mutually exclusive by
 // construction — an operation suffers at most one of them.
 
-#include <cstddef>
 #include <cstdint>
-
-#include "exp/checkpoint.hpp"
 
 namespace gridsub::fault {
 
@@ -49,12 +45,6 @@ struct FaultScheduleConfig {
   // Refresher pauses, keyed on the refresh generation.
   double refresher_pause = 0.0;
   std::uint32_t pause_yields = 256;  ///< yields per injected pause
-
-  // Checkpoint I/O faults, keyed on the write index (mutually exclusive
-  // per write; see exp::IoFaultDirective for the failure semantics).
-  double io_short_write = 0.0;
-  double io_enospc = 0.0;
-  double io_torn_tail = 0.0;
 
   /// True when every rate is in [0, 1] and every same-domain group sums
   /// to at most 1 (the cumulative-threshold roll needs that).
@@ -90,12 +80,6 @@ class FaultSchedule {
   /// True when the refresher must pause before publishing this
   /// generation.
   [[nodiscard]] bool refresher_pause(std::uint64_t generation) const;
-
-  /// I/O fault directive for the checkpoint write with this index; the
-  /// kept-prefix length for short-write/torn-tail faults is itself a
-  /// deterministic function of (seed, index) in [1, payload_bytes).
-  [[nodiscard]] exp::IoFaultDirective io_fault(
-      std::uint64_t write_index, std::size_t payload_bytes) const;
 
  private:
   /// Uniform draw in [0, 1) for (class tag, id) under this seed.

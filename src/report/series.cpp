@@ -1,6 +1,5 @@
 #include "report/series.hpp"
 
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
@@ -43,12 +42,6 @@ void Figure::print(std::ostream& os, int max_rows_per_series) const {
       os << s.x[n - 1] << ' ' << s.y[n - 1] << '\n';
     }
   }
-}
-
-void Figure::write_dat(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("Figure::write_dat: cannot open " + path);
-  print(os);
 }
 
 }  // namespace gridsub::report

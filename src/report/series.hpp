@@ -35,9 +35,6 @@ class Figure {
   /// blank lines (gnuplot's multi-block format).
   void print(std::ostream& os, int max_rows_per_series = -1) const;
 
-  /// Writes the same content to a file.
-  void write_dat(const std::string& path) const;
-
   [[nodiscard]] const std::vector<Series>& series() const { return series_; }
   [[nodiscard]] const std::string& title() const { return title_; }
 

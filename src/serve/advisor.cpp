@@ -483,9 +483,9 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
   const std::string text = buf.str();
 
   // Parse and extract with the strict JSON-subset machinery; its errors
-  // (CheckpointError) are re-thrown as RecoveryError so callers can tell
-  // a bad recovery dump from a bad campaign checkpoint. Parsed entries
-  // carry payload fields only; generations and stamps are set below.
+  // (JsonParseError) are re-thrown as RecoveryError, the one error type
+  // warm_start raises. Parsed entries carry payload fields only;
+  // generations and stamps are set below.
   double fallback_t_inf = 0.0;
   std::uint64_t total_observations = 0;
   std::vector<AdvisorEntry> parsed;
@@ -534,7 +534,7 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
       }
       parsed.push_back(std::move(e));
     }
-  } catch (const exp::CheckpointError& err) {
+  } catch (const exp::JsonParseError& err) {
     throw RecoveryError(err.what());
   }
   if (fallback_t_inf != config_.fallback_t_inf) {

@@ -191,10 +191,10 @@ struct AdvisorHealth {
   double degraded_rate = 0.0;
 };
 
-/// Raised by warm_start(): corrupt, truncated, or mismatched recovery
-/// dump, or a service that already holds state. Distinct from
-/// exp::CheckpointError — recovery failures must be catchable without
-/// conflating them with campaign checkpoint problems.
+/// Raised by warm_start(): corrupt, truncated, too deeply nested, or
+/// mismatched recovery dump, or a service that already holds state. The
+/// parser's exp::JsonParseError is rethrown as this type, so callers
+/// catch one error for every recovery failure.
 class RecoveryError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

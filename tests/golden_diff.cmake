@@ -4,8 +4,9 @@
 #   cmake -DBENCH=<bench binary> -DGOLDEN=<golden .txt> -DOUT=<output .txt>
 #         -P golden_diff.cmake
 #
-# The scale-out variables would change what the bench prints, so they are
-# cleared; quick mode is what the goldens record.
+# Quick mode is what the goldens record. The campaign JSON directory is
+# cleared so a golden run never writes into a directory set for another
+# run.
 
 foreach(var BENCH GOLDEN OUT)
   if(NOT DEFINED ${var})
@@ -14,8 +15,7 @@ foreach(var BENCH GOLDEN OUT)
 endforeach()
 
 set(ENV{GRIDSUB_BENCH_QUICK} 1)
-unset(ENV{GRIDSUB_SHARD})
-unset(ENV{GRIDSUB_CHECKPOINT_DIR})
+unset(ENV{GRIDSUB_CAMPAIGN_JSON_DIR})
 
 execute_process(COMMAND ${BENCH} OUTPUT_FILE ${OUT} RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +25,12 @@ CampaignAxes small_axes(std::size_t scenarios = 3, std::size_t strategies = 2,
   axes.replications = reps;
   axes.root_seed = 42;
   return axes;
+}
+
+std::string json_of(const CampaignResult& result) {
+  std::ostringstream os;
+  result.write_json(os);
+  return os.str();
 }
 
 /// Analytic evaluator: cheap, deterministic in the context only.
@@ -90,7 +97,7 @@ TEST(CampaignRunner, ResultsLandInFlatOrderAtAnyThreadCount) {
   options.pool = &wide;
   const CampaignResult parallel = CampaignRunner(options).run(axes,
                                                               analytic_cell);
-  EXPECT_EQ(serial.to_json(), parallel.to_json());  // byte-identical
+  EXPECT_EQ(json_of(serial), json_of(parallel));  // byte-identical
 }
 
 TEST(CampaignRunner, AggregatesMeanAndStderr) {
@@ -103,7 +110,9 @@ TEST(CampaignRunner, AggregatesMeanAndStderr) {
       });
   EXPECT_DOUBLE_EQ(result.mean(0, 0, "x"), 2.5);
   EXPECT_NEAR(result.sem(0, 0, "x"), std::sqrt(5.0 / 3.0) / 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(result.max(0, 0, "x"), 4.0);
   EXPECT_THROW((void)result.mean(0, 0, "nope"), std::out_of_range);
+  EXPECT_THROW((void)result.mean(0, 1, "x"), std::out_of_range);
   // Single replication: sem is exactly zero.
   axes.replications = 1;
   const CampaignResult single =
@@ -127,17 +136,24 @@ TEST(CampaignRunner, MismatchedMetricNamesThrow) {
 
 TEST(CampaignRunner, CellExceptionsPropagateAfterAllCellsSettle) {
   const CampaignAxes axes = small_axes(2, 2, 2);
+  par::ThreadPool pool(4);
+  CampaignOptions options;
+  options.pool = &pool;
   std::atomic<int> evaluated{0};
-  EXPECT_THROW(
-      (void)CampaignRunner().run(axes,
-                                 [&](const CellContext& ctx) -> CellMetrics {
-                                   ++evaluated;
-                                   if (ctx.flat == 3) {
-                                     throw std::runtime_error("cell boom");
-                                   }
-                                   return {{"v", 1.0}};
-                                 }),
-      std::runtime_error);
+  try {
+    (void)CampaignRunner(options).run(
+        axes, [&](const CellContext& ctx) -> CellMetrics {
+          ++evaluated;
+          if (ctx.flat == 3 || ctx.flat == 6) {
+            throw std::runtime_error("cell " + std::to_string(ctx.flat));
+          }
+          return {{"v", 1.0}};
+        });
+    ADD_FAILURE() << "run() returned despite failing cells";
+  } catch (const std::runtime_error& e) {
+    // The lowest failing flat index wins, whatever the completion order.
+    EXPECT_EQ(std::string(e.what()), "cell 3");
+  }
   EXPECT_EQ(evaluated.load(), 8);  // no cell was abandoned mid-flight
 }
 
@@ -149,36 +165,25 @@ TEST(CampaignRunner, ProgressSnapshotsAreMonotoneAndComplete) {
     snapshots.push_back(p);
   };
   (void)CampaignRunner(options).run(axes, analytic_cell);
-  // Baseline snapshot plus one per fresh cell; completed never regresses
-  // and ends at total.
-  ASSERT_EQ(snapshots.size(), axes.cell_count() + 1);
-  EXPECT_EQ(snapshots.front().completed, 0u);
-  EXPECT_EQ(snapshots.front().fresh, 0u);
+  // One snapshot per cell, serialized by the runner: completed counts up
+  // by one each time and ends at total.
+  ASSERT_EQ(snapshots.size(), axes.cell_count());
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
-    EXPECT_EQ(snapshots[i].completed, i);
+    EXPECT_EQ(snapshots[i].completed, i + 1);
     EXPECT_EQ(snapshots[i].total, axes.cell_count());
-    EXPECT_EQ(snapshots[i].shard.count, 1u);
   }
-  EXPECT_EQ(snapshots.back().completed, axes.cell_count());
-}
-
-TEST(CampaignResult, SummaryTableHasOneRowPerGroup) {
-  const CampaignAxes axes = small_axes(3, 2, 2);
-  const CampaignResult result = CampaignRunner().run(axes, analytic_cell);
-  EXPECT_EQ(result.summary_table().row_count(), 6u);
-  EXPECT_EQ(result.summary_table({"value"}).row_count(), 6u);
 }
 
 TEST(CampaignResult, JsonIsStructuredAndStable) {
   const CampaignAxes axes = small_axes(2, 1, 2);
   const CampaignResult result = CampaignRunner().run(axes, analytic_cell);
-  const std::string json = result.to_json();
+  const std::string json = json_of(result);
   EXPECT_NE(json.find("\"schema\": \"gridsub-campaign-v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"aggregates\""), std::string::npos);
   EXPECT_NE(json.find("\"stderr\""), std::string::npos);
   // Re-rendering is bit-stable.
-  EXPECT_EQ(json, result.to_json());
+  EXPECT_EQ(json, json_of(result));
 }
 
 }  // namespace

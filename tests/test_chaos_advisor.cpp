@@ -11,7 +11,8 @@
 //   * a paused refresh delays publication only: ingestion and stats()
 //     carry on, and what they add stays pending for the next build;
 //   * crash-restart: dump -> warm_start -> dump is byte-identical, even
-//     for a state built under chaos.
+//     for a state built under chaos, and a corrupt, truncated or
+//     hostilely nested dump fails with RecoveryError.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -454,6 +456,30 @@ TEST(ChaosAdvisor, WarmStartRejectsTruncatedDumps) {
   AdvisorService fresh(chaos_config());
   std::istringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(fresh.warm_start(truncated, "truncated"), serve::RecoveryError);
+}
+
+TEST(ChaosAdvisor, WarmStartRejectsDeeplyNestedDumps) {
+  // gridsub's writers nest at most 5 levels; a hostile dump nested 50,000
+  // deep must fail with the typed error, not overflow the stack. The
+  // parser stops at the 65th opening bracket and names its byte offset.
+  std::string objects;
+  for (int i = 0; i < 50000; ++i) objects += "{\"a\":";
+  const std::pair<std::string, std::size_t> dumps[] = {
+      {std::string(50000, '['), 64}, {objects, 64 * 5}};
+  for (const auto& [text, offset] : dumps) {
+    AdvisorService fresh(chaos_config());
+    std::istringstream dump(text);
+    try {
+      fresh.warm_start(dump, "nested");
+      ADD_FAILURE() << "warm_start accepted a 50,000-deep dump";
+    } catch (const serve::RecoveryError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "nesting deeper than 64 levels (byte " +
+                    std::to_string(offset) + ")"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ChaosAdvisor, WarmStartRejectsMismatchedFallback) {

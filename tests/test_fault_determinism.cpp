@@ -1,23 +1,20 @@
 // Determinism wall for the fault framework itself: one seed fully
 // determines the chaos. The same seeded run — replayed ingestion with
-// stalls, refresh pauses, a faulted serving path, and faulted checkpoint
-// appends — must produce a byte-identical injected-event log AND a
-// byte-identical final advisor dump at 1, 2, and 8 threads. This is what
+// stalls, refresh pauses, and a faulted serving path — must produce a
+// byte-identical injected-event log AND a byte-identical final advisor
+// dump at 1, 2, and 8 threads. This is what
 // makes a chaos failure reproducible: rerun the seed, get the same
 // faults, in any debugger, at any parallelism.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exp/campaign.hpp"
-#include "exp/checkpoint.hpp"
 #include "fault/fault_injector.hpp"
 #include "serve/advisor.hpp"
 #include "serve/replay_feed.hpp"
@@ -45,9 +42,6 @@ FaultScheduleConfig det_schedule() {
   c.transient_reply = 0.06;
   c.ingest_stall = 0.02;
   c.refresher_pause = 0.5;
-  c.io_short_write = 0.15;
-  c.io_enospc = 0.10;
-  c.io_torn_tail = 0.10;
   return c;
 }
 
@@ -86,8 +80,7 @@ struct ChaosRun {
 /// serving loops. Every fault decision is keyed on a thread-count
 /// invariant identity: global job index within each ingest window,
 /// refresh generation (explicit refresh_now after each window, so
-/// generations are 1, 2, 3 at any parallelism), request id, and
-/// checkpoint write index.
+/// generations are 1, 2, 3 at any parallelism), and request id.
 ChaosRun run_chaos(std::size_t threads) {
   FaultInjector injector(det_schedule());
 
@@ -142,33 +135,6 @@ ChaosRun run_chaos(std::size_t threads) {
     out.responses = taken;
   }
 
-  // Phase 3: checkpoint appends under injected disk failures (write
-  // index is the identity; a faulted append throws and the driver moves
-  // on — the event log is what this wall compares).
-  exp::CampaignAxes axes;
-  axes.name = "fault-det";
-  axes.scenario_labels = {"s0", "s1"};
-  axes.strategy_labels = {"t0", "t1"};
-  axes.replications = 3;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gridsub_test_fault_det" /
-       ("det" + std::to_string(threads) + ".ckpt"))
-          .string();
-  std::filesystem::create_directories(
-      std::filesystem::path(path).parent_path());
-  std::filesystem::remove(path);
-  exp::CheckpointWriter writer(path, axes, {}, {}, injector.io_hook());
-  for (std::size_t flat = 0; flat < axes.cell_count(); ++flat) {
-    exp::CellResult cell;
-    cell.context = axes.cell(flat);
-    cell.metrics = {{"v", static_cast<double>(cell.context.seed % 31)}};
-    try {
-      writer.append(cell);
-    } catch (const exp::CheckpointError&) {
-      // Expected for faulted indices; the next append continues.
-    }
-  }
-
   service.refresh_now();
   std::ostringstream dump;
   service.dump_json(dump);
@@ -189,7 +155,6 @@ TEST(FaultDeterminism, SameSeedSameFaultsAndSameDumpAtOneTwoEightThreads) {
   EXPECT_NE(one.events_json.find("drop-request"), std::string::npos);
   EXPECT_NE(one.events_json.find("ingest-stall"), std::string::npos);
   EXPECT_NE(one.events_json.find("refresher-pause"), std::string::npos);
-  EXPECT_NE(one.events_json.find("io-"), std::string::npos);
   EXPECT_NE(one.dump_json.find("\"ready\": true"), std::string::npos);
   EXPECT_GT(one.served, 0u);
 
@@ -217,8 +182,6 @@ TEST(FaultDeterminism, EventLogsFromSeparateInjectorsMatchExactly) {
     b.ingest_hook()(0, id);
     a.refresher_hook()(id);
     b.refresher_hook()(id);
-    (void)a.io_hook()(id, 80);
-    (void)b.io_hook()(id, 80);
   }
   std::ostringstream ea;
   std::ostringstream eb;

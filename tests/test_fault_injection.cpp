@@ -1,27 +1,20 @@
 // Fault-injection mechanics, seam by seam: FaultyTransport's
 // drop/delay/duplicate/reply faults keep the in-process transport's
 // shutdown drain exact; RequestLoop's deadline, retry, and error
-// taxonomy respond as documented; CheckpointWriter survives all three
-// injected disk-failure classes with its crash model intact; and the
-// InProcessTransport close-while-in-flight contract (the pre-PR-10
-// lost-replies bug) stays pinned.
+// taxonomy respond as documented; and the InProcessTransport
+// close-while-in-flight contract (the pre-PR-10 lost-replies bug) stays
+// pinned.
 
 #include "fault/fault_injector.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exp/campaign.hpp"
-#include "exp/checkpoint.hpp"
 #include "serve/advisor.hpp"
 #include "serve/request_loop.hpp"
 
@@ -255,144 +248,6 @@ TEST(InProcessTransportShutdown, CloseOnIdleTransportDrainsImmediately) {
   AdvisorRequest q;
   EXPECT_FALSE(transport.next(q));
   EXPECT_THROW(transport.post(AdvisorRequest{}), std::runtime_error);
-}
-
-// --------------------------------------------------------------------------
-// CheckpointWriter I/O faults
-// --------------------------------------------------------------------------
-
-exp::CampaignAxes tiny_axes() {
-  exp::CampaignAxes axes;
-  axes.name = "fault-io";
-  axes.scenario_labels = {"s0", "s1"};
-  axes.strategy_labels = {"t0"};
-  axes.replications = 2;
-  axes.root_seed = 9;
-  return axes;
-}
-
-exp::CellMetrics cell_metrics(const exp::CellContext& ctx) {
-  return {{"v", static_cast<double>(ctx.seed % 97) / 3.0}};
-}
-
-std::string temp_path(const std::string& name) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "gridsub_test_fault_io";
-  std::filesystem::create_directories(dir);
-  const auto path = dir / name;
-  std::filesystem::remove(path);
-  return path.string();
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
-}
-
-/// Appends every cell of tiny_axes() through a writer with `hook`,
-/// restarting the writer through the resume path after each injected
-/// failure — the retry discipline a campaign driver follows. Returns the
-/// final file content.
-std::string write_all_cells_with_faults(const std::string& path,
-                                        const exp::IoFaultHook& hook,
-                                        int max_restarts = 64) {
-  const exp::CampaignAxes axes = tiny_axes();
-  int restarts = 0;
-  std::size_t next_cell = 0;
-  auto make_writer = [&]() {
-    exp::CheckpointWriter::Resume resume;
-    if (std::filesystem::exists(path)) {
-      const exp::CampaignCheckpoint ck = exp::load_checkpoint(path);
-      resume.fresh = false;
-      resume.valid_bytes = ck.valid_bytes;
-      resume.missing_final_newline = ck.missing_final_newline;
-      next_cell = ck.cells.size();
-    }
-    return std::make_unique<exp::CheckpointWriter>(path, axes,
-                                                   exp::CampaignShard{}, resume,
-                                                   hook);
-  };
-  auto writer = make_writer();
-  while (next_cell < axes.cell_count()) {
-    exp::CellResult cell;
-    cell.context = axes.cell(next_cell);
-    cell.metrics = cell_metrics(cell.context);
-    try {
-      writer->append(cell);
-      ++next_cell;
-    } catch (const exp::CheckpointError&) {
-      // Injected failure: reopen through the resume path, which must
-      // truncate any torn tail before the cell is retried.
-      if (++restarts > max_restarts) throw;
-      writer = make_writer();
-    }
-  }
-  return slurp(path);
-}
-
-TEST(CheckpointIoFaults, EveryFailureClassRecoversByteIdentically) {
-  // Reference: an uninterrupted run.
-  const std::string clean_path = temp_path("clean.ckpt");
-  const std::string reference =
-      write_all_cells_with_faults(clean_path, exp::IoFaultHook{});
-
-  FaultScheduleConfig c;
-  c.seed = 31;
-  c.io_short_write = 0.2;
-  c.io_enospc = 0.2;
-  c.io_torn_tail = 0.2;
-  FaultInjector injector(c);
-
-  // A fresh CheckpointWriter restarts its write index at 0, so a fault
-  // scheduled at index 0 would re-fire on every restart and wedge the
-  // retry loop. Key decisions on a monotone append counter instead: each
-  // retried append draws a fresh decision, so the loop always progresses.
-  std::uint64_t append_no = 0;
-  const exp::IoFaultHook base = injector.io_hook();
-  const exp::IoFaultHook hook = [&](std::uint64_t /*write_index*/,
-                                    std::size_t bytes) {
-    return base(append_no++, bytes);
-  };
-
-  const std::string faulty_path = temp_path("faulty.ckpt");
-  const std::string recovered =
-      write_all_cells_with_faults(faulty_path, hook);
-  EXPECT_EQ(recovered, reference);
-  EXPECT_GT(injector.count(FaultClass::kIoShortWrite) +
-                injector.count(FaultClass::kIoEnospc) +
-                injector.count(FaultClass::kIoTornTail),
-            0u);
-}
-
-TEST(CheckpointIoFaults, TornTailLeavesExactlyTheDocumentedArtifact) {
-  const std::string path = temp_path("torn.ckpt");
-  const exp::CampaignAxes axes = tiny_axes();
-  // Deterministic single-fault hook: the second record is torn mid-line.
-  const exp::IoFaultHook hook = [](std::uint64_t index,
-                                   std::size_t bytes) -> exp::IoFaultDirective {
-    exp::IoFaultDirective d;
-    if (index == 1) {
-      d.kind = exp::IoFaultDirective::Kind::kTornTail;
-      d.keep_bytes = bytes / 2;
-    }
-    return d;
-  };
-  exp::CheckpointWriter writer(path, axes, {}, {}, hook);
-  exp::CellResult cell;
-  cell.context = axes.cell(0);
-  cell.metrics = cell_metrics(cell.context);
-  writer.append(cell);
-  cell.context = axes.cell(1);
-  cell.metrics = cell_metrics(cell.context);
-  EXPECT_THROW(writer.append(cell), exp::CheckpointError);
-
-  // The reader sees the torn tail, drops it, and keeps the clean prefix.
-  const exp::CampaignCheckpoint ck = exp::load_checkpoint(path);
-  EXPECT_TRUE(ck.dropped_partial_tail);
-  ASSERT_EQ(ck.cells.size(), 1u);
-  EXPECT_EQ(ck.cells[0].context.flat, 0u);
 }
 
 }  // namespace

@@ -23,9 +23,6 @@ FaultScheduleConfig standard() {
   c.transient_reply = 0.07;
   c.ingest_stall = 0.02;
   c.refresher_pause = 0.5;
-  c.io_short_write = 0.05;
-  c.io_enospc = 0.05;
-  c.io_torn_tail = 0.05;
   return c;
 }
 
@@ -40,10 +37,6 @@ TEST(FaultScheduleConfig, ValidatesRatesAndGroupSums) {
   bad = standard();
   bad.drop_request = 0.6;
   bad.delay_request = 0.6;  // request group sums past 1
-  EXPECT_FALSE(bad.validate());
-
-  bad = standard();
-  bad.io_torn_tail = 1.0;  // io group sums past 1
   EXPECT_FALSE(bad.validate());
 
   bad = standard();
@@ -64,10 +57,6 @@ TEST(FaultSchedule, DecisionsArePureAndInstanceIndependent) {
     EXPECT_EQ(a.reply_fault(id), b.reply_fault(id));
     EXPECT_EQ(a.ingest_stall(id), b.ingest_stall(id));
     EXPECT_EQ(a.refresher_pause(id), b.refresher_pause(id));
-    const auto da = a.io_fault(id, 100);
-    const auto db = b.io_fault(id, 100);
-    EXPECT_EQ(da.kind, db.kind);
-    EXPECT_EQ(da.keep_bytes, db.keep_bytes);
   }
 }
 
@@ -78,8 +67,6 @@ TEST(FaultSchedule, DefaultScheduleInjectsNothing) {
     EXPECT_EQ(none.reply_fault(id), ReplyFault::kNone);
     EXPECT_FALSE(none.ingest_stall(id));
     EXPECT_FALSE(none.refresher_pause(id));
-    EXPECT_EQ(none.io_fault(id, 64).kind,
-              exp::IoFaultDirective::Kind::kNone);
   }
 }
 
@@ -139,32 +126,6 @@ TEST(FaultSchedule, ClassStreamsAreIndependent) {
   // Conditional P(drop reply | drop request) should be ~0.5, not ~1.
   const double cond = static_cast<double>(both) / static_cast<double>(req);
   EXPECT_NEAR(cond, 0.5, 0.05);
-}
-
-TEST(FaultSchedule, IoFaultKeepsAStrictPrefix) {
-  FaultScheduleConfig c;
-  c.seed = 11;
-  c.io_short_write = 0.4;
-  c.io_torn_tail = 0.4;
-  c.io_enospc = 0.2;
-  const FaultSchedule s(c);
-  for (std::uint64_t idx = 0; idx < 1000; ++idx) {
-    const auto d = s.io_fault(idx, 120);
-    switch (d.kind) {
-      case exp::IoFaultDirective::Kind::kShortWrite:
-      case exp::IoFaultDirective::Kind::kTornTail:
-        // At least one byte lands, the newline never does.
-        EXPECT_GE(d.keep_bytes, 1u);
-        EXPECT_LT(d.keep_bytes, 120u);
-        break;
-      case exp::IoFaultDirective::Kind::kEnospc:
-        EXPECT_EQ(d.keep_bytes, 0u);
-        break;
-      case exp::IoFaultDirective::Kind::kNone:
-        ADD_FAILURE() << "rates sum to 1; kNone impossible";
-        break;
-    }
-  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -29,14 +28,6 @@ CampaignAxes small_axes(std::size_t scenarios = 2, std::size_t strategies = 2,
   axes.replications = reps;
   axes.root_seed = 7;
   return axes;
-}
-
-CellResult make_cell(const CampaignAxes& axes, std::size_t flat,
-                     CellMetrics metrics) {
-  CellResult cell;
-  cell.context = axes.cell(flat);
-  cell.metrics = std::move(metrics);
-  return cell;
 }
 
 TEST(MomentFold, MatchesNaiveOnTameData) {
@@ -124,49 +115,34 @@ TEST(MomentFold, DegenerateCounts) {
   fold.add(7.5);
   EXPECT_DOUBLE_EQ(fold.mean(), 7.5);
   EXPECT_DOUBLE_EQ(fold.sem(), 0.0);  // n < 2: exactly zero, not NaN
-  fold.reset();
-  EXPECT_EQ(fold.count(), 0u);
-  EXPECT_DOUBLE_EQ(fold.mean(), 0.0);
 }
 
-TEST(AggregateFold, EmitsOneRowPerGroupInOrder) {
-  const CampaignAxes axes = small_axes(2, 2, 3);
-  AggregateFold fold(axes);
-  std::size_t rows_emitted = 0;
-  for (std::size_t flat = 0; flat < axes.cell_count(); ++flat) {
-    const AggregateRow* row = fold.add(make_cell(
-        axes, flat, {{"x", static_cast<double>(flat)}}));
-    if ((flat + 1) % axes.replications == 0) {
-      ASSERT_NE(row, nullptr);
-      ++rows_emitted;
-      // The row covers the three contiguous flats of its group.
-      const double first = static_cast<double>(flat - 2);
-      EXPECT_DOUBLE_EQ(find_metric(*row, "x").mean, first + 1.0);
-      EXPECT_DOUBLE_EQ(find_metric(*row, "x").min, first);
-      EXPECT_DOUBLE_EQ(find_metric(*row, "x").max, first + 2.0);
-    } else {
-      EXPECT_EQ(row, nullptr);
-    }
+TEST(CampaignRunner, PlacesCellsByFlatIndexUnderContention) {
+  const CampaignAxes axes = small_axes(4, 2, 4);
+  par::ThreadPool pool(8);
+  CampaignOptions options;
+  options.pool = &pool;
+  const CampaignResult result = CampaignRunner(options).run(
+      axes, [](const CellContext& ctx) {
+        // Jitter completion order: later cells finish sooner.
+        if (ctx.flat % 7 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        return CellMetrics{{"v", static_cast<double>(ctx.flat)}};
+      });
+  ASSERT_EQ(result.cells().size(), axes.cell_count());
+  for (std::size_t i = 0; i < result.cells().size(); ++i) {
+    EXPECT_EQ(result.cells()[i].context.flat, i);
+    EXPECT_DOUBLE_EQ(result.cells()[i].metrics[0].second,
+                     static_cast<double>(i));
   }
-  EXPECT_EQ(rows_emitted, 4u);
-  EXPECT_EQ(fold.rows().size(), 4u);
+  // Each group folds its own contiguous replications: the first group
+  // holds flats 0..3.
+  EXPECT_DOUBLE_EQ(result.mean(0, 0, "v"), 1.5);
+  EXPECT_DOUBLE_EQ(result.max(0, 0, "v"), 3.0);
 }
 
-TEST(AggregateFold, RejectsOutOfOrderAndMismatchedMetrics) {
-  const CampaignAxes axes = small_axes(1, 1, 3);
-  AggregateFold fold(axes);
-  (void)fold.add(make_cell(axes, 0, {{"x", 1.0}}));
-  // Skipping flat 1 is a delivery-contract violation, not data corruption.
-  EXPECT_THROW((void)fold.add(make_cell(axes, 2, {{"x", 1.0}})),
-               std::logic_error);
-
-  AggregateFold renamed(axes);
-  (void)renamed.add(make_cell(axes, 0, {{"x", 1.0}}));
-  EXPECT_THROW((void)renamed.add(make_cell(axes, 1, {{"y", 1.0}})),
-               std::logic_error);
-}
-
-TEST(CampaignSummary, AccessorsMatchCampaignResult) {
+TEST(FoldSinkAdapter, TakeReturnsTheRunResult) {
   const CampaignAxes axes = small_axes(2, 2, 4);
   const auto evaluate = [](const CellContext& ctx) {
     return CellMetrics{{"v", static_cast<double>(ctx.seed % 1000)}};
@@ -177,95 +153,13 @@ TEST(CampaignSummary, AccessorsMatchCampaignResult) {
   CampaignRunner().run_with_sink(axes, evaluate, sink);
   const CampaignSummary summary = sink.take();
 
-  ASSERT_EQ(summary.rows.size(), result.aggregates().size());
   for (std::size_t sc = 0; sc < 2; ++sc) {
     for (std::size_t st = 0; st < 2; ++st) {
       EXPECT_DOUBLE_EQ(summary.mean(sc, st, "v"), result.mean(sc, st, "v"));
       EXPECT_DOUBLE_EQ(summary.sem(sc, st, "v"), result.sem(sc, st, "v"));
-      EXPECT_LE(summary.min(sc, st, "v"), summary.mean(sc, st, "v"));
-      EXPECT_GE(summary.max(sc, st, "v"), summary.mean(sc, st, "v"));
     }
   }
   EXPECT_THROW((void)summary.mean(0, 0, "nope"), std::out_of_range);
-  EXPECT_EQ(summary.summary_table().row_count(), 4u);
-  const report::Series series = summary.metric_series(0, "v");
-  ASSERT_EQ(series.x.size(), 2u);  // one point per scenario
-  EXPECT_DOUBLE_EQ(series.y[0], summary.mean(0, 0, "v"));
-  EXPECT_DOUBLE_EQ(series.y[1], summary.mean(1, 0, "v"));
-}
-
-/// Sink that records delivery order, for the window-boundedness tests.
-class RecordingSink final : public CampaignSink {
- public:
-  void on_cell(const CellResult& cell) override {
-    flats.push_back(cell.context.flat);
-  }
-  std::vector<std::size_t> flats;
-};
-
-TEST(CampaignRunner, DeliversInAscendingFlatOrderUnderContention) {
-  const CampaignAxes axes = small_axes(4, 2, 4);
-  par::ThreadPool pool(8);
-  CampaignOptions options;
-  options.pool = &pool;
-  RecordingSink sink;
-  CampaignRunner(options).run_with_sink(
-      axes,
-      [](const CellContext& ctx) {
-        // Jitter completion order: later cells finish sooner.
-        if (ctx.flat % 7 == 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-        return CellMetrics{{"v", 1.0}};
-      },
-      sink);
-  ASSERT_EQ(sink.flats.size(), axes.cell_count());
-  for (std::size_t i = 0; i < sink.flats.size(); ++i) {
-    EXPECT_EQ(sink.flats[i], i);
-  }
-}
-
-TEST(CampaignRunner, ReorderWindowBoundsInFlightCells) {
-  // Cell 0 blocks until released; with reorder_window = 4 the claim gate
-  // must stop any cell beyond flat 3 from even *starting* while cell 0 is
-  // open, no matter how many workers are idle.
-  const CampaignAxes axes = small_axes(4, 2, 2);  // 16 cells
-  constexpr std::size_t kWindow = 4;
-  par::ThreadPool pool(8);
-  CampaignOptions options;
-  options.pool = &pool;
-  options.reorder_window = kWindow;
-
-  std::atomic<std::size_t> started{0};
-  std::atomic<std::size_t> started_while_blocked{0};
-  std::atomic<bool> released{false};
-  RecordingSink sink;
-  CampaignRunner(options).run_with_sink(
-      axes,
-      [&](const CellContext& ctx) {
-        started.fetch_add(1);
-        if (ctx.flat == 0) {
-          // Give stragglers a chance to (incorrectly) start, then record
-          // how many did.
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          started_while_blocked.store(started.load());
-          released.store(true);
-        }
-        return CellMetrics{{"v", static_cast<double>(ctx.flat)}};
-      },
-      sink);
-
-  EXPECT_TRUE(released.load());
-  EXPECT_EQ(started.load(), axes.cell_count());
-  // While cell 0 (claim 0) was undelivered, only claims < window could
-  // start: at most `kWindow` cells including cell 0 itself.
-  EXPECT_LE(started_while_blocked.load(), kWindow);
-  EXPECT_GE(started_while_blocked.load(), 1u);
-  // And delivery order is still exactly flat order.
-  ASSERT_EQ(sink.flats.size(), axes.cell_count());
-  for (std::size_t i = 0; i < sink.flats.size(); ++i) {
-    EXPECT_EQ(sink.flats[i], i);
-  }
 }
 
 }  // namespace

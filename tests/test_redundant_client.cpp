@@ -21,6 +21,18 @@ sim::GridConfig small_grid() {
   return config;
 }
 
+/// Runs the grid in 1 h steps until `client` is done, capped at `horizon`
+/// seconds from now. A client's outcomes are final once it is done, so
+/// the rest of the horizon would only simulate background traffic.
+void run_until_done(sim::GridSimulation& grid, const RedundantClient& client,
+                    double horizon) {
+  sim::Simulator& des = grid.simulator();
+  const double t_end = des.now() + horizon;
+  while (!client.done() && des.now() < t_end) {
+    des.run_until(std::min(des.now() + 3600.0, t_end));
+  }
+}
+
 TEST(RedundantClient, CompletesAllTasks) {
   sim::GridSimulation grid(small_grid());
   grid.warm_up(5000.0);
@@ -29,7 +41,7 @@ TEST(RedundantClient, CompletesAllTasks) {
   spec.k = 2;
   RedundantClient client(grid, spec, 40, 600.0);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 1e7);
+  run_until_done(grid, client, 1e7);
   ASSERT_TRUE(client.done());
   EXPECT_EQ(client.outcomes().size(), 40u);
   for (const auto& o : client.outcomes()) {
@@ -46,7 +58,7 @@ TEST(RedundantClient, SlowdownDefinitionHolds) {
   spec.k = 1;
   RedundantClient client(grid, spec, 25, 300.0);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 1e7);
+  run_until_done(grid, client, 1e7);
   ASSERT_TRUE(client.done());
   for (const auto& o : client.outcomes()) {
     EXPECT_NEAR(o.slowdown, (o.latency + 300.0) / 300.0, 1e-12);
@@ -60,7 +72,7 @@ TEST(RedundantClient, KClampedToSiteCount) {
   spec.k = 50;  // only 4 sites exist
   RedundantClient client(grid, spec, 10, 500.0);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 5e6);
+  run_until_done(grid, client, 5e6);
   ASSERT_TRUE(client.done());
   for (const auto& o : client.outcomes()) {
     EXPECT_LE(o.submissions, 4 * o.rounds);
@@ -90,13 +102,8 @@ TEST(RedundantClient, MoreCopiesReduceMeanSlowdown) {
     spec.info_staleness = 600.0;
     RedundantClient client(grid, spec, 120, 400.0);
     client.start();
-    // Outcomes are final once every task is back (within ~1e5 s), so the
-    // run stops there instead of simulating the whole horizon.
-    sim::Simulator& des = grid.simulator();
-    const double horizon = des.now() + 6e7;
-    while (!client.done() && des.now() < horizon) {
-      des.run_until(std::min(des.now() + 3600.0, horizon));
-    }
+    // Every task is back within ~1e5 s; 6e7 s is only the cap.
+    run_until_done(grid, client, 6e7);
     EXPECT_TRUE(client.done()) << "k=" << k << " seed=" << seed;
     return client.mean_slowdown();
   };
@@ -148,7 +155,7 @@ TEST(RedundantClient, RandomSchemeUsesDistinctSites) {
   spec.k = 4;
   RedundantClient client(grid, spec, 30, 200.0);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 1e7);
+  run_until_done(grid, client, 1e7);
   ASSERT_TRUE(client.done());
   EXPECT_GE(client.mean_submissions(), 4.0);
 }
