@@ -8,6 +8,7 @@
 // queues start sooner), while K-dual is gentler to local traffic. Casanova
 // (random placement) trails the load-aware schemes.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -45,6 +46,19 @@ gridsub::sim::GridConfig bench_grid() {
   return config;
 }
 
+/// Runs the grid for at most kHorizon seconds, stopping once every client
+/// is done: a client's outcomes are final then, and they are all this
+/// bench prints, so the rest would only simulate background load.
+template <class Client>
+void run_clients(gridsub::sim::GridSimulation& grid,
+                 const std::vector<std::unique_ptr<Client>>& clients) {
+  gridsub::sim::Simulator& des = grid.simulator();
+  des.run_until(des.now() + kHorizon, [&clients] {
+    return std::all_of(clients.begin(), clients.end(),
+                       [](const auto& c) { return c->done(); });
+  });
+}
+
 RunResult run_baseline(gridsub::sched::BaselineScheme scheme, int k) {
   using namespace gridsub;
   sim::GridSimulation grid(bench_grid());
@@ -59,7 +73,7 @@ RunResult run_baseline(gridsub::sched::BaselineScheme scheme, int k) {
         grid, spec, kTasksPerClient, kTaskRuntime));
   }
   for (auto& c : clients) c->start();
-  grid.simulator().run_until(grid.simulator().now() + kHorizon);
+  run_clients(grid, clients);
 
   RunResult r;
   for (const auto& c : clients) {
@@ -91,7 +105,7 @@ RunResult run_wms_multiple(int b) {
         grid, spec, kTasksPerClient, kTaskRuntime));
   }
   for (auto& c : clients) c->start();
-  grid.simulator().run_until(grid.simulator().now() + kHorizon);
+  run_clients(grid, clients);
 
   RunResult r;
   for (const auto& c : clients) {

@@ -194,6 +194,45 @@ void BM_EventQueueCancelStorm(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelStorm);
 
+/// Adds `value` to `*sink`; small enough for SmallFn's inline buffer, like
+/// the real job-path callbacks.
+struct Bump {
+  std::uint64_t* sink;
+  std::uint64_t value;
+  void operator()() const { *sink += value; }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The hold model of a running DES: pop the earliest event, push one at
+  // now + Exp(mean 2,200 s), so N events stay pending. N = 1,024 is about
+  // a crossweek grid's pending events, 524,288 des_scale's peak. The gaps
+  // are drawn up front, so the loop times the queue alone, and N holds
+  // run before timing, so the measured queue is in its steady state.
+  sim::EventQueue q;
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  stats::Rng rng(20090611);
+  std::vector<double> gaps(std::size_t{1} << 16);
+  for (double& gap : gaps) gap = rng.exponential(1.0 / 2200.0);
+  std::size_t next = 0;
+  const auto gap = [&gaps, &next] { return gaps[next++ & (gaps.size() - 1)]; };
+  std::uint64_t sink = 0;
+  for (std::size_t i = 0; i < pending; ++i) q.push(gap(), Bump{&sink, i});
+  const auto hold = [&q, &gap, &sink] {
+    sim::EventQueue::Fired fired = q.pop();
+    fired.fn();
+    q.push(fired.time + gap(), Bump{&sink, 1});
+  };
+  for (std::size_t i = 0; i < pending; ++i) hold();
+  constexpr int kBatch = 256;
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) hold();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kBatch);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1024)->Arg(1 << 19);
+
 /// Shared state for BM_MillionClientTick's self-rearming timeouts.
 struct TickCtx {
   sim::EventQueue* q;

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -13,6 +14,10 @@ constexpr EventId make_id(std::uint32_t index, std::uint32_t generation) {
 }
 
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// A refill frees a bucket's buffer above this many entries (96 KiB):
+/// des_scale files its ~4.5e5 start-up events into one bucket.
+constexpr std::size_t kKeptBucketCapacity = 4096;
 
 /// Order-preserving image of a time that is neither NaN nor -0.0:
 /// unsigned order of the images is numeric order of the times.
@@ -49,6 +54,9 @@ EventId EventQueue::push(SimTime time, SmallFn fn, bool daemon) {
   // and -0.0 must tie with +0.0 as it does under the double compare.
   if (std::isnan(time)) throw std::invalid_argument("EventQueue::push: NaN");
   if (time == 0.0) time = 0.0;
+  // An empty queue starts over from origin 0, below every key, so its
+  // pushes are appends however far the last run advanced the origin.
+  if (alive_ == 0) origin_ = 0;
   std::uint32_t index;
   if (free_head_ != kNilIndex) {
     index = free_head_;
@@ -62,11 +70,41 @@ EventId EventQueue::push(SimTime time, SmallFn fn, bool daemon) {
   SlotMeta& s = slots_[index];
   s.live = true;
   s.daemon = daemon;
-  heap_.emplace_back();
-  sift_up(heap_.size() - 1, Entry{time_key(time), next_seq_++, index});
+  file(Entry{time_key(time), next_seq_++, index});
   ++alive_;
   if (!daemon) ++live_count_;
   return make_id(index, s.generation);
+}
+
+void EventQueue::file(const Entry& e) {
+  SlotMeta& s = slots_[e.slot];
+  if (e.key <= origin_) {
+    s.bucket = kFront;
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, e);
+    return;
+  }
+  const auto b = static_cast<unsigned>(std::bit_width(e.key ^ origin_));
+  std::vector<Entry>& bucket = buckets_[b - 1];
+  s.bucket = static_cast<std::uint8_t>(b);
+  s.next_free = static_cast<std::uint32_t>(bucket.size());
+  bucket.push_back(e);
+  nonempty_ |= std::uint64_t{1} << (b - 1);
+}
+
+void EventQueue::refill() {
+  const int lowest = std::countr_zero(nonempty_);
+  nonempty_ &= nonempty_ - 1;
+  std::vector<Entry>& bucket = buckets_[lowest];
+  std::uint64_t least = bucket.front().key;
+  for (const Entry& e : bucket) least = std::min(least, e.key);
+  // The bucket's entries agree with the new origin above bit `lowest`,
+  // so file() puts the ties in the front and every other entry in a
+  // strictly lower bucket, never back into this one.
+  origin_ = least;
+  for (const Entry& e : bucket) file(e);
+  bucket.clear();
+  if (bucket.capacity() > kKeptBucketCapacity) bucket = std::vector<Entry>{};
 }
 
 void EventQueue::place(std::size_t pos, const Entry& e) {
@@ -86,25 +124,9 @@ void EventQueue::sift_up(std::size_t pos, const Entry& e) {
 
 void EventQueue::sift_down(std::size_t pos, const Entry& e) {
   const std::size_t n = heap_.size();
-  // While both children exist, the smaller one is picked by adding the
-  // comparison, not by a jump on it: which child wins is a coin flip
-  // that no branch predictor learns. Without the jump the CPU no longer
-  // runs ahead into a guessed subtree, so the next level's four entries
-  // (96 bytes) are prefetched instead; a heap beyond the cache needs it.
-  std::size_t child = 2 * pos + 1;
-  for (; child + 1 < n; child = 2 * pos + 1) {
-    const std::size_t grandchild = 2 * child + 1;
-    if (grandchild < n) prefetch(&heap_[grandchild]);
-    if (grandchild + 3 < n) prefetch(&heap_[grandchild + 3]);
-    child += static_cast<std::size_t>(before(heap_[child + 1], heap_[child]));
-    if (!before(heap_[child], e)) {
-      place(pos, e);
-      return;
-    }
-    place(pos, heap_[child]);
-    pos = child;
-  }
-  if (child + 1 == n && before(heap_[child], e)) {  // a lone last child
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
     place(pos, heap_[child]);
     pos = child;
   }
@@ -141,18 +163,33 @@ bool EventQueue::cancel(EventId id) {
   if (index >= slots_.size()) return false;
   const SlotMeta& s = slots_[index];
   if (!s.live || s.generation != generation) return false;
-  remove_at(s.next_free);
+  if (s.bucket == kFront) {
+    remove_at(s.next_free);
+  } else {
+    // Buckets are unordered: the bucket's last entry fills the hole.
+    std::vector<Entry>& bucket = buckets_[s.bucket - 1];
+    const Entry last = bucket.back();
+    bucket.pop_back();
+    if (s.next_free != bucket.size()) {
+      bucket[s.next_free] = last;
+      slots_[last.slot].next_free = s.next_free;
+    } else if (bucket.empty()) {
+      nonempty_ &= ~(std::uint64_t{1} << (s.bucket - 1));
+    }
+  }
   release(index);
   return true;
 }
 
-SimTime EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
+SimTime EventQueue::next_time() {
+  if (alive_ == 0) throw std::logic_error("EventQueue::next_time: empty");
+  if (heap_.empty()) refill();
   return key_time(heap_.front().key);
 }
 
 EventQueue::Fired EventQueue::pop() {
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
+  if (alive_ == 0) throw std::logic_error("EventQueue::pop: empty");
+  if (heap_.empty()) refill();
   const Entry top = heap_.front();
   // The popped callback is moved out right after the sift, and the next
   // pop moves the new top's: start both loads before they are needed.

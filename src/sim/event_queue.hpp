@@ -18,30 +18,53 @@
 // write and cancel is a bounds check + generation compare — no hashing,
 // and (with SmallFn's inline buffer) no heap allocation for the common
 // events. Slot state is struct-of-arrays: the 12-byte metadata that
-// cancel() and the heap sifts touch (generation, liveness, position)
-// lives apart from the 48-byte SmallFn payload (a 32-byte inline buffer
-// plus its dispatch pointer), which only pop() touches.
+// cancel() and the filing touch (generation, liveness, position) lives
+// apart from the 48-byte SmallFn payload (a 32-byte inline buffer plus
+// its dispatch pointer), which only pop() touches.
 // Freeing a slot bumps its generation, so a stale id whose slot was
 // recycled fails the generation check instead of cancelling a stranger's
 // event.
 //
-// Ordering is one indexed binary min-heap on (time, seq), where seq is a
-// monotone push counter. The keys are unique, so the pop sequence is fully
-// determined by them. Every live slot records its entry's heap position,
-// which makes cancel() an O(log n) removal instead of a tombstone: the
-// heap never holds a dead entry, so it stays at exactly size() entries
-// under any cancel/reschedule storm.
+// An entry is ordered by (key, seq): key is an order-preserving 64-bit
+// integer image of the time (the bits of a non-negative time with the
+// sign bit set, the complemented bits of a negative one), seq a monotone
+// push counter. The image is a bijection on the times push() accepts (it
+// files -0.0 as +0.0 and rejects NaN), so the order, the tie-break and
+// the time handed back are exactly those of the double compare. The
+// (key, seq) pairs are unique, so the pop sequence is determined by them
+// alone, whatever structure holds the entries.
 //
-// A heap entry stores its time as an order-preserving 64-bit integer
-// image (the bits of a non-negative time with the sign bit set, the
-// complemented bits of a negative one), so (time, seq) compares with
-// integer operations only and the sift-down picks the smaller child
-// without a conditional jump; a pop in a large heap is otherwise a chain
-// of mispredicted branches. The image is a bijection on the times push()
-// accepts (it files -0.0 as +0.0 and rejects NaN), so the order, the
-// tie-break and the time handed back are exactly those of the double
-// compare.
+// That structure is a radix heap. Relative to a key `origin_`:
+//   - the *front* is an indexed binary min-heap on (key, seq) holding
+//     every entry with key <= origin_;
+//   - bucket b (b = 1..64, stored at buckets_[b - 1]) is an unsorted
+//     vector holding every entry with key > origin_ whose highest bit
+//     that differs from origin_ is bit b - 1.
+// Every front key is <= origin_ < every key of bucket b < every key of
+// bucket b + 1, so a non-empty front's top is the least entry. A push is
+// an append to its bucket (or a heap insert when key <= origin_: a tie
+// with the origin, or a time below it, which the Simulator allows in
+// [now, next_time()) after next_time() has refilled past its horizon).
+// When the front runs empty, pop() and next_time() refill it: the lowest
+// non-empty bucket's least key becomes origin_, its ties go into the
+// front and the rest into strictly lower buckets. Each entry therefore
+// moves at most 64 times, and the far future — the long, heavy-tailed
+// job completions — is never sifted until it comes near. The front stays
+// small (about one entry in a campaign cell; tens of thousands only when
+// that many timeouts share one instant), so it is a plain binary heap.
+//
+// A bucket keeps its buffer across refills, so the steady state allocates
+// nothing; a refill frees a buffer above 4,096 entries, so a one-off
+// burst does not stay resident.
+//
+// Every live slot records where its entry sits (a front index or an
+// index within its bucket), so cancel() removes the entry at once: from
+// the front by the last entry filling the hole and sifting, from a bucket
+// by the bucket's last entry filling the hole. The queue never holds a
+// dead entry, so it stays at exactly size() entries under any
+// cancel/reschedule storm.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -80,12 +103,18 @@ class EventQueue {
   /// reaches zero, even if periodic daemon events are still scheduled.
   [[nodiscard]] std::size_t live_size() const { return live_count_; }
 
-  /// Heap entries currently allocated. cancel() removes its entry
-  /// eagerly, so this always equals size(); the cancel-storm tests pin it.
-  [[nodiscard]] std::size_t queued() const { return heap_.size(); }
+  /// Entries held, front and buckets together. cancel() removes its
+  /// entry eagerly, so this always equals size(); the cancel-storm tests
+  /// pin it.
+  [[nodiscard]] std::size_t queued() const {
+    std::size_t n = heap_.size();
+    for (const std::vector<Entry>& bucket : buckets_) n += bucket.size();
+    return n;
+  }
 
-  /// Time of the earliest live event; requires !empty().
-  [[nodiscard]] SimTime next_time() const;
+  /// Time of the earliest live event; requires !empty(). May refill the
+  /// front, hence not const.
+  [[nodiscard]] SimTime next_time();
 
   /// Extracts the earliest live event. Requires !empty().
   struct Fired {
@@ -97,20 +126,26 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
+  /// SlotMeta::bucket value of an entry in the front heap.
+  static constexpr std::uint8_t kFront = 0;
 
   /// Hot per-slot metadata. A free slot chains to the next free one
-  /// through `next_free`; a live slot stores its heap position there. The
-  /// two uses never overlap (a slot is either on the free list or in the
-  /// heap), so one field serves both. The generation is bumped on release
-  /// so ids referring to the old tenant go stale. The callback payload
-  /// lives in the parallel `fns_` array (cold: pop()-only).
+  /// through `next_free`; a live slot stores its entry's position there:
+  /// a front index when `bucket` is kFront, else an index within
+  /// buckets_[bucket - 1]. The two uses never overlap (a slot is either
+  /// on the free list or queued), so one field serves both. The
+  /// generation is bumped on release so ids referring to the old tenant
+  /// go stale. The callback payload lives in the parallel `fns_` array
+  /// (cold: pop()-only).
   struct SlotMeta {
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNilIndex;
+    std::uint8_t bucket = kFront;
     bool live = false;
     bool daemon = false;
   };
-  /// Heap record: `key` is the integer image of the event time, and
+  static_assert(sizeof(SlotMeta) == 12);
+  /// Queue record: `key` is the integer image of the event time, and
   /// `seq` the monotone push counter that implements the FIFO tie-break
   /// among simultaneous events.
   struct Entry {
@@ -123,19 +158,28 @@ class EventQueue {
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
     return (a.key < b.key) | ((a.key == b.key) & (a.seq < b.seq));
   }
-  /// Writes `e` at heap position `pos` and records that position.
+  /// Files `e` in the front if its key is <= origin_, else appends it to
+  /// its bucket.
+  void file(const Entry& e);
+  /// Refills the empty front from the lowest non-empty bucket; requires
+  /// a non-empty bucket.
+  void refill();
+  /// Writes `e` at front position `pos` and records that position.
   void place(std::size_t pos, const Entry& e);
-  /// Moves `e` up from the hole at `pos` to its heap position.
+  /// Moves `e` up from the hole at `pos` to its front position.
   void sift_up(std::size_t pos, const Entry& e);
-  /// Moves `e` down from the hole at `pos` to its heap position.
+  /// Moves `e` down from the hole at `pos` to its front position.
   void sift_down(std::size_t pos, const Entry& e);
-  /// Removes the entry at `pos`: the last entry fills the hole and sifts
-  /// whichever way restores the heap order.
+  /// Removes the front entry at `pos`: the last entry fills the hole and
+  /// sifts whichever way restores the heap order.
   void remove_at(std::size_t pos);
   /// Returns the slot to the free list and invalidates outstanding ids.
   void release(std::uint32_t index);
 
-  std::vector<Entry> heap_;  ///< binary min-heap under before()
+  std::vector<Entry> heap_;  ///< the front: binary min-heap under before()
+  std::array<std::vector<Entry>, 64> buckets_;  ///< see the header comment
+  std::uint64_t origin_ = 0;
+  std::uint64_t nonempty_ = 0;  ///< bit b - 1 set iff bucket b holds entries
   std::vector<SlotMeta> slots_;
   std::vector<SmallFn> fns_;  ///< cold payloads, parallel to slots_
   std::uint32_t free_head_ = kNilIndex;

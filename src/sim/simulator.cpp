@@ -52,8 +52,7 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(SimTime t_end) {
-  while (!queue_.empty() && queue_.next_time() <= t_end) step();
-  if (t_end > now_) now_ = t_end;
+  run_until(t_end, [] { return false; });
 }
 
 }  // namespace gridsub::sim

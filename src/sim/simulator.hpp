@@ -40,6 +40,21 @@ class Simulator {
   /// Runs all events with time <= t_end, then sets the clock to t_end.
   void run_until(SimTime t_end);
 
+  /// As run_until(t_end), but checks `done()` before each event and stops
+  /// as soon as it holds, leaving the clock at the last event run. For
+  /// runs whose result is read off clients that finish long before the
+  /// horizon.
+  template <class Done>
+  void run_until(SimTime t_end, Done done) {
+    while (!done()) {
+      if (queue_.empty() || queue_.next_time() > t_end) {
+        if (t_end > now_) now_ = t_end;
+        return;
+      }
+      step();
+    }
+  }
+
   /// Number of events executed so far.
   [[nodiscard]] std::size_t processed_events() const { return processed_; }
 

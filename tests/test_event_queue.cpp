@@ -305,6 +305,97 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   }
 }
 
+/// The queue under test beside a std::set of (time, seq), the order it
+/// promises. Every operation is applied to both, and check() compares
+/// every observer afterwards.
+class ReferencedQueue {
+ public:
+  void push(double time, bool daemon = false) {
+    const std::size_t seq = issued_.size();
+    const EventId id =
+        q_.push(time, [this, seq] { last_fired_ = seq; }, daemon);
+    issued_.push_back({id, time == 0.0 ? 0.0 : time, daemon, true});
+    reference_.emplace(issued_.back().time, seq);
+    if (!daemon) ++live_;
+  }
+
+  /// Cancels the event pushed as number `seq`, live or not.
+  testing::AssertionResult cancel(std::size_t seq) {
+    Issued& target = issued_[seq];
+    if (q_.cancel(target.id) != target.pending) {
+      return testing::AssertionFailure() << "cancel of push " << seq;
+    }
+    if (target.pending) {
+      reference_.erase({target.time, seq});
+      if (!target.daemon) --live_;
+      target.pending = false;
+    }
+    return testing::AssertionSuccess();
+  }
+
+  testing::AssertionResult pop() {
+    const auto [time, seq] = *reference_.begin();
+    reference_.erase(reference_.begin());
+    EventQueue::Fired fired = q_.pop();
+    fired.fn();
+    if (std::bit_cast<std::uint64_t>(fired.time) !=
+            std::bit_cast<std::uint64_t>(time) ||
+        fired.id != issued_[seq].id || last_fired_ != seq) {
+      return testing::AssertionFailure()
+             << "popped t=" << fired.time << " (push " << last_fired_
+             << "), expected t=" << time << " (push " << seq << ")";
+    }
+    if (!issued_[seq].daemon) --live_;
+    issued_[seq].pending = false;
+    return testing::AssertionSuccess();
+  }
+
+  /// Compares size(), live_size(), queued() and empty(), and next_time()
+  /// when `with_next_time` (it refills the front, so skipping it at times
+  /// leaves pop() to meet an empty front itself).
+  testing::AssertionResult check(bool with_next_time = true) {
+    if (q_.size() != reference_.size() || q_.live_size() != live_ ||
+        q_.queued() != reference_.size() ||
+        q_.empty() != reference_.empty()) {
+      return testing::AssertionFailure()
+             << "size " << q_.size() << " live " << q_.live_size()
+             << " queued " << q_.queued() << ", expected "
+             << reference_.size() << " / " << live_;
+    }
+    if (with_next_time && !reference_.empty() &&
+        std::bit_cast<std::uint64_t>(q_.next_time()) !=
+            std::bit_cast<std::uint64_t>(reference_.begin()->first)) {
+      return testing::AssertionFailure()
+             << "next_time " << q_.next_time() << ", expected "
+             << reference_.begin()->first;
+    }
+    return testing::AssertionSuccess();
+  }
+
+  EventQueue& queue() { return q_; }
+  [[nodiscard]] bool empty() const { return reference_.empty(); }
+  [[nodiscard]] std::size_t pushes() const { return issued_.size(); }
+  [[nodiscard]] bool pending(std::size_t seq) const {
+    return issued_[seq].pending;
+  }
+  [[nodiscard]] double front_time() const {
+    return reference_.begin()->first;
+  }
+
+ private:
+  struct Issued {
+    EventId id;
+    double time;
+    bool daemon;
+    bool pending;  ///< neither canceled nor popped yet
+  };
+  EventQueue q_;
+  std::vector<Issued> issued_;  // indexed by push order (= seq)
+  std::set<std::pair<double, std::size_t>> reference_;  // (time, seq)
+  std::size_t live_ = 0;  // non-daemon entries in `reference_`
+  std::size_t last_fired_ = 0;
+};
+
 TEST(EventQueue, MatchesAReferenceSetUnderRandomOperations) {
   // Seeded differential test against a std::set ordered by (time, seq),
   // the order the queue promises. Times are drawn from a narrow integer
@@ -313,20 +404,9 @@ TEST(EventQueue, MatchesAReferenceSetUnderRandomOperations) {
   // and already-popped ids alike. A cancel inside the heap moves the last
   // entry into the hole, which must then sift up or down; checking the
   // head after every operation catches either direction going wrong.
-  struct Issued {
-    EventId id;
-    double time;
-    bool daemon;
-    bool pending;  ///< neither canceled nor popped yet
-  };
-  std::vector<Issued> issued;  // indexed by push order (= seq)
-  std::set<std::pair<double, std::size_t>> reference;  // (time, seq)
-  std::size_t reference_live = 0;  // non-daemon entries in `reference`
-  std::size_t last_fired = 0;
-  double clock = 0.0;
+  ReferencedQueue q;
   stats::Rng rng(20090611);
-  EventQueue q;
-
+  double clock = 0.0;
   std::size_t cancels_true = 0;
   std::size_t cancels_false = 0;
   std::size_t peak = 0;
@@ -334,50 +414,129 @@ TEST(EventQueue, MatchesAReferenceSetUnderRandomOperations) {
     const std::uint64_t dice = rng.uniform_int(100);
     if (dice < 45) {
       const double time = clock + static_cast<double>(rng.uniform_int(40));
-      const bool daemon = rng.uniform_int(8) == 0;
-      const std::size_t seq = issued.size();
-      const EventId id =
-          q.push(time, [&last_fired, seq] { last_fired = seq; }, daemon);
-      issued.push_back({id, time, daemon, true});
-      reference.emplace(time, seq);
-      if (!daemon) ++reference_live;
-    } else if (dice < 80 && !issued.empty()) {
-      const std::size_t seq = rng.uniform_int(issued.size());
-      Issued& target = issued[seq];
-      ASSERT_EQ(q.cancel(target.id), target.pending) << "op " << op;
-      if (target.pending) {
-        reference.erase({target.time, seq});
-        if (!target.daemon) --reference_live;
-        target.pending = false;
-        ++cancels_true;
-      } else {
-        ++cancels_false;
-      }
-    } else if (!reference.empty()) {
-      const auto [time, seq] = *reference.begin();
-      reference.erase(reference.begin());
-      EventQueue::Fired fired = q.pop();
-      ASSERT_EQ(fired.time, time) << "op " << op;
-      ASSERT_EQ(fired.id, issued[seq].id) << "op " << op;
-      fired.fn();
-      ASSERT_EQ(last_fired, seq) << "op " << op;
-      if (!issued[seq].daemon) --reference_live;
-      issued[seq].pending = false;
-      clock = time;
+      q.push(time, rng.uniform_int(8) == 0);
+    } else if (dice < 80 && q.pushes() > 0) {
+      const std::size_t seq = rng.uniform_int(q.pushes());
+      ++(q.pending(seq) ? cancels_true : cancels_false);
+      ASSERT_TRUE(q.cancel(seq)) << "op " << op;
+    } else if (!q.empty()) {
+      clock = q.front_time();
+      ASSERT_TRUE(q.pop()) << "op " << op;
     }
-    peak = std::max(peak, q.size());
-    ASSERT_EQ(q.size(), reference.size()) << "op " << op;
-    ASSERT_EQ(q.live_size(), reference_live) << "op " << op;
-    ASSERT_EQ(q.queued(), q.size()) << "op " << op;
-    ASSERT_EQ(q.empty(), reference.empty()) << "op " << op;
-    if (!reference.empty()) {
-      ASSERT_EQ(q.next_time(), reference.begin()->first) << "op " << op;
-    }
+    peak = std::max(peak, q.queue().size());
+    ASSERT_TRUE(q.check()) << "op " << op;
   }
   // The mix must have exercised both cancel outcomes and a deep heap.
   EXPECT_GT(cancels_true, 1000u);
   EXPECT_GT(cancels_false, 1000u);
   EXPECT_GT(peak, 1000u);
+}
+
+TEST(EventQueue, RadixPathsMatchAReferenceSet) {
+  // The radix heap's paths against a std::set, with every observer
+  // checked after every operation (next_time() after three in four):
+  //   - continuous times over many magnitudes: exponential gaps of mean
+  //     2,200 s, occasional 1e6 s jumps and +inf, so entries land in many
+  //     buckets and move down through refills;
+  //   - pushes below the origin right after next_time() refilled the
+  //     front, ties with it, and pushes below the last time after the
+  //     queue drained;
+  //   - cancels of front entries (fresh below-origin pushes), of bucket
+  //     entries in the middle (the bucket's last entry moves into the
+  //     hole and is later canceled or popped from there) and of the
+  //     newest push, the last entry of its bucket;
+  //   - 12,000 events at one instant, popping in push order.
+  ReferencedQueue q;
+  stats::Rng rng(20090611);
+  double clock = 0.0;
+  const auto future_time = [&rng, &clock] {
+    const std::uint64_t kind = rng.uniform_int(200);
+    if (kind == 0) return std::numeric_limits<double>::infinity();
+    if (kind < 5) return clock + 1e6;
+    return clock + rng.exponential(1.0 / 2200.0);
+  };
+  std::size_t below_origin = 0;
+  for (int op = 0; op < 60000; ++op) {
+    const std::uint64_t dice = rng.uniform_int(100);
+    if (dice < 40) {
+      q.push(future_time(), rng.uniform_int(8) == 0);
+    } else if (dice < 55 && q.pushes() > 0) {
+      // Mostly recent pushes, which are still pending.
+      const std::size_t n = q.pushes();
+      const std::size_t back = rng.uniform_int(std::min<std::size_t>(n, 64));
+      ASSERT_TRUE(q.cancel(n - 1 - back)) << "op " << op;
+    } else if (dice < 60 && q.pushes() > 0) {
+      ASSERT_TRUE(q.cancel(rng.uniform_int(q.pushes()))) << "op " << op;
+    } else if (dice < 65 && !q.empty()) {
+      // next_time() refills the front; a push in [clock, next) lies
+      // below the new origin, one at next ties with it. Both go to the
+      // front, and some are canceled there at once.
+      const double next = q.queue().next_time();
+      if (next > clock && next < std::numeric_limits<double>::infinity()) {
+        q.push(clock + (next - clock) * rng.uniform01());
+        ++below_origin;
+        if (rng.uniform_int(2) == 0) {
+          ASSERT_TRUE(q.cancel(q.pushes() - 1)) << "op " << op;
+        }
+      }
+      q.push(next);
+    } else if (!q.empty()) {
+      clock = q.front_time();
+      ASSERT_TRUE(q.pop()) << "op " << op;
+    }
+    ASSERT_TRUE(q.check(rng.uniform_int(4) != 0)) << "op " << op;
+    if (op % 15000 == 14999) {
+      // Drain, then push below the last popped time: the empty queue
+      // starts over, whatever its origin had reached.
+      while (!q.empty()) {
+        if (q.front_time() < std::numeric_limits<double>::infinity()) {
+          clock = q.front_time();
+        }
+        ASSERT_TRUE(q.pop()) << "op " << op;
+        ASSERT_TRUE(q.check()) << "op " << op;
+      }
+      for (int i = 0; i < 50; ++i) {
+        q.push(clock * rng.uniform01());
+        ASSERT_TRUE(q.check()) << "op " << op;
+      }
+      clock = 0.0;
+    }
+  }
+  EXPECT_GT(below_origin, 1000u);
+
+  // A mass tie, as when thousands of clients arm a 900 s timeout in one
+  // instant: 12,000 events at t, interleaved with earlier and later ones,
+  // every seventh canceled, then more ties pushed and canceled once
+  // next_time() has made t the origin.
+  const double t = clock + 900.0;
+  std::vector<std::size_t> at_t;
+  for (int i = 0; i < 12000; ++i) {
+    at_t.push_back(q.pushes());
+    q.push(t);
+    if (i % 7 == 3) {
+      ASSERT_TRUE(q.cancel(at_t.back()));
+    }
+    if (i % 10 == 0) q.push(future_time());
+    ASSERT_TRUE(q.check()) << "tie " << i;
+  }
+  while (q.queue().next_time() < t) {
+    ASSERT_TRUE(q.pop());
+    ASSERT_TRUE(q.check());
+  }
+  for (int i = 0; i < 500; ++i) {
+    at_t.push_back(q.pushes());
+    q.push(t);
+    ASSERT_TRUE(q.cancel(at_t[rng.uniform_int(at_t.size())]));
+    ASSERT_TRUE(q.check()) << "late tie " << i;
+  }
+  std::size_t ties_popped = 0;
+  while (!q.empty()) {
+    ties_popped += q.front_time() == t ? 1 : 0;
+    ASSERT_TRUE(q.pop());
+    ASSERT_TRUE(q.check());
+  }
+  EXPECT_GT(ties_popped, 10000u);
+  EXPECT_EQ(q.queue().queued(), 0u);
 }
 
 }  // namespace

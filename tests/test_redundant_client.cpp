@@ -1,11 +1,13 @@
 // Related-work baselines (K-distributed, K-dual, K-random) on the DES grid,
-// plus the dual-lane computing-element semantics they rely on.
+// plus the dual-lane computing-element semantics they rely on. A case that
+// reads client outcomes only stops its run once the client is done: the
+// outcomes are final then, and the rest of the horizon would only simulate
+// background traffic.
 
 #include "sched/redundant_client.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 
 #include "sim/grid.hpp"
@@ -21,18 +23,6 @@ sim::GridConfig small_grid() {
   return config;
 }
 
-/// Runs the grid in 1 h steps until `client` is done, capped at `horizon`
-/// seconds from now. A client's outcomes are final once it is done, so
-/// the rest of the horizon would only simulate background traffic.
-void run_until_done(sim::GridSimulation& grid, const RedundantClient& client,
-                    double horizon) {
-  sim::Simulator& des = grid.simulator();
-  const double t_end = des.now() + horizon;
-  while (!client.done() && des.now() < t_end) {
-    des.run_until(std::min(des.now() + 3600.0, t_end));
-  }
-}
-
 TEST(RedundantClient, CompletesAllTasks) {
   sim::GridSimulation grid(small_grid());
   grid.warm_up(5000.0);
@@ -41,7 +31,8 @@ TEST(RedundantClient, CompletesAllTasks) {
   spec.k = 2;
   RedundantClient client(grid, spec, 40, 600.0);
   client.start();
-  run_until_done(grid, client, 1e7);
+  grid.simulator().run_until(grid.simulator().now() + 1e7,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   EXPECT_EQ(client.outcomes().size(), 40u);
   for (const auto& o : client.outcomes()) {
@@ -58,7 +49,8 @@ TEST(RedundantClient, SlowdownDefinitionHolds) {
   spec.k = 1;
   RedundantClient client(grid, spec, 25, 300.0);
   client.start();
-  run_until_done(grid, client, 1e7);
+  grid.simulator().run_until(grid.simulator().now() + 1e7,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   for (const auto& o : client.outcomes()) {
     EXPECT_NEAR(o.slowdown, (o.latency + 300.0) / 300.0, 1e-12);
@@ -72,7 +64,8 @@ TEST(RedundantClient, KClampedToSiteCount) {
   spec.k = 50;  // only 4 sites exist
   RedundantClient client(grid, spec, 10, 500.0);
   client.start();
-  run_until_done(grid, client, 5e6);
+  grid.simulator().run_until(grid.simulator().now() + 5e6,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   for (const auto& o : client.outcomes()) {
     EXPECT_LE(o.submissions, 4 * o.rounds);
@@ -103,7 +96,8 @@ TEST(RedundantClient, MoreCopiesReduceMeanSlowdown) {
     RedundantClient client(grid, spec, 120, 400.0);
     client.start();
     // Every task is back within ~1e5 s; 6e7 s is only the cap.
-    run_until_done(grid, client, 6e7);
+    grid.simulator().run_until(grid.simulator().now() + 6e7,
+                               [&client] { return client.done(); });
     EXPECT_TRUE(client.done()) << "k=" << k << " seed=" << seed;
     return client.mean_slowdown();
   };
@@ -155,7 +149,8 @@ TEST(RedundantClient, RandomSchemeUsesDistinctSites) {
   spec.k = 4;
   RedundantClient client(grid, spec, 30, 200.0);
   client.start();
-  run_until_done(grid, client, 1e7);
+  grid.simulator().run_until(grid.simulator().now() + 1e7,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   EXPECT_GE(client.mean_submissions(), 4.0);
 }

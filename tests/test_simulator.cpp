@@ -55,6 +55,31 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(Simulator, RunUntilStopsOnceDone) {
+  // done() is checked before each event: the run stops right after the
+  // event that makes it hold, and the clock stays at that event.
+  Simulator sim;
+  std::vector<double> fired;
+  for (const double t : {1.0, 2.0, 3.0, 10.0}) {
+    sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
+  }
+  const auto two_fired = [&fired] { return fired.size() == 2; };
+  sim.run_until(5.0, two_fired);
+  EXPECT_EQ(fired.size(), 2u);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  sim.run_until(5.0, two_fired);  // holds already: runs nothing
+  EXPECT_EQ(fired.size(), 2u);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  // Never holding, it runs to the horizon like the plain form, which
+  // looks ahead to the event at 10; an event scheduled before that one
+  // still fires first.
+  sim.run_until(5.0, [] { return false; });
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+  sim.schedule_at(6.0, [&fired, &sim] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 6.0, 10.0}));
+}
+
 TEST(Simulator, CancelSuppressesEvent) {
   Simulator sim;
   int fired = 0;
