@@ -25,6 +25,13 @@ global function symbol (nm type T or W) of libgridsub.a that
 Symbols that demangle alike (complete- and base-object constructors,
 say) count as one function, reached if any of them is.
 
+Functions defined in headers (templates, inline and constexpr
+functions, in-class member definitions) are out of its reach: they are
+emitted into each object that uses them, not located in a src/**/*.cpp
+file, so the scan cannot tell a test-only one from a shipped one.
+Comparing the -O0 test executables against the shipped ones by hand
+finds those.
+
 Every entry must be on scripts/test_only_allowlist.txt with a reason;
 the script fails on an entry missing from it, and on an allowlist line
 the scan no longer reports, so the list cannot go stale.

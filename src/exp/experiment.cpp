@@ -5,6 +5,9 @@
 
 namespace gridsub::exp {
 
+/// Run time (s) of each client task, as short as a probe's.
+constexpr double kTaskRuntime = 1.0;
+
 void ExperimentSpec::validate() const {
   if (scenarios.empty()) {
     throw std::invalid_argument("ExperimentSpec: no scenarios");
@@ -63,7 +66,7 @@ CellMetrics run_strategy_cell(const ScenarioCase& scenario,
   cs.reserve(clients.clients_per_cell);
   for (std::size_t c = 0; c < clients.clients_per_cell; ++c) {
     cs.push_back(std::make_unique<sim::StrategyClient>(
-        grid, strategy, clients.tasks_per_client, clients.task_runtime));
+        grid, strategy, clients.tasks_per_client, kTaskRuntime));
   }
   for (auto& c : cs) c->start();
 

@@ -60,7 +60,6 @@ struct ClientConfig {
   /// Tasks per client; oversize it (default) to keep clients active to the
   /// horizon so every load regime of the scenario is sampled.
   std::size_t tasks_per_client = 100000;
-  double task_runtime = 1.0;
   double warm_up = 21600.0;  ///< seconds of load-only traffic before clients
   /// Measurement end. With a workload: absolute sim time, 0 meaning the
   /// workload's duration. Without a workload: seconds after warm-up

@@ -16,31 +16,28 @@
 #include <utility>
 
 #include "exp/campaign.hpp"
+#include "numerics/kahan.hpp"
 
 namespace gridsub::exp {
 
 /// Moments of one metric in one pass: compensated mean, stderr of the
-/// mean (Welford), and running min/max. Deterministic for a fixed add()
+/// mean (Welford), and running max. Deterministic for a fixed add()
 /// order.
 class MomentFold {
  public:
   void add(double x);
 
-  [[nodiscard]] std::size_t count() const { return n_; }
   /// Kahan-compensated mean (0 before the first add).
   [[nodiscard]] double mean() const;
   /// Sample stderr of the mean, sqrt(M2 / (n-1) / n); 0 for n < 2.
   [[nodiscard]] double sem() const;
-  [[nodiscard]] double min() const { return min_; }
   [[nodiscard]] double max() const { return max_; }
 
  private:
   std::size_t n_ = 0;
-  double sum_ = 0.0;           // Neumaier running sum ...
-  double compensation_ = 0.0;  // ... and its correction term
+  numerics::KahanAccumulator sum_;
   double welford_mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
 

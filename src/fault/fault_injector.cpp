@@ -8,6 +8,11 @@
 
 namespace gridsub::fault {
 
+/// Yields an injected ingest stall spins.
+constexpr std::uint32_t kStallYields = 64;
+/// Yields an injected refresher pause spins.
+constexpr std::uint32_t kPauseYields = 256;
+
 // --------------------------------------------------------------------------
 // FaultInjector
 // --------------------------------------------------------------------------
@@ -27,7 +32,7 @@ std::function<void(std::size_t, std::uint64_t)> FaultInjector::ingest_hook() {
     record(FaultClass::kIngestStall, job_index);
     // Logical stall: yields, never a clock, so the run replays exactly
     // and the determinism linter stays clean over src/fault.
-    for (std::uint32_t i = 0; i < schedule_.config().stall_yields; ++i) {
+    for (std::uint32_t i = 0; i < kStallYields; ++i) {
       std::this_thread::yield();
     }
   };
@@ -37,7 +42,7 @@ std::function<void(std::uint64_t)> FaultInjector::refresher_hook() {
   return [this](std::uint64_t generation) {
     if (!schedule_.refresher_pause(generation)) return;
     record(FaultClass::kRefresherPause, generation);
-    for (std::uint32_t i = 0; i < schedule_.config().pause_yields; ++i) {
+    for (std::uint32_t i = 0; i < kPauseYields; ++i) {
       std::this_thread::yield();
     }
   };
@@ -118,11 +123,10 @@ bool FaultyTransport::next(serve::AdvisorRequest& out) {
         continue;
       case RequestFault::kDelay: {
         injector_.record(FaultClass::kDelayRequest, out.id);
-        const std::uint32_t ops = injector_.schedule().config().delay_ops;
         serve::AdvisorRequest delayed = out;
-        delayed.queue_age += ops;
+        delayed.queue_age += kDelayOps;
         const core::MutexLock lock(mu_);
-        deferred_.emplace(now + ops, std::move(delayed));
+        deferred_.emplace(now + kDelayOps, std::move(delayed));
         continue;
       }
       case RequestFault::kDuplicate: {
@@ -148,13 +152,11 @@ bool FaultyTransport::reply(const serve::AdvisorResponse& response) {
       inner_.abandon();
       return true;
     case ReplyFault::kTransient: {
-      const std::uint32_t budget =
-          injector_.schedule().config().transient_attempts;
       bool fail = false;
       {
         const core::MutexLock lock(mu_);
         std::uint32_t& failures = reply_failures_[response.id];
-        if (failures < budget) {
+        if (failures < kTransientAttempts) {
           ++failures;
           fail = true;
         }

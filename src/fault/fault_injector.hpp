@@ -130,6 +130,12 @@ class FaultInjector {
 /// driven directly (post / take_reply / close on the inner object).
 class FaultyTransport final : public serve::Transport {
  public:
+  /// next() pulls a delayed request is deferred by; its queue_age grows
+  /// by as much.
+  static constexpr std::uint32_t kDelayOps = 4;
+  /// Failed deliveries of a transient reply before one succeeds.
+  static constexpr std::uint32_t kTransientAttempts = 2;
+
   FaultyTransport(serve::Transport& inner, FaultInjector& injector);
 
   bool next(serve::AdvisorRequest& out) override;

@@ -22,8 +22,7 @@ bool FaultScheduleConfig::validate() const {
          in_unit(transient_reply) && in_unit(ingest_stall) &&
          in_unit(refresher_pause) &&
          drop_request + delay_request + duplicate_request <= 1.0 &&
-         drop_reply + transient_reply <= 1.0 && delay_ops > 0 &&
-         transient_attempts > 0;
+         drop_reply + transient_reply <= 1.0;
 }
 
 FaultSchedule::FaultSchedule(const FaultScheduleConfig& config)

@@ -17,6 +17,10 @@
 // draw against cumulative thresholds, so fault classes that share a
 // domain (drop/delay/duplicate on requests) are mutually exclusive by
 // construction — an operation suffers at most one of them.
+//
+// The schedule sets only rates. The size of each fault — how many pulls
+// a delay lasts, how many times a transient reply fails, how many yields
+// a stall or pause spins — is a constant of the injector.
 
 #include <cstdint>
 
@@ -29,22 +33,18 @@ struct FaultScheduleConfig {
 
   // Request-path faults (mutually exclusive per request id).
   double drop_request = 0.0;       ///< request vanishes before the loop
-  double delay_request = 0.0;      ///< request is deferred delay_ops pulls
+  double delay_request = 0.0;      ///< request is deferred kDelayOps pulls
   double duplicate_request = 0.0;  ///< request is delivered twice
-  std::uint32_t delay_ops = 4;     ///< deferral distance, in next() pulls
 
   // Reply-path faults (mutually exclusive per request id).
   double drop_reply = 0.0;       ///< reply is discarded after compute
   double transient_reply = 0.0;  ///< reply fails transiently, retry succeeds
-  std::uint32_t transient_attempts = 2;  ///< failures before delivery
 
   // Ingest stalls, keyed on the global workload job index.
   double ingest_stall = 0.0;
-  std::uint32_t stall_yields = 64;  ///< yields per injected stall
 
   // Refresher pauses, keyed on the refresh generation.
   double refresher_pause = 0.0;
-  std::uint32_t pause_yields = 256;  ///< yields per injected pause
 
   /// True when every rate is in [0, 1] and every same-domain group sums
   /// to at most 1 (the cumulative-threshold roll needs that).
@@ -64,8 +64,6 @@ class FaultSchedule {
  public:
   FaultSchedule() = default;
   explicit FaultSchedule(const FaultScheduleConfig& config);
-
-  [[nodiscard]] const FaultScheduleConfig& config() const { return config_; }
 
   /// Fault (if any) for the request with this id.
   [[nodiscard]] RequestFault request_fault(std::uint64_t request_id) const;

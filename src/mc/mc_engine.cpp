@@ -17,6 +17,9 @@ namespace {
 
 constexpr std::size_t kBlockSize = 4096;
 
+/// Safety valve on resubmission rounds per replication.
+constexpr std::size_t kMaxRounds = 1000000;
+
 /// Per-replication outcome.
 struct RunOutcome {
   double total_latency = 0.0;  // J
@@ -146,9 +149,9 @@ McResult run_blocks(const McOptions& options, RunFn&& run_one) {
 McResult simulate_single(const model::LatencyModel& m, double t_inf,
                          const McOptions& options) {
   if (!(t_inf > 0.0)) throw std::invalid_argument("simulate_single: t_inf");
-  return run_blocks(options, [&m, t_inf, &options](stats::Rng& rng) {
+  return run_blocks(options, [&m, t_inf](stats::Rng& rng) {
     RunOutcome out;
-    for (std::size_t round = 0; round < options.max_rounds; ++round) {
+    for (std::size_t round = 0; round < kMaxRounds; ++round) {
       const double latency = m.sample(rng);
       out.submissions += 1.0;
       if (latency < t_inf) {
@@ -167,9 +170,9 @@ McResult simulate_multiple(const model::LatencyModel& m, int b, double t_inf,
                            const McOptions& options) {
   if (b < 1) throw std::invalid_argument("simulate_multiple: b < 1");
   if (!(t_inf > 0.0)) throw std::invalid_argument("simulate_multiple: t_inf");
-  return run_blocks(options, [&m, b, t_inf, &options](stats::Rng& rng) {
+  return run_blocks(options, [&m, b, t_inf](stats::Rng& rng) {
     RunOutcome out;
-    for (std::size_t round = 0; round < options.max_rounds; ++round) {
+    for (std::size_t round = 0; round < kMaxRounds; ++round) {
       double best = std::numeric_limits<double>::infinity();
       for (int i = 0; i < b; ++i) {
         best = std::min(best, m.sample(rng));
@@ -195,13 +198,13 @@ McResult simulate_delayed(const model::LatencyModel& m, double t0,
     throw std::invalid_argument(
         "simulate_delayed: requires 0 < t0 < t_inf <= 2*t0");
   }
-  return run_blocks(options, [&m, t0, t_inf, &options](stats::Rng& rng) {
+  return run_blocks(options, [&m, t0, t_inf](stats::Rng& rng) {
     RunOutcome out;
     double j = std::numeric_limits<double>::infinity();
     std::size_t k = 0;
     // Submit copy k at k*t0 while nothing has started yet.
     while (static_cast<double>(k) * t0 < j) {
-      if (k >= options.max_rounds) {
+      if (k >= kMaxRounds) {
         throw std::runtime_error("simulate_delayed: max_rounds exceeded");
       }
       const double submit = static_cast<double>(k) * t0;

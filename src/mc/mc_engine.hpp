@@ -24,8 +24,6 @@ struct McOptions {
   std::uint64_t seed = 0xC0FFEE;
   /// Defaults to the shared pool; pass a pool to control thread count.
   par::ThreadPool* pool = nullptr;
-  /// Safety valve on resubmission rounds per replication.
-  std::size_t max_rounds = 1000000;
 };
 
 struct McResult {

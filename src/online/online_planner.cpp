@@ -114,7 +114,7 @@ double OnlinePlanner::drift_statistic() const {
 }
 
 bool OnlinePlanner::drifted() const {
-  return drift_statistic() > config_.drift_threshold;
+  return drift_statistic() > kDriftThreshold;
 }
 
 }  // namespace gridsub::online

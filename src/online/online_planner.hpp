@@ -28,13 +28,14 @@ struct OnlinePlannerConfig {
   double model_step = 2.0;           ///< discretization of the fitted model
   double timeout = 10000.0;          ///< probe outlier threshold (paper)
   core::PlannerOptions planner;      ///< objective for recommendations
-  /// Two-sample KS distance between window halves above which the
-  /// workload is considered drifting. The two-sample KS noise floor at
-  /// half-window n is ~1.36*sqrt(2/n) (0.14 for n = 200), so 0.15 stays
-  /// quiet within a stationary week and trips on regime changes (~0.9 on
-  /// the synthetic week pairs; see the online tests).
-  double drift_threshold = 0.15;
 };
+
+/// Two-sample KS distance between window halves above which the workload
+/// is considered drifting. The two-sample KS noise floor at half-window n
+/// is ~1.36*sqrt(2/n) (0.14 for n = 200), so 0.15 stays quiet within a
+/// stationary week and trips on regime changes (~0.9 on the synthetic
+/// week pairs; see the online tests).
+inline constexpr double kDriftThreshold = 0.15;
 
 class OnlinePlanner {
  public:
@@ -77,7 +78,7 @@ class OnlinePlanner {
   /// and newer halves of the window (0 if either half is empty).
   [[nodiscard]] double drift_statistic() const;
 
-  /// drift_statistic() > config.drift_threshold.
+  /// drift_statistic() > kDriftThreshold.
   [[nodiscard]] bool drifted() const;
 
  private:

@@ -4,17 +4,10 @@
 //
 // parallel_for partitions [begin, end) into contiguous blocks, one per
 // worker, which matches the access pattern of gridsub's workloads (each
-// index is an independent MC replication, dataset, or grid row). For
-// reductions, the range is cut into fixed-grain blocks whose partials are
-// combined in block order, so floating-point results are bit-identical
-// regardless of thread count or scheduling.
+// index is an independent MC replication, dataset, or grid row).
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <utility>
-#include <vector>
 
 #include "parallel/thread_pool.hpp"
 
@@ -32,41 +25,5 @@ void parallel_for_blocked(
     std::int64_t begin, std::int64_t end,
     const std::function<void(std::int64_t, std::int64_t)>& body,
     ThreadPool* pool = nullptr);
-
-/// Parallel reduction: maps every index through `map`, folds with `combine`
-/// starting from `init`.
-///
-/// The range is cut into fixed-size blocks of `grain` indices — independent
-/// of the pool's thread count — and partials are folded in block order, so
-/// floating-point results are bit-identical for any number of threads.
-template <typename T>
-T parallel_reduce(std::int64_t begin, std::int64_t end, T init,
-                  const std::function<T(std::int64_t)>& map,
-                  const std::function<T(T, T)>& combine,
-                  ThreadPool* pool = nullptr, std::int64_t grain = 2048) {
-  if (begin >= end) return init;
-  const std::int64_t n = end - begin;
-  const std::int64_t n_blocks = (n + grain - 1) / grain;
-  std::vector<T> partials(static_cast<std::size_t>(n_blocks), init);
-  parallel_for_blocked(
-      0, n_blocks,
-      [&](std::int64_t blk_lo, std::int64_t blk_hi) {
-        for (std::int64_t b = blk_lo; b < blk_hi; ++b) {
-          const std::int64_t lo = begin + b * grain;
-          const std::int64_t hi = std::min(end, lo + grain);
-          T acc = map(lo);
-          for (std::int64_t i = lo + 1; i < hi; ++i) {
-            acc = combine(std::move(acc), map(i));
-          }
-          partials[static_cast<std::size_t>(b)] = std::move(acc);
-        }
-      },
-      pool);
-  T result = std::move(init);
-  for (auto& partial : partials) {
-    result = combine(std::move(result), std::move(partial));
-  }
-  return result;
-}
 
 }  // namespace gridsub::par

@@ -98,9 +98,6 @@ void AdvisorSnapshot::write_json(std::ostream& os) const {
 
 AdvisorService::AdvisorService(AdvisorConfig config)
     : config_(std::move(config)) {
-  if (!(config_.fallback_t_inf > 0.0)) {
-    throw std::invalid_argument("AdvisorService: fallback_t_inf <= 0");
-  }
   if (config_.refresh_pending == 0) {
     throw std::invalid_argument("AdvisorService: refresh_pending == 0");
   }
@@ -112,7 +109,7 @@ AdvisorService::AdvisorService(AdvisorConfig config)
   // Publish the empty generation-0 snapshot so advise() never sees a null
   // pointer: before any refresh, every key answers with the fallback.
   auto initial = std::make_unique<AdvisorSnapshot>();
-  initial->fallback.t_inf = config_.fallback_t_inf;
+  initial->fallback.t_inf = kFallbackTInf;
   initial->fallback.stamp = advice_stamp(initial->fallback);
   const AdvisorSnapshot* raw = initial.get();
   {
@@ -196,10 +193,11 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
   // Chaos seam: a deterministic pause keyed on the generation about to be
   // built (src/fault installs it; default none).
   if (config_.refresh_fault) config_.refresh_fault(next_gen);
-  snap->fallback.t_inf = config_.fallback_t_inf;
+  snap->fallback.t_inf = kFallbackTInf;
   snap->fallback.generation = next_gen;
   snap->fallback.stamp = advice_stamp(snap->fallback);
   snap->entries.reserve(keys.size());
+  std::uint64_t max_entry_age = 0;
   for (const auto& item : keys) {
     KeyState* const state = item.second;
     const core::MutexLock key_lock(state->mu);
@@ -207,6 +205,8 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
       state->changed_generation = next_gen;
       state->dirty = false;
     }
+    max_entry_age =
+        std::max(max_entry_age, next_gen - state->changed_generation);
     AdvisorEntry e;
     e.key = *item.first;
     e.observations = state->observations;
@@ -222,7 +222,7 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
       const core::CostEvaluation& c = state->planner.current().choice;
       a.ready = true;
       // OnlinePlanner::drifted() would recompute the two-sample KS.
-      a.drifted = e.drift_statistic > config_.planner.drift_threshold;
+      a.drifted = e.drift_statistic > online::kDriftThreshold;
       a.kind = c.kind;
       a.t0 = c.t0;
       a.t_inf = c.t_inf;
@@ -247,7 +247,7 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
     } else {
       // Not ready: the documented fallback, stamped with this entry's
       // generation so the torn-read canary still binds it to one build.
-      a.t_inf = config_.fallback_t_inf;
+      a.t_inf = kFallbackTInf;
     }
     a.stamp = advice_stamp(a);
     e.advice = a;
@@ -260,6 +260,7 @@ std::uint64_t AdvisorService::rebuild_and_swap() {
   // folds them again, whether or not this one already saw them.
   staleness_last_ = folded;
   staleness_max_ = std::max(staleness_max_, folded);
+  max_entry_age_ = max_entry_age;
   pending_ -= folded;
   generation_ = next_gen;
   ++swaps_;
@@ -419,27 +420,8 @@ AdvisorStats AdvisorService::stats() const {
   s.keys = keys_.size();
   s.readers = readers_.load(std::memory_order_seq_cst);
   sum_lookup_counters(s.lookups, s.degraded);
+  s.max_entry_age = max_entry_age_;
   return s;
-}
-
-AdvisorHealth AdvisorService::health() const {
-  const core::MutexLock lock(mu_);
-  AdvisorHealth h;
-  h.generation = generation_;
-  h.backlog = pending_;
-  // Swaps happen under mu_, so the loaded pointer stays live while held.
-  const AdvisorSnapshot* snap = current_.load(std::memory_order_seq_cst);
-  h.keys = snap->entries.size();
-  for (const AdvisorEntry& e : snap->entries) {
-    h.max_entry_age =
-        std::max(h.max_entry_age, snap->generation - e.advice.entry_generation);
-  }
-  sum_lookup_counters(h.lookups, h.degraded);
-  if (h.lookups > 0) {
-    h.degraded_rate =
-        static_cast<double>(h.degraded) / static_cast<double>(h.lookups);
-  }
-  return h;
 }
 
 void AdvisorService::dump_json(std::ostream& os) const {
@@ -537,10 +519,10 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
   } catch (const exp::JsonParseError& err) {
     throw RecoveryError(err.what());
   }
-  if (fallback_t_inf != config_.fallback_t_inf) {
+  if (fallback_t_inf != kFallbackTInf) {
     throw RecoveryError(origin +
                         ": fallback_t_inf disagrees with this service's "
-                        "config — refusing to mix recovery state");
+                        "fallback — refusing to mix recovery state");
   }
 
   // Publish as generation 1 on a virgin service: the recovered entries
@@ -549,7 +531,7 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
   auto snap = std::make_unique<AdvisorSnapshot>();
   snap->generation = gen;
   snap->observations = total_observations;
-  snap->fallback.t_inf = config_.fallback_t_inf;
+  snap->fallback.t_inf = kFallbackTInf;
   snap->fallback.generation = gen;
   snap->fallback.stamp = advice_stamp(snap->fallback);
   snap->entries.reserve(parsed.size());

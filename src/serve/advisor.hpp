@@ -27,8 +27,8 @@
 //     held for bookkeeping only; a snapshot build holds a separate build
 //     mutex and visits the keys one lock at a time. Lock order is
 //     build_mu_ -> mu_ and build_mu_ -> key lock; mu_ and a key lock are
-//     never held together, so stats(), health() and dump_json() never
-//     wait behind a refit.
+//     never held together, so stats() and dump_json() never wait behind
+//     a refit.
 //   * Reclamation is writer-side: retired snapshots are freed on the next
 //     swap once no hazard slot still pins them, so a reader mid-lookup
 //     keeps its snapshot alive without reference counting.
@@ -76,12 +76,8 @@ struct AdvisorKey {
 };
 
 struct AdvisorConfig {
-  /// Per-key planner settings (window, refit cadence, drift threshold).
+  /// Per-key planner settings (window, refit cadence, timeout).
   online::OnlinePlannerConfig planner;
-  /// Timeout of the documented fallback: until a key has enough
-  /// observations to be ready, advise() returns plain single resubmission
-  /// at this conservative timeout (the paper's untuned behaviour).
-  double fallback_t_inf = 900.0;
   /// Pending observations that wake the background refresher. Larger
   /// values batch more ingestion per snapshot swap (higher staleness,
   /// fewer rebuilds).
@@ -159,8 +155,10 @@ struct AdvisorSnapshot {
   void write_json(std::ostream& os) const;
 };
 
-/// Serving metadata, read under the service mutex (not the advise() path;
-/// never waits for a refit).
+/// Serving metadata and the operator view, read under the service mutex
+/// (not the advise() path; never waits for a refit): is the service
+/// keeping up (`pending` is the backlog), and how much of the traffic is
+/// degraded (`degraded / lookups`)?
 struct AdvisorStats {
   std::uint64_t generation = 0;        ///< latest published generation
   std::uint64_t swaps = 0;             ///< snapshot publications so far
@@ -173,22 +171,11 @@ struct AdvisorStats {
   std::uint64_t lookups = 0;   ///< advise() calls across all Readers ever
   std::uint64_t degraded = 0;  ///< lookups answered with the degraded
                                ///< fallback (staleness bound exceeded)
-};
-
-/// Liveness-oriented view for operators and the chaos wall: is the
-/// service keeping up, and how much of the traffic is degraded?
-struct AdvisorHealth {
-  std::uint64_t generation = 0;   ///< latest published generation
-  std::uint64_t backlog = 0;      ///< observations ingested, not yet folded
-  std::size_t keys = 0;           ///< entries in the published snapshot
   /// Generations since the stalest published entry was rebuilt (0 when
-  /// the snapshot is empty). Under the staleness bound this is also the
-  /// worst age advise() will serve as fresh.
+  /// the snapshot is empty), recorded when the snapshot was built. Under
+  /// the staleness bound this is also the worst age advise() will serve
+  /// as fresh.
   std::uint64_t max_entry_age = 0;
-  std::uint64_t lookups = 0;   ///< as in AdvisorStats
-  std::uint64_t degraded = 0;  ///< as in AdvisorStats
-  /// degraded / lookups (0 when no lookups yet).
-  double degraded_rate = 0.0;
 };
 
 /// Raised by warm_start(): corrupt, truncated, too deeply nested, or
@@ -206,6 +193,10 @@ class AdvisorService {
   /// Readers. One cache line each; raise freely if a deployment needs
   /// more reader threads.
   static constexpr std::size_t kMaxReaders = 64;
+  /// Timeout of the documented fallback: until a key has enough
+  /// observations to be ready, advise() returns plain single resubmission
+  /// at this conservative timeout (the paper's untuned behaviour).
+  static constexpr double kFallbackTInf = 900.0;
 
   explicit AdvisorService(AdvisorConfig config = {});
 
@@ -281,9 +272,6 @@ class AdvisorService {
 
   [[nodiscard]] AdvisorStats stats() const GRIDSUB_EXCLUDES(mu_);
 
-  /// Health snapshot: backlog, entry age, degraded-rate. Locked path.
-  [[nodiscard]] AdvisorHealth health() const GRIDSUB_EXCLUDES(mu_);
-
   /// Writes the current snapshot's deterministic payload
   /// (AdvisorSnapshot::write_json) under the service mutex.
   void dump_json(std::ostream& os) const GRIDSUB_EXCLUDES(mu_);
@@ -305,8 +293,8 @@ class AdvisorService {
   /// Loads a recovery dump into this service, which must be virgin (no
   /// ingests, no refreshes, no prior warm start). Publishes the recovered
   /// state as generation 1. Throws RecoveryError on corrupt input, a
-  /// fallback_t_inf that disagrees with this service's config, unsorted
-  /// or duplicate keys, or a non-virgin service.
+  /// fallback_t_inf other than kFallbackTInf, unsorted or duplicate keys,
+  /// or a non-virgin service.
   void warm_start(std::istream& is, const std::string& origin)
       GRIDSUB_EXCLUDES(build_mu_, mu_);
 
@@ -357,7 +345,7 @@ class AdvisorService {
 
   /// One hazard cell per Reader, padded so readers never false-share.
   /// The counters are cumulative across Reader registrations that reuse
-  /// the slot; stats()/health() sum them for service-lifetime totals.
+  /// the slot; stats() sums them for service-lifetime totals.
   struct alignas(64) HazardSlot {
     std::atomic<const AdvisorSnapshot*> pinned{nullptr};
     std::atomic<bool> claimed{false};
@@ -400,6 +388,8 @@ class AdvisorService {
   std::uint64_t swaps_ GRIDSUB_GUARDED_BY(mu_) = 0;
   std::uint64_t staleness_last_ GRIDSUB_GUARDED_BY(mu_) = 0;
   std::uint64_t staleness_max_ GRIDSUB_GUARDED_BY(mu_) = 0;
+  /// AdvisorStats::max_entry_age of the published snapshot.
+  std::uint64_t max_entry_age_ GRIDSUB_GUARDED_BY(mu_) = 0;
   bool stop_refresher_ GRIDSUB_GUARDED_BY(mu_) = false;
   core::CondVar wake_;
   std::thread refresher_;  ///< start/stop are caller-serialized

@@ -1,5 +1,6 @@
 #include "serve/replay_feed.hpp"
 
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -8,6 +9,11 @@
 namespace gridsub::serve {
 
 namespace {
+
+// The key projection (header comment).
+constexpr std::size_t kUserClasses = 2;
+constexpr std::array<std::string_view, 2> kSites = {"lpc", "nikhef"};
+constexpr std::size_t kSyntheticVos = 3;
 
 std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
   for (const char c : s) {
@@ -21,12 +27,6 @@ void validate(const ReplayFeedConfig& config) {
   if (config.ingest_threads == 0) {
     throw std::invalid_argument("replay_feed: ingest_threads == 0");
   }
-  if (config.user_classes == 0 || config.sites.empty()) {
-    throw std::invalid_argument("replay_feed: empty user_classes/sites");
-  }
-  if (config.synthetic_users == 0 || config.synthetic_vos == 0) {
-    throw std::invalid_argument("replay_feed: empty synthetic population");
-  }
   if (!(config.latency_scale > 0.0)) {
     throw std::invalid_argument("replay_feed: latency_scale <= 0");
   }
@@ -35,23 +35,23 @@ void validate(const ReplayFeedConfig& config) {
 }  // namespace
 
 AdvisorKey key_for_job(const traces::WorkloadJob& job, std::size_t index,
-                       const ReplayFeedConfig& config) {
+                       const ReplayFeedConfig& /*config*/) {
   std::size_t user = 0;
   std::size_t group = 0;
   if (job.user >= 0) {
     user = static_cast<std::size_t>(job.user);
   } else {
-    user = index % config.synthetic_users;
+    user = index % kSyntheticUsers;
   }
   if (job.group >= 0) {
     group = static_cast<std::size_t>(job.group);
   } else {
-    group = user % config.synthetic_vos;
+    group = user % kSyntheticVos;
   }
   AdvisorKey key;
-  key.vo = config.vo_prefix + std::to_string(group);
-  key.user_class = "uc" + std::to_string(user % config.user_classes);
-  key.site = config.sites[(user / config.user_classes) % config.sites.size()];
+  key.vo = "vo" + std::to_string(group);
+  key.user_class = "uc" + std::to_string(user % kUserClasses);
+  key.site = kSites[(user / kUserClasses) % kSites.size()];
   return key;
 }
 

@@ -9,16 +9,17 @@
 // workload studies treat the group as the VO and slice users into
 // classes (Medernach's per-user/per-VO arrival regimes). We project:
 //
-//   vo         = vo_prefix + group
-//   user_class = "uc" + (user % user_classes)
-//   site       = sites[(user / user_classes) % sites.size()]
+//   vo         = "vo" + group
+//   user_class = "uc" + (user % 2)
+//   site       = {"lpc", "nikhef"}[(user / 2) % 2]
 //
 // Synthetic scenarios carry no ids (user = group = -1); those jobs get a
-// deterministic synthetic population (user = job index % synthetic_users,
-// group = user % synthetic_vos) so keyed serving is exercisable without
-// an archive on disk. The probe-latency observation for each job is its
-// runtime scaled by latency_scale; at or beyond the service's planner
-// timeout it is ingested as an outlier (the probe-timeout convention).
+// deterministic synthetic population (user = job index % kSyntheticUsers,
+// group = user % 3) so keyed serving is exercisable without an archive
+// on disk; its 24 users cover all 12 keys vo0-2 x lpc/nikhef x uc0/1.
+// The probe-latency observation for each job is its runtime scaled by
+// latency_scale; at or beyond the service's planner timeout it is
+// ingested as an outlier (the probe-timeout convention).
 //
 // Determinism. With N ingest threads, keys are partitioned statically
 // (FNV of the key, mod N) and every thread walks the *whole* workload in
@@ -37,14 +38,12 @@
 
 namespace gridsub::serve {
 
+/// Users of the deterministic population for id-less (synthetic)
+/// workloads.
+inline constexpr std::size_t kSyntheticUsers = 24;
+
 struct ReplayFeedConfig {
   std::size_t ingest_threads = 1;  ///< static key partition; >= 1
-  std::size_t user_classes = 2;    ///< user-class buckets per VO
-  std::vector<std::string> sites = {"lpc", "nikhef"};
-  std::string vo_prefix = "vo";
-  /// Deterministic population for id-less (synthetic) workloads.
-  std::size_t synthetic_users = 24;
-  std::size_t synthetic_vos = 3;
   /// Probe latency = job runtime * latency_scale (then clipped to the
   /// planner timeout as an outlier).
   double latency_scale = 1.0;
@@ -65,7 +64,8 @@ struct ReplayFeedReport {
 
 /// The key the feed files `job` under (pure; exposed for tests and for
 /// benches that need the key universe up front). `index` is the job's
-/// position in the workload, used only for the synthetic population.
+/// position in the workload, used only for the synthetic population. The
+/// projection is fixed: `config` does not enter it.
 [[nodiscard]] AdvisorKey key_for_job(const traces::WorkloadJob& job,
                                      std::size_t index,
                                      const ReplayFeedConfig& config);

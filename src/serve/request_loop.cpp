@@ -97,16 +97,8 @@ void InProcessTransport::close() {
 // RequestLoop
 // --------------------------------------------------------------------------
 
-RequestLoop::RequestLoop(AdvisorService& service, Transport& transport,
-                         RequestLoopOptions options)
-    : service_(service),
-      transport_(transport),
-      options_(options),
-      reader_(service) {
-  if (options_.max_reply_attempts == 0) {
-    throw std::invalid_argument("RequestLoop: max_reply_attempts == 0");
-  }
-}
+RequestLoop::RequestLoop(AdvisorService& service, Transport& transport)
+    : service_(service), transport_(transport), reader_(service) {}
 
 RequestLoop::~RequestLoop() { join(); }
 
@@ -141,8 +133,7 @@ void RequestLoop::run() {
       }
     }
     bool delivered = false;
-    for (std::uint32_t attempt = 0; attempt < options_.max_reply_attempts;
-         ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < kMaxReplyAttempts; ++attempt) {
       if (attempt > 0) {
         // Deterministic backoff: double the yield count each retry. No
         // clock — logical pacing only, so fault runs replay exactly.

@@ -14,9 +14,10 @@
 //     client sees instead of a hang or a silent wrong answer;
 //   * requests may carry a deadline (a queue-age bound); the loop fails
 //     them fast with kDeadlineExceeded instead of serving stale work;
-//   * reply() may fail transiently; the loop retries a bounded number of
-//     times with deterministic yield-doubling backoff, then abandons the
-//     request so the transport's in-flight accounting still drains.
+//   * reply() may fail transiently; the loop tries at most
+//     RequestLoop::kMaxReplyAttempts deliveries with deterministic
+//     yield-doubling backoff, then abandons the request so the
+//     transport's in-flight accounting still drains.
 //
 // InProcessTransport is a bounded MPMC queue pair (requests in, responses
 // out) guarded by one annotated mutex; multiple client threads may post
@@ -153,21 +154,17 @@ class InProcessTransport final : public Transport {
   core::CondVar space_free_;
 };
 
-/// Serving knobs; all defaults preserve pre-fault-harness behaviour.
-struct RequestLoopOptions {
-  /// Delivery attempts per response before the loop abandons the
-  /// request (counted in lost_replies()).
-  std::uint32_t max_reply_attempts = 4;
-};
-
 /// Serves one AdvisorService over one Transport. The loop registers its
 /// own lock-free Reader, so advise requests never touch a service lock;
 /// stats requests take the service mutex briefly, never behind a refit.
 /// Several RequestLoops may share a Transport for multi-worker serving.
 class RequestLoop {
  public:
-  RequestLoop(AdvisorService& service, Transport& transport,
-              RequestLoopOptions options = {});
+  /// Delivery attempts per response before the loop abandons the request
+  /// (counted in lost_replies()).
+  static constexpr std::uint32_t kMaxReplyAttempts = 4;
+
+  RequestLoop(AdvisorService& service, Transport& transport);
 
   RequestLoop(const RequestLoop&) = delete;
   RequestLoop& operator=(const RequestLoop&) = delete;
@@ -206,7 +203,7 @@ class RequestLoop {
   [[nodiscard]] std::uint64_t reply_retries() const {
     return reply_retries_.load(std::memory_order_relaxed);
   }
-  /// Requests abandoned after max_reply_attempts failed deliveries.
+  /// Requests abandoned after kMaxReplyAttempts failed deliveries.
   [[nodiscard]] std::uint64_t lost_replies() const {
     return lost_replies_.load(std::memory_order_relaxed);
   }
@@ -214,7 +211,6 @@ class RequestLoop {
  private:
   AdvisorService& service_;
   Transport& transport_;
-  RequestLoopOptions options_;
   AdvisorService::Reader reader_;
   std::thread thread_;
   std::atomic<std::uint64_t> served_{0};

@@ -5,6 +5,9 @@
 
 namespace gridsub::sim {
 
+/// Run time (s) of one probe: /bin/hostname is all but instantaneous.
+constexpr double kProbeRuntime = 1.0;
+
 ProbeClient::ProbeClient(GridSimulation& grid,
                          const ProbeCampaignConfig& config,
                          std::string trace_name)
@@ -37,7 +40,7 @@ void ProbeClient::submit_probe() {
   auto state = std::make_shared<ProbeState>();
 
   state->ticket = grid_.wms().submit(
-      config_.probe_runtime, [this, state, submit_time]() {
+      kProbeRuntime, [this, state, submit_time]() {
         if (state->settled) return;
         state->settled = true;
         grid_.simulator().cancel(state->timeout_event);

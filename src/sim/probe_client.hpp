@@ -18,7 +18,6 @@ struct ProbeCampaignConfig {
   std::size_t n_probes = 1000;       ///< total probes to record
   std::size_t concurrent = 10;       ///< constant in-flight count
   double timeout = 10000.0;          ///< outlier threshold (paper value)
-  double probe_runtime = 1.0;        ///< /bin/hostname ≈ instantaneous
 };
 
 class ProbeClient {

@@ -58,8 +58,7 @@ std::vector<DatasetConfig> build_registry() {
     c.n_probes = r.n;
     c.target_mean = r.mean_less;
     c.target_stddev = r.sigma;
-    c.timeout = 10000.0;
-    c.outlier_ratio = derive_rho(r.mean_less, r.mean_with, c.timeout);
+    c.outlier_ratio = derive_rho(r.mean_less, r.mean_with, kProbeTimeout);
     // Floor at ~1/5 of the conditional mean, capped at 120 s.
     c.shift = std::min(120.0, 0.2 * r.mean_less);
     c.seed = r.seed;
@@ -87,7 +86,7 @@ stats::DistributionPtr calibrated_bulk(const DatasetConfig& config) {
   // conditioned below the timeout match the targets: solve on the shifted
   // axis y = x - shift with cut at timeout - shift.
   const double mean_y = config.target_mean - config.shift;
-  const double cut_y = config.timeout - config.shift;
+  const double cut_y = kProbeTimeout - config.shift;
   if (!(mean_y > 0.0)) {
     throw std::runtime_error("calibrated_bulk: shift >= target mean");
   }
@@ -103,7 +102,7 @@ stats::DistributionPtr calibrated_bulk(const DatasetConfig& config) {
 
 double fault_ratio_for(const DatasetConfig& config) {
   const auto bulk = calibrated_bulk(config);
-  const double tail_mass = 1.0 - bulk->cdf(config.timeout);
+  const double tail_mass = 1.0 - bulk->cdf(kProbeTimeout);
   if (tail_mass >= config.outlier_ratio) return 0.0;
   return (config.outlier_ratio - tail_mass) / (1.0 - tail_mass);
 }
@@ -112,9 +111,7 @@ Trace make_trace(const DatasetConfig& config) {
   GeneratorConfig gen;
   gen.name = config.name;
   gen.n_probes = config.n_probes;
-  gen.timeout = config.timeout;
   gen.fault_ratio = fault_ratio_for(config);
-  gen.concurrent_probes = 10;
   gen.seed = config.seed;
   const auto bulk = calibrated_bulk(config);
   const Trace raw = generate_probe_campaign(*bulk, gen);
@@ -129,7 +126,7 @@ Trace make_trace(const DatasetConfig& config) {
 }
 
 Trace make_union_trace() {
-  Trace out("2007/08", all_datasets().front().timeout);
+  Trace out("2007/08", kProbeTimeout);
   for (const auto& c : all_datasets()) {
     if (c.name == "2006-IX") continue;
     out.append(make_trace(c));

@@ -33,7 +33,6 @@ struct DatasetConfig {
   double outlier_ratio;    ///< rho derived from Table 1 (see above)
   double shift;            ///< hard latency floor (middleware traversal)
   std::uint64_t seed;      ///< deterministic generation seed
-  double timeout = 10000.0;  ///< probe cancellation threshold (paper value)
 };
 
 /// The 12 individual trace sets of the paper, in its Table 1 order

@@ -10,17 +10,18 @@
 
 namespace gridsub::traces {
 
+/// Probes kept in flight: each completion or cancellation submits the next.
+constexpr std::size_t kConcurrentProbes = 10;
+/// Log-normal shape of generated job runtimes.
+constexpr double kRuntimeSigmaLog = 1.1;
+
 Trace generate_probe_campaign(const stats::Distribution& bulk,
                               const GeneratorConfig& config) {
   if (config.n_probes == 0) {
     throw std::invalid_argument("generate_probe_campaign: n_probes == 0");
   }
-  if (config.concurrent_probes == 0) {
-    throw std::invalid_argument(
-        "generate_probe_campaign: concurrent_probes == 0");
-  }
   stats::Rng rng(config.seed);
-  Trace trace(config.name, config.timeout);
+  Trace trace(config.name, kProbeTimeout);
 
   struct InFlight {
     double finish_time;  // completion or cancellation instant
@@ -42,18 +43,17 @@ Trace generate_probe_campaign(const stats::Distribution& bulk,
     if (p.fault) {
       // Faults are detected at the campaign timeout (the probe simply never
       // starts and is canceled like an outlier).
-      p.latency = config.timeout;
-      p.finish_time = now + config.timeout;
+      p.latency = kProbeTimeout;
+      p.finish_time = now + kProbeTimeout;
     } else {
       p.latency = bulk.sample(rng);
-      p.finish_time = now + std::min(p.latency, config.timeout);
+      p.finish_time = now + std::min(p.latency, kProbeTimeout);
     }
     heap.push(p);
     ++submitted;
   };
 
-  const std::size_t initial =
-      std::min(config.concurrent_probes, config.n_probes);
+  const std::size_t initial = std::min(kConcurrentProbes, config.n_probes);
   for (std::size_t i = 0; i < initial; ++i) submit(0.0);
 
   while (!heap.empty()) {
@@ -61,7 +61,7 @@ Trace generate_probe_campaign(const stats::Distribution& bulk,
     heap.pop();
     if (done.fault) {
       trace.add_fault(done.submit_time);
-    } else if (done.latency > config.timeout) {
+    } else if (done.latency > kProbeTimeout) {
       trace.add_outlier(done.submit_time);
     } else {
       trace.add_completed(done.submit_time, done.latency);
@@ -129,9 +129,9 @@ Workload generate_workload(const std::function<double(double)>& rate_fn,
     throw std::invalid_argument("generate_workload: duration must be > 0");
   }
   stats::Rng rng(config.seed);
-  // Validates runtime_mean > 0 and runtime_sigma_log >= 0.
+  // Validates runtime_mean > 0.
   const stats::LogNormal runtime_dist = stats::LogNormal::from_mean_and_sigma_log(
-      config.runtime_mean, config.runtime_sigma_log);
+      config.runtime_mean, kRuntimeSigmaLog);
 
   Workload w(config.name);
   // Lewis-Shedler thinning: candidate arrivals at the envelope rate, each

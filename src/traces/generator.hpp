@@ -19,19 +19,21 @@
 
 namespace gridsub::traces {
 
+/// Cancellation threshold of a probe (s): the paper's 10^4 s outlier
+/// timeout, at which every synthetic trace is censored.
+inline constexpr double kProbeTimeout = 10000.0;
+
 /// Parameters of a synthetic probe campaign.
 struct GeneratorConfig {
   std::string name = "synthetic";
   std::size_t n_probes = 1000;      ///< total probes to log
-  std::size_t concurrent_probes = 10;  ///< constant in-flight count
-  double timeout = 10000.0;         ///< cancellation threshold (outliers)
   double fault_ratio = 0.0;         ///< P(outright failure) per probe
   std::uint64_t seed = 1;           ///< RNG seed
 };
 
 /// Runs the campaign: draws each probe's latency from `bulk` (a fault with
-/// probability fault_ratio, an outlier if the draw exceeds the timeout) and
-/// schedules submissions so `concurrent_probes` are always in flight.
+/// probability fault_ratio, an outlier if the draw exceeds kProbeTimeout)
+/// and schedules submissions so ten probes are always in flight.
 Trace generate_probe_campaign(const stats::Distribution& bulk,
                               const GeneratorConfig& config);
 
@@ -51,15 +53,15 @@ struct WorkloadGenConfig {
   double duration = 604800.0;      ///< horizon in seconds (default: 1 week)
   double peak_rate = 1.0;          ///< thinning envelope: >= sup rate_fn (1/s)
   double runtime_mean = 2200.0;    ///< log-normal runtime mean (s)
-  double runtime_sigma_log = 1.1;  ///< log-normal runtime shape
   std::uint64_t seed = 1;          ///< RNG seed (fully deterministic)
 };
 
 /// Draws job arrivals from the non-homogeneous Poisson process with
 /// instantaneous rate `rate_fn(t)` over [0, duration) via Lewis-Shedler
-/// thinning under the `peak_rate` envelope, with log-normal runtimes.
-/// rate_fn values are clamped into [0, peak_rate]; requires peak_rate > 0,
-/// duration > 0, runtime_mean > 0. Deterministic in the seed.
+/// thinning under the `peak_rate` envelope, with log-normal runtimes of
+/// shape sigma_log 1.1. rate_fn values are clamped into [0, peak_rate];
+/// requires peak_rate > 0, duration > 0, runtime_mean > 0. Deterministic
+/// in the seed.
 Workload generate_workload(const std::function<double(double)>& rate_fn,
                            const WorkloadGenConfig& config);
 

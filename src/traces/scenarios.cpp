@@ -111,7 +111,6 @@ Workload make_scenario(const std::string& name,
   // vanishing sliver of mass rather than biasing the draw.
   gen.peak_rate = scale * peak * 1.01;
   gen.runtime_mean = config.runtime_mean;
-  gen.runtime_sigma_log = config.runtime_sigma_log;
   gen.seed = config.seed;
   return generate_workload(
       [scale, &shape](double t) { return scale * shape(t); }, gen);

@@ -36,7 +36,6 @@ struct ScenarioConfig {
   double base_rate = 0.45;         ///< time-averaged arrival rate (jobs/s)
   double duration = 604800.0;      ///< scenario length (s); default 1 week
   double runtime_mean = 2200.0;    ///< log-normal runtime mean (s)
-  double runtime_sigma_log = 1.1;  ///< log-normal runtime shape
   std::uint64_t seed = 20090611;   ///< deterministic generation seed
 };
 

@@ -51,12 +51,6 @@ void for_each_swf_job(std::istream& is, const SwfReadOptions& options,
     const auto first = line.find_first_not_of(" \t");
     if (first == std::string::npos) continue;
     if (line[first] == ';') continue;
-    if (options.max_jobs != 0 && local.accepted >= options.max_jobs) {
-      // Stop streaming: on a multi-million-line archive, --max-jobs should
-      // make the read cheap, not just the result small.
-      local.truncated_at = line_no;
-      break;
-    }
     ++local.lines;
     // Tokenize on whitespace and parse each field strictly: a garbled
     // token ("3x41") is a typed error, not a silently shortened record
@@ -84,7 +78,7 @@ void for_each_swf_job(std::istream& is, const SwfReadOptions& options,
     }
     const double submit = fields[kFieldSubmit];
     double runtime = fields[kFieldRuntime];
-    if (runtime < 0.0 && options.requested_time_fallback) {
+    if (runtime < 0.0) {
       runtime = field_or(fields, kFieldRequestedTime, -1.0);
     }
     if (submit < 0.0 || runtime < 0.0) {

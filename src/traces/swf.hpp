@@ -12,13 +12,13 @@
 //
 // The reader is deliberately tolerant of the archive's real-world warts:
 // CRLF line endings, blank lines, comments anywhere, and the `-1`
-// missing-value convention (a missing runtime falls back to the requested
-// time; jobs with no usable runtime or a negative submit time are
-// dropped and counted, not fatal). Structurally malformed data lines
-// (fewer than 4 fields, non-numeric or garbled values, lines past the
-// size cap) throw TraceFormatError (trace_error.hpp) with the offending
-// line number — corruption is a typed error, never a silently shortened
-// record.
+// missing-value convention (a missing runtime, field 4, falls back to the
+// requested time, field 9; jobs with no usable runtime or a negative
+// submit time are dropped and counted, not fatal). Structurally malformed
+// data lines (fewer than 4 fields, non-numeric or garbled values, lines
+// past the size cap) throw TraceFormatError (trace_error.hpp) with the
+// offending line number — corruption is a typed error, never a silently
+// shortened record.
 
 #include <cstddef>
 #include <functional>
@@ -30,13 +30,9 @@
 namespace gridsub::traces {
 
 struct SwfReadOptions {
-  std::size_t max_jobs = 0;  ///< stop after this many accepted jobs (0 = all)
-  /// When the measured runtime (field 4) is missing (-1), substitute the
-  /// requested time (field 9) if present.
-  bool requested_time_fallback = true;
   /// Keep only jobs of this user / group id (-1 = no filter). This is how
   /// VO-level submission patterns are isolated from a site archive; filters
-  /// apply while streaming, before max_jobs counts.
+  /// apply while streaming, before the sink sees a job.
   int user = -1;
   int group = -1;
 };
@@ -47,15 +43,16 @@ struct SwfReadReport {
   std::size_t accepted = 0;       ///< jobs kept
   std::size_t dropped = 0;        ///< jobs skipped (missing runtime/submit)
   std::size_t filtered = 0;       ///< jobs excluded by user/group filters
-  std::size_t truncated_at = 0;   ///< lines ignored after max_jobs (0 = none)
 };
 
 /// Streaming core: parses line by line and hands each accepted job to
 /// `sink` without materializing the log — month-long archives cost O(1)
 /// memory beyond what the sink keeps. Jobs arrive in archive order with
 /// raw submit times (per the SWF spec these are relative to the log start;
-/// no sorting or rebasing happens here). `sink` returns false to stop
-/// early; max_jobs/user/group in `options` are honoured as in read_swf.
+/// no sorting or rebasing happens here). The sink is the one cap: it
+/// returns false to stop the stream (gridsub_swfconvert's --max-jobs), so
+/// the rest of the archive is never parsed. user/group in `options` are
+/// honoured as in read_swf.
 void for_each_swf_job(std::istream& is, const SwfReadOptions& options,
                       const std::function<bool(const WorkloadJob&)>& sink,
                       SwfReadReport* report = nullptr);

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -37,7 +38,6 @@ online::OnlinePlannerConfig fast_planner() {
 AdvisorConfig fast_config() {
   AdvisorConfig c;
   c.planner = fast_planner();
-  c.fallback_t_inf = 1200.0;
   c.refresh_pending = 32;
   return c;
 }
@@ -52,20 +52,30 @@ AdvisorKey nth_key(std::size_t i) {
 
 /// Two writers own disjoint key halves (per-key order stays
 /// deterministic) and force a snapshot swap every 64 observations on top
-/// of whatever the background refresher publishes.
+/// of whatever the background refresher publishes. A forced swap ingests
+/// its 64th observation and calls refresh_now() under `forcing`, so it
+/// either publishes or finds that observation already folded by a
+/// background swap inside that same window: one distinct swap per forced
+/// swap whatever the schedule (refresh_now() publishes nothing when
+/// nothing is pending).
 void run_writers(AdvisorService& service) {
+  std::mutex forcing;
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < 2; ++w) {
-    writers.emplace_back([&service, w] {
+    writers.emplace_back([&service, &forcing, w] {
       int since_swap = 0;
       for (int round = 0; round < kObsPerKey; ++round) {
         for (std::size_t k = w; k < kKeys; k += 2) {
           const double base = 200.0 + 40.0 * static_cast<double>(k);
-          service.ingest(nth_key(k), base + static_cast<double>(round % 30));
-          if (++since_swap == 64) {
-            since_swap = 0;
-            service.refresh_now();
+          const double latency = base + static_cast<double>(round % 30);
+          if (++since_swap < 64) {
+            service.ingest(nth_key(k), latency);
+            continue;
           }
+          since_swap = 0;
+          const std::lock_guard<std::mutex> lock(forcing);
+          service.ingest(nth_key(k), latency);
+          service.refresh_now();
         }
       }
     });
@@ -81,6 +91,7 @@ std::string run_contended(std::size_t n_readers,
   service.start_refresher();
 
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> started{0};  ///< readers past their first lookup
   std::atomic<std::uint64_t> lookups{0};
   std::atomic<std::uint64_t> torn{0};
   std::atomic<std::uint64_t> regressions{0};
@@ -102,12 +113,17 @@ std::string run_contended(std::size_t n_readers,
           regressions.fetch_add(1, std::memory_order_relaxed);
         }
         last_generation = a.generation;
-        ++count;
+        if (++count == 1) started.fetch_add(1, std::memory_order_relaxed);
       }
       lookups.fetch_add(count, std::memory_order_relaxed);
     });
   }
 
+  // The writers start once every reader has answered a lookup, so the
+  // readers overlap the swaps whatever the schedule.
+  while (started.load(std::memory_order_relaxed) < n_readers) {
+    std::this_thread::yield();
+  }
   run_writers(service);
   done.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "serve/advisor.hpp"
 #include "serve/replay_feed.hpp"
@@ -32,7 +34,6 @@ online::OnlinePlannerConfig fast_planner() {
 AdvisorConfig fast_config() {
   AdvisorConfig c;
   c.planner = fast_planner();
-  c.fallback_t_inf = 1200.0;
   c.refresh_pending = 16;
   return c;
 }
@@ -60,10 +61,30 @@ struct ReplayResult {
 ReplayResult run_replay(std::size_t ingest_threads,
                         bool background_refresher) {
   AdvisorService service(fast_config());
-  if (background_refresher) service.start_refresher();
-
   ReplayFeedConfig feed;
   feed.ingest_threads = ingest_threads;
+  if (background_refresher) {
+    service.start_refresher();
+    // The worker that owns the middle job holds it until the refresher
+    // has published once, so a swap lands mid-ingest whatever the
+    // schedule. The refresher must wake: by then that worker alone has
+    // ingested far more than refresh_pending observations (a synthetic
+    // key recurs every 24 jobs). The held job is ingested after that
+    // swap, so at least one more swap follows. The wait is bounded: a
+    // refresher that never swaps fails the swap count instead of hanging
+    // the test.
+    const std::uint64_t middle = workload().size() / 2;
+    feed.fault_hook = [&service, middle](std::size_t /*shard*/,
+                                         std::uint64_t job_index) {
+      if (job_index != middle) return;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (service.stats().swaps < 1 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+  }
   ReplayResult result;
   result.report = replay_feed(service, workload(), feed);
 
@@ -92,8 +113,9 @@ TEST(AdvisorDeterminism, BackgroundRefresherDoesNotChangeTheFinalSnapshot) {
   const ReplayResult manual = run_replay(8, /*background_refresher=*/false);
   const ReplayResult live = run_replay(8, /*background_refresher=*/true);
 
-  // The live run swapped while ingestion was still in flight; the manual
-  // run published exactly once at the end. Same final bytes either way.
+  // The live run swapped while ingestion was still in flight (run_replay
+  // holds one worker until it does); the manual run published exactly
+  // once at the end. Same final bytes either way.
   EXPECT_EQ(manual.stats.swaps, 1u);
   EXPECT_GT(live.stats.swaps, 1u);
   EXPECT_EQ(manual.json, live.json);

@@ -64,7 +64,6 @@ online::OnlinePlannerConfig fast_planner() {
 AdvisorConfig chaos_config() {
   AdvisorConfig c;
   c.planner = fast_planner();
-  c.fallback_t_inf = 1200.0;
   c.refresh_pending = 16;
   c.staleness_bound = kStalenessBound;
   return c;
@@ -105,7 +104,7 @@ std::vector<AdvisorKey> key_universe() {
   const serve::ReplayFeedConfig feed;
   std::vector<AdvisorKey> keys;
   traces::WorkloadJob synthetic;  // user = group = -1
-  for (std::size_t i = 0; i < feed.synthetic_users; ++i) {
+  for (std::size_t i = 0; i < serve::kSyntheticUsers; ++i) {
     const AdvisorKey key = serve::key_for_job(synthetic, i, feed);
     bool seen = false;
     for (const AdvisorKey& k : keys) seen = seen || k == key;
@@ -282,7 +281,7 @@ TEST(ChaosAdvisor, StalenessBoundDegradesLoudlyAndDeterministically) {
   const Advice stale = reader.advise(key_a());
   EXPECT_TRUE(stale.degraded);
   EXPECT_FALSE(stale.ready);  // the documented fallback, not fitted state
-  EXPECT_DOUBLE_EQ(stale.t_inf, chaos_config().fallback_t_inf);
+  EXPECT_DOUBLE_EQ(stale.t_inf, AdvisorService::kFallbackTInf);
   EXPECT_EQ(advice_stamp(stale), stale.stamp);
 
   // Key B was just rebuilt: still served fresh.
@@ -293,14 +292,14 @@ TEST(ChaosAdvisor, StalenessBoundDegradesLoudlyAndDeterministically) {
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_GE(stats.lookups, 4u);
 
-  // health() agrees: A is the stalest entry, and the degraded rate counts
-  // the one degraded lookup.
-  const serve::AdvisorHealth health = service.health();
-  EXPECT_EQ(health.generation, 2 + kStalenessBound);
-  EXPECT_EQ(health.max_entry_age, 1 + kStalenessBound);
-  EXPECT_EQ(health.backlog, 0u);
-  EXPECT_EQ(health.degraded, 1u);
-  EXPECT_GT(health.degraded_rate, 0.0);
+  // The operator view agrees: A is the stalest entry, nothing is backlogged,
+  // and the degraded rate counts the one degraded lookup.
+  EXPECT_EQ(stats.generation, 2 + kStalenessBound);
+  EXPECT_EQ(stats.max_entry_age, 1 + kStalenessBound);
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_GT(static_cast<double>(stats.degraded) /
+                static_cast<double>(stats.lookups),
+            0.0);
 }
 
 TEST(ChaosAdvisor, RequestLoopSurfacesDegradationInTheTaxonomy) {
@@ -485,11 +484,14 @@ TEST(ChaosAdvisor, WarmStartRejectsDeeplyNestedDumps) {
 TEST(ChaosAdvisor, WarmStartRejectsMismatchedFallback) {
   AdvisorService source(chaos_config());
   build_state(source);
-  const std::string full = dump_of(source);
+  std::string full = dump_of(source);
+  // A dump whose fallback disagrees with the service's.
+  const std::string field = "\"fallback_t_inf\": 900,";
+  const std::size_t at = full.find(field);
+  ASSERT_NE(at, std::string::npos);
+  full.replace(at, field.size(), "\"fallback_t_inf\": 999,");
 
-  AdvisorConfig other = chaos_config();
-  other.fallback_t_inf = 999.0;  // disagrees with the dump's fallback
-  AdvisorService fresh(other);
+  AdvisorService fresh(chaos_config());
   std::istringstream dump(full);
   EXPECT_THROW(fresh.warm_start(dump, "mismatched"), serve::RecoveryError);
 }

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "numerics/integration.hpp"
+#include "traces/generator.hpp"
 
 namespace gridsub::traces {
 namespace {
@@ -77,7 +78,7 @@ TEST_P(DatasetCalibration, BulkMomentsMatchTargetsInExpectation) {
   // Condition the bulk below the timeout and check moments analytically:
   // quadrature of the conditional density over [shift, timeout].
   const double lo = config.shift;
-  const double hi = config.timeout;
+  const double hi = kProbeTimeout;
   const double mass = bulk->cdf(hi) - bulk->cdf(lo);
   const auto conditional_pdf = [&](double x) { return bulk->pdf(x) / mass; };
   const double mean = numerics::adaptive_simpson(
@@ -114,7 +115,7 @@ TEST_P(DatasetCalibration, FaultRatioAccountsForBulkTail) {
   EXPECT_LT(fr, config.outlier_ratio + 1e-12);
   // Total outlier mass = fr + (1 - fr) * tail.
   const auto bulk = calibrated_bulk(config);
-  const double tail = 1.0 - bulk->cdf(config.timeout);
+  const double tail = 1.0 - bulk->cdf(kProbeTimeout);
   EXPECT_NEAR(fr + (1.0 - fr) * tail, config.outlier_ratio, 1e-9);
 }
 

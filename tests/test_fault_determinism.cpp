@@ -52,7 +52,6 @@ AdvisorConfig det_config() {
   c.planner.refit_interval = 40;
   c.planner.model_step = 50.0;
   c.planner.timeout = 4000.0;
-  c.fallback_t_inf = 1200.0;
   c.refresh_pending = 16;
   c.staleness_bound = 8;
   return c;

@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/advisor.hpp"
@@ -45,17 +46,14 @@ struct LoopRun {
   std::uint64_t lost_replies = 0;
 };
 
-/// Posts `requests` through a FaultyTransport into one RequestLoop and
-/// drains every reply. The close happens after all posts, so delayed
-/// requests flush during the drain.
-LoopRun run_loop(const FaultScheduleConfig& schedule,
-                 std::vector<AdvisorRequest> requests,
-                 serve::RequestLoopOptions options = {}) {
+/// Posts `requests` to `inner` and serves them through `transport`, a
+/// wrapper of `inner`, with one RequestLoop, draining every reply. The
+/// close happens after all posts, so delayed requests flush during the
+/// drain.
+LoopRun serve_through(serve::Transport& transport, InProcessTransport& inner,
+                      std::vector<AdvisorRequest> requests) {
   AdvisorService service;  // default config; every key answers fallback
-  FaultInjector injector(schedule);
-  InProcessTransport inner(256);
-  FaultyTransport faulty(inner, injector);
-  RequestLoop loop(service, faulty, options);
+  RequestLoop loop(service, transport);
   loop.start();
 
   LoopRun out;
@@ -74,6 +72,31 @@ LoopRun run_loop(const FaultScheduleConfig& schedule,
   out.lost_replies = loop.lost_replies();
   return out;
 }
+
+/// serve_through() a FaultyTransport applying `schedule`.
+LoopRun run_loop(const FaultScheduleConfig& schedule,
+                 std::vector<AdvisorRequest> requests) {
+  FaultInjector injector(schedule);
+  InProcessTransport inner(256);
+  FaultyTransport faulty(inner, injector);
+  return serve_through(faulty, inner, std::move(requests));
+}
+
+/// Forwards to an inner transport, but every reply() reports a failed
+/// delivery, a failure any transport may return.
+class RepliesAlwaysFail final : public serve::Transport {
+ public:
+  explicit RepliesAlwaysFail(serve::Transport& inner) : inner_(inner) {}
+  bool next(AdvisorRequest& out) override { return inner_.next(out); }
+  [[nodiscard]] bool reply(const AdvisorResponse& /*response*/) override {
+    return false;
+  }
+  void abandon() override { inner_.abandon(); }
+  void expect_duplicate() override { inner_.expect_duplicate(); }
+
+ private:
+  serve::Transport& inner_;
+};
 
 std::vector<AdvisorRequest> advise_requests(std::size_t n) {
   std::vector<AdvisorRequest> reqs(n);
@@ -103,9 +126,8 @@ TEST(FaultyTransport, DuplicatedRequestsAreAnsweredTwice) {
 }
 
 TEST(FaultyTransport, DelayedRequestsArriveAgedButNeverLost) {
-  FaultScheduleConfig c = only(&FaultScheduleConfig::delay_request);
-  c.delay_ops = 3;
-  const LoopRun run = run_loop(c, advise_requests(16));
+  const LoopRun run =
+      run_loop(only(&FaultScheduleConfig::delay_request), advise_requests(16));
   ASSERT_EQ(run.responses.size(), 16u);
   for (const AdvisorResponse& r : run.responses) {
     EXPECT_EQ(r.status, ResponseStatus::kOk);
@@ -113,11 +135,12 @@ TEST(FaultyTransport, DelayedRequestsArriveAgedButNeverLost) {
 }
 
 TEST(FaultyTransport, DelayPlusDeadlineYieldsDeadlineExceeded) {
-  FaultScheduleConfig c = only(&FaultScheduleConfig::delay_request);
-  c.delay_ops = 4;
   std::vector<AdvisorRequest> reqs = advise_requests(16);
-  for (AdvisorRequest& r : reqs) r.deadline = 2;  // < delay_ops
-  const LoopRun run = run_loop(c, std::move(reqs));
+  for (AdvisorRequest& r : reqs) {
+    r.deadline = FaultyTransport::kDelayOps - 2;  // below the deferral
+  }
+  const LoopRun run =
+      run_loop(only(&FaultScheduleConfig::delay_request), std::move(reqs));
   ASSERT_EQ(run.responses.size(), 16u);
   for (const AdvisorResponse& r : run.responses) {
     EXPECT_EQ(r.status, ResponseStatus::kDeadlineExceeded);
@@ -126,11 +149,11 @@ TEST(FaultyTransport, DelayPlusDeadlineYieldsDeadlineExceeded) {
 }
 
 TEST(FaultyTransport, TransientReplyFailuresAreRetriedToDelivery) {
-  FaultScheduleConfig c = only(&FaultScheduleConfig::transient_reply);
-  c.transient_attempts = 2;
-  serve::RequestLoopOptions options;
-  options.max_reply_attempts = 4;  // > transient_attempts: always recovers
-  const LoopRun run = run_loop(c, advise_requests(16), options);
+  static_assert(FaultyTransport::kTransientAttempts <
+                    RequestLoop::kMaxReplyAttempts,
+                "every transient reply must be retried to delivery");
+  const LoopRun run = run_loop(only(&FaultScheduleConfig::transient_reply),
+                               advise_requests(16));
   EXPECT_EQ(run.responses.size(), 16u);
   EXPECT_EQ(run.served, 16u);
   EXPECT_EQ(run.lost_replies, 0u);
@@ -138,11 +161,9 @@ TEST(FaultyTransport, TransientReplyFailuresAreRetriedToDelivery) {
 }
 
 TEST(FaultyTransport, ExhaustedRetriesAbandonWithoutHanging) {
-  FaultScheduleConfig c = only(&FaultScheduleConfig::transient_reply);
-  c.transient_attempts = 10;
-  serve::RequestLoopOptions options;
-  options.max_reply_attempts = 2;  // < transient_attempts: always loses
-  const LoopRun run = run_loop(c, advise_requests(8), options);
+  InProcessTransport inner(256);
+  RepliesAlwaysFail failing(inner);
+  const LoopRun run = serve_through(failing, inner, advise_requests(8));
   EXPECT_TRUE(run.responses.empty());
   EXPECT_EQ(run.lost_replies, 8u);
 }

@@ -16,8 +16,6 @@ GeneratorConfig small_config() {
   GeneratorConfig c;
   c.name = "gen-test";
   c.n_probes = 500;
-  c.concurrent_probes = 5;
-  c.timeout = 10000.0;
   c.fault_ratio = 0.1;
   c.seed = 99;
   return c;
@@ -99,9 +97,6 @@ TEST(Generator, RejectsDegenerateConfigs) {
   const stats::LogNormal bulk(5.0, 0.8);
   auto c = small_config();
   c.n_probes = 0;
-  EXPECT_THROW(generate_probe_campaign(bulk, c), std::invalid_argument);
-  c = small_config();
-  c.concurrent_probes = 0;
   EXPECT_THROW(generate_probe_campaign(bulk, c), std::invalid_argument);
 }
 

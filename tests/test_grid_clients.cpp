@@ -51,7 +51,8 @@ TEST(ProbeClient, CollectsTheRequestedNumberOfProbes) {
   pc.timeout = 8000.0;
   ProbeClient probe(grid, pc, "sim-campaign");
   probe.start();
-  grid.simulator().run_until(grid.simulator().now() + 3e6);
+  grid.simulator().run_until(grid.simulator().now() + 3e6,
+                             [&probe] { return probe.done(); });
   EXPECT_TRUE(probe.done());
   EXPECT_EQ(probe.trace().size(), 200u);
   EXPECT_EQ(probe.trace().name(), "sim-campaign");
@@ -65,7 +66,8 @@ TEST(ProbeClient, LatenciesAreInTheGridRegime) {
   pc.concurrent = 10;
   ProbeClient probe(grid, pc);
   probe.start();
-  grid.simulator().run_until(grid.simulator().now() + 5e6);
+  grid.simulator().run_until(grid.simulator().now() + 5e6,
+                             [&probe] { return probe.done(); });
   ASSERT_TRUE(probe.done());
   const auto stats = probe.trace().stats();
   // Matchmaking alone is ~5 hops × 25 s; latencies must exceed that and
@@ -83,7 +85,8 @@ TEST(StrategyClient, SingleResubmissionCompletesTasks) {
   spec.t_inf = 2000.0;
   StrategyClient client(grid, spec, 50);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 5e6);
+  grid.simulator().run_until(grid.simulator().now() + 5e6,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   EXPECT_EQ(client.outcomes().size(), 50u);
   EXPECT_GT(client.mean_latency(), 0.0);
@@ -99,7 +102,8 @@ TEST(StrategyClient, MultipleSubmissionUsesBCopies) {
   spec.t_inf = 2000.0;
   StrategyClient client(grid, spec, 40);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 5e6);
+  grid.simulator().run_until(grid.simulator().now() + 5e6,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   // Submissions per task are a multiple of b per round.
   EXPECT_GE(client.mean_submissions(), 3.0);
@@ -121,7 +125,8 @@ TEST(StrategyClient, MultipleIsFasterThanSingleOnTheSameGrid) {
     spec.t_inf = 1500.0;
     StrategyClient client(grid, spec, 120);
     client.start();
-    grid.simulator().run_until(grid.simulator().now() + 2e7);
+    grid.simulator().run_until(grid.simulator().now() + 2e7,
+                               [&client] { return client.done(); });
     EXPECT_TRUE(client.done());
     return client.mean_latency();
   };
@@ -139,7 +144,8 @@ TEST(StrategyClient, DelayedKeepsAtMostTwoCopies) {
   spec.t_inf = 1200.0;
   StrategyClient client(grid, spec, 40);
   client.start();
-  grid.simulator().run_until(grid.simulator().now() + 5e6);
+  grid.simulator().run_until(grid.simulator().now() + 5e6,
+                             [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
   EXPECT_GE(client.mean_submissions(), 1.0);
   // Every task terminates with J >= 0 and a plausible copy count.

@@ -39,34 +39,6 @@ TEST(ParallelForBlocked, BlocksCoverRangeWithoutOverlap) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelReduce, SumsCorrectly) {
-  const auto total = parallel_reduce<long long>(
-      1, 10001, 0LL, [](std::int64_t i) { return static_cast<long long>(i); },
-      [](long long a, long long b) { return a + b; });
-  EXPECT_EQ(total, 50005000LL);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  const auto v = parallel_reduce<int>(
-      3, 3, -7, [](std::int64_t) { return 1; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(v, -7);
-}
-
-TEST(ParallelReduce, DeterministicAcrossPoolSizes) {
-  // Floating-point fold order is fixed (block order), so different pools
-  // give bit-identical results.
-  ThreadPool pool1(1);
-  ThreadPool pool8(8);
-  const auto run = [](ThreadPool* pool) {
-    return parallel_reduce<double>(
-        0, 100000, 0.0,
-        [](std::int64_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; }, pool);
-  };
-  EXPECT_DOUBLE_EQ(run(&pool1), run(&pool8));
-}
-
 TEST(ParallelFor, WorksWithExplicitPool) {
   ThreadPool pool(3);
   std::atomic<long long> sum{0};

@@ -95,7 +95,8 @@ TEST(Pipeline, DesProbesFeedTheModelingChain) {
   pc.concurrent = 10;
   sim::ProbeClient probe(measured, pc, "des-campaign");
   probe.start();
-  measured.simulator().run_until(measured.simulator().now() + 8e6);
+  measured.simulator().run_until(measured.simulator().now() + 8e6,
+                                 [&probe] { return probe.done(); });
   ASSERT_TRUE(probe.done());
 
   const auto m =
@@ -112,7 +113,8 @@ TEST(Pipeline, DesProbesFeedTheModelingChain) {
   spec.t_inf = opt.t_inf;
   sim::StrategyClient client(fresh, spec, 150);
   client.start();
-  fresh.simulator().run_until(fresh.simulator().now() + 3e7);
+  fresh.simulator().run_until(fresh.simulator().now() + 3e7,
+                              [&client] { return client.done(); });
   ASSERT_TRUE(client.done());
 
   // The model was estimated from probes on the *same* infrastructure, so

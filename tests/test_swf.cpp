@@ -63,12 +63,6 @@ TEST(Swf, DropsJobsWithNoUsableRuntimeOrSubmit) {
   EXPECT_EQ(w.size(), 1u);
   EXPECT_EQ(report.dropped, 2u);
   EXPECT_EQ(report.accepted, 1u);
-
-  SwfReadOptions strict;
-  strict.requested_time_fallback = false;
-  std::stringstream ss2("1 10 0 -1 1 -1 -1 1 450 -1 1 3 2 -1 1 -1 -1 -1\n");
-  const Workload w2 = read_swf(ss2, "strict", strict);
-  EXPECT_TRUE(w2.empty());
 }
 
 TEST(Swf, ThrowsOnTruncatedLine) {
@@ -141,44 +135,19 @@ TEST(Swf, ForEachStreamsWithoutMaterializingAndStopsEarly) {
       "3 200 0 60 1 -1 -1 1 100 -1 1 3 2 -1 1 -1 -1 -1\n");
   std::size_t seen = 0;
   double first_submit = -1.0;
+  SwfReadReport report;
   for_each_swf_job(
       ss, {},
       [&](const WorkloadJob& job) {
         if (seen++ == 0) first_submit = job.arrival;
         return seen < 2;  // stop after the second job
       },
-      nullptr);
+      &report);
   EXPECT_EQ(seen, 2u);
+  EXPECT_EQ(report.lines, 2u);  // the third line is never read
   // Streaming hands out raw archive times in file order: no sort, no
   // rebase (those are read_swf's post-passes).
   EXPECT_DOUBLE_EQ(first_submit, 500.0);
-}
-
-TEST(Swf, FilteredJobsDoNotCountTowardsMaxJobs) {
-  std::stringstream ss(
-      "1 10 0 60 1 -1 -1 1 100 -1 1 9 2 -1 1 -1 -1 -1\n"
-      "2 20 0 60 1 -1 -1 1 100 -1 1 3 2 -1 1 -1 -1 -1\n"
-      "3 30 0 60 1 -1 -1 1 100 -1 1 3 2 -1 1 -1 -1 -1\n");
-  SwfReadOptions options;
-  options.user = 3;
-  options.max_jobs = 2;
-  SwfReadReport report;
-  const Workload w = read_swf(ss, "cap", options, &report);
-  EXPECT_EQ(w.size(), 2u);  // both user-3 jobs, despite the user-9 lead-in
-  EXPECT_EQ(report.filtered, 1u);
-}
-
-TEST(Swf, MaxJobsTruncates) {
-  std::stringstream ss(
-      "1 10 0 60 1 -1 -1 1 100 -1 1 3 2 -1 1 -1 -1 -1\n"
-      "2 20 0 60 1 -1 -1 1 100 -1 1 3 2 -1 1 -1 -1 -1\n"
-      "3 30 0 60 1 -1 -1 1 100 -1 1 3 2 -1 1 -1 -1 -1\n");
-  SwfReadOptions options;
-  options.max_jobs = 2;
-  SwfReadReport report;
-  const Workload w = read_swf(ss, "cap", options, &report);
-  EXPECT_EQ(w.size(), 2u);
-  EXPECT_EQ(report.truncated_at, 3u);
 }
 
 TEST(Swf, UnsortedSubmitsComeOutSorted) {
