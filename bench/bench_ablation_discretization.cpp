@@ -61,7 +61,7 @@ int main() {
         const auto m = model::DiscretizedLatencyModel::from_trace(
             trace, steps[ctx.scenario]);
         const double e1 =
-            core::SingleResubmission(m).optimize().metrics.expectation;
+            core::MultipleSubmission(m, 1).optimize().metrics.expectation;
         const double e5 =
             core::MultipleSubmission(m, 5).optimize().metrics.expectation;
         const double ed =

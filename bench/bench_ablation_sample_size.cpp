@@ -19,7 +19,7 @@
 
 #include "bench_util.hpp"
 #include "core/cost.hpp"
-#include "core/single_resubmission.hpp"
+#include "core/multiple_submission.hpp"
 #include "exp/campaign.hpp"
 #include "model/discretized.hpp"
 #include "report/table.hpp"
@@ -54,7 +54,7 @@ int main() {
   const auto full_trace = traces::make_trace_by_name("2006-IX");
   const auto oracle_model =
       model::DiscretizedLatencyModel::from_trace(full_trace, 1.0);
-  const core::SingleResubmission oracle_single(oracle_model);
+  const core::MultipleSubmission oracle_single(oracle_model, 1);
   const core::CostModel oracle_cost(oracle_model);
   const double oracle_ej = oracle_single.optimize().metrics.expectation;
   const double oracle_dcost = oracle_cost.optimize_delayed_cost().delta_cost;
@@ -78,7 +78,7 @@ int main() {
         const auto sub = resample(full_trace, sizes[ctx.scenario], rng);
         const auto m = model::DiscretizedLatencyModel::from_trace(sub, 1.0);
         // Tune on the subsample...
-        const auto t_opt = core::SingleResubmission(m).optimize().t_inf;
+        const auto t_opt = core::MultipleSubmission(m, 1).optimize().t_inf;
         const auto d_opt = core::CostModel(m).optimize_delayed_cost();
         // ...charge on the oracle.
         return exp::CellMetrics{

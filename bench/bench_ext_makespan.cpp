@@ -11,7 +11,6 @@
 #include "core/cost.hpp"
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "core/total_latency.hpp"
 #include "report/table.hpp"
 #include "workflow/makespan.hpp"
@@ -28,7 +27,7 @@ int main() {
   const auto m = bench::load_model("2006-IX");
   const double runtime = 1800.0;
 
-  const auto single_opt = core::SingleResubmission(m).optimize();
+  const auto single_opt = core::MultipleSubmission(m, 1).optimize();
   const auto multi3_opt = core::MultipleSubmission(m, 3).optimize();
   const auto multi5_opt = core::MultipleSubmission(m, 5).optimize();
   const auto delayed_opt = core::DelayedResubmission(m).optimize();
@@ -40,7 +39,7 @@ int main() {
   const Entry entries[] = {
       {"single-resubmission",
        workflow::MakespanModel(
-           core::TotalLatencyDistribution::single(m, single_opt.t_inf))},
+           core::TotalLatencyDistribution::multiple(m, 1, single_opt.t_inf))},
       {"multiple b=3",
        workflow::MakespanModel(
            core::TotalLatencyDistribution::multiple(m, 3,

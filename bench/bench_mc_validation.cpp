@@ -17,7 +17,6 @@
 #include "bench_util.hpp"
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "exp/campaign.hpp"
 #include "mc/mc_engine.hpp"
 #include "report/table.hpp"
@@ -66,7 +65,7 @@ int main() {
                           "campaign engine");
 
   const auto m = bench::load_model("2006-IX");
-  const core::SingleResubmission single(m);
+  const core::MultipleSubmission single(m, 1);
   const core::DelayedResubmission delayed(m);
   const std::vector<Config> configs = validation_configs();
 
@@ -92,7 +91,7 @@ int main() {
     mo.seed = ctx.seed;
     switch (c.family) {
       case Config::Family::kSingle: {
-        const auto mc = mc::simulate_single(m, c.t_inf, mo);
+        const auto mc = mc::simulate_multiple(m, 1, c.t_inf, mo);
         return {{"ej_model", single.expectation(c.t_inf)},
                 {"ej_mc", mc.mean_latency},
                 {"sigma_model", single.std_deviation(c.t_inf)},

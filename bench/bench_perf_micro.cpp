@@ -12,7 +12,6 @@
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
 #include "core/planner.hpp"
-#include "core/single_resubmission.hpp"
 #include "exp/experiment.hpp"
 #include "mc/mc_engine.hpp"
 #include "model/discretized.hpp"
@@ -59,7 +58,7 @@ BENCHMARK(BM_ModelBuild)->Arg(1)->Arg(5)->Arg(25);
 
 void BM_SingleExpectation(benchmark::State& state) {
   const auto& m = model_2006();
-  const core::SingleResubmission s(m);
+  const core::MultipleSubmission s(m, 1);
   double t = 300.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.expectation(t));

@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/single_resubmission.hpp"
+#include "core/multiple_submission.hpp"
 #include "report/table.hpp"
 #include "traces/datasets.hpp"
 
@@ -21,7 +21,7 @@ int main() {
     const auto stats = trace.stats();
     const auto m = model::DiscretizedLatencyModel::from_trace(trace,
                                                               bench::kStep);
-    const core::SingleResubmission single(m);
+    const core::MultipleSubmission single(m, 1);
     const auto opt = single.optimize();
     table.row()
         .cell(name)

@@ -6,7 +6,7 @@
 
 #include "bench_util.hpp"
 #include "core/delayed_resubmission.hpp"
-#include "core/single_resubmission.hpp"
+#include "core/multiple_submission.hpp"
 #include "report/table.hpp"
 
 int main() {
@@ -16,7 +16,7 @@ int main() {
 
   const auto m = bench::load_model("2006-IX");
   const core::DelayedResubmission delayed(m);
-  const core::SingleResubmission single(m);
+  const core::MultipleSubmission single(m, 1);
   const double baseline = single.optimize().metrics.expectation;
   std::cout << "single-resubmission baseline E_J = " << baseline << " s\n\n";
 

@@ -12,7 +12,6 @@
 
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "core/total_latency.hpp"
 #include "model/discretized.hpp"
 #include "traces/datasets.hpp"
@@ -31,7 +30,7 @@ int main() {
               kTasks, kDockSeconds, trace.name().c_str());
 
   // Candidate strategies at their per-job latency optima.
-  const auto single_opt = core::SingleResubmission(model).optimize();
+  const auto single_opt = core::MultipleSubmission(model, 1).optimize();
   const auto multi_opt = core::MultipleSubmission(model, 4).optimize();
   const auto delayed_opt = core::DelayedResubmission(model).optimize();
 
@@ -41,8 +40,8 @@ int main() {
   };
   const Candidate candidates[] = {
       {"single resubmission",
-       workflow::MakespanModel(core::TotalLatencyDistribution::single(
-           model, single_opt.t_inf))},
+       workflow::MakespanModel(core::TotalLatencyDistribution::multiple(
+           model, 1, single_opt.t_inf))},
       {"multiple submission b=4",
        workflow::MakespanModel(core::TotalLatencyDistribution::multiple(
            model, 4, multi_opt.t_inf))},

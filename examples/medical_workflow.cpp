@@ -52,9 +52,7 @@ int main() {
     // Monte Carlo the actual client protocol for per-job latency.
     mc::McResult mc;
     switch (plan.eval.kind) {
-      case core::StrategyKind::kSingleResubmission:
-        mc = mc::simulate_single(model, plan.eval.t_inf, mo);
-        break;
+      case core::StrategyKind::kSingleResubmission:  // b == 1
       case core::StrategyKind::kMultipleSubmission:
         mc = mc::simulate_multiple(model, plan.eval.b, plan.eval.t_inf, mo);
         break;

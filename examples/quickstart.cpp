@@ -29,7 +29,7 @@ int main() {
   const auto model = model::DiscretizedLatencyModel::from_trace(trace, 1.0);
 
   // 3. Strategy optima.
-  const core::SingleResubmission single(model);
+  const core::MultipleSubmission single(model, 1);
   const auto s_opt = single.optimize();
   std::printf("\nsingle resubmission: cancel & resubmit every %.0f s -> "
               "E_J = %.0f s (sigma %.0f s)\n",

@@ -3,13 +3,15 @@
 
 A function in src/ that only the tests reach is a candidate for deletion:
 it costs reading and maintenance, yet no bench, example, tool or the
-benchmark program can run it.  This script finds them at link level.
+benchmark program can run it.  A function that nothing reaches, tests
+included, is dead code.  This script finds both at link level.
 
 It configures and builds two trees under --build-dir (default
 build-scan/, git-ignored):
 
-  main/       the repository with GRIDSUB_BUILD_TESTS=OFF: libgridsub,
-              every bench, example and tool;
+  main/       the repository with GRIDSUB_BUILD_TESTS=ON: libgridsub,
+              every bench, example and tool, and the test executables
+              (everything under main/tests/);
   perfbench/  the benchmark program, perfbench/gridsub_perfbench.
 
 Both compile at -O0 -g -ffunction-sections -fdata-sections and link with
@@ -20,21 +22,26 @@ global function symbol (nm type T or W) of libgridsub.a that
 
   * has a mangled name starting _ZN7gridsub or _ZNK7gridsub,
   * is located (nm -l) in a src/**/*.cpp file, and
-  * is defined in no built executable.
+  * is defined in no shipped executable (one outside main/tests/).
 
 Symbols that demangle alike (complete- and base-object constructors,
 say) count as one function, reached if any of them is.
 
-Functions defined in headers (templates, inline and constexpr
-functions, in-class member definitions) are out of its reach: they are
-emitted into each object that uses them, not located in a src/**/*.cpp
-file, so the scan cannot tell a test-only one from a shipped one.
-Comparing the -O0 test executables against the shipped ones by hand
-finds those.
+Two kinds of function are out of its reach.  Functions defined in
+headers (templates, inline and constexpr functions, in-class member
+definitions) are emitted into each object that uses them, not located
+in a src/**/*.cpp file, so the scan cannot tell a test-only one from a
+shipped one.  Virtual functions are linked through their class's
+vtable whenever the class is constructed, whether or not anything
+calls them, so an override no caller reaches still looks shipped (the
+deleted clone() overrides were such).  Comparing the -O0 test
+executables against the shipped ones by hand finds those.
 
-Every entry must be on scripts/test_only_allowlist.txt with a reason;
-the script fails on an entry missing from it, and on an allowlist line
-the scan no longer reports, so the list cannot go stale.
+A listed function that no executable defines, tests included, is an
+error whatever the allowlist says: nothing can run it, so it goes.
+Every other entry must be on scripts/test_only_allowlist.txt with a
+reason; the script fails on an entry missing from it, and on an
+allowlist line the scan no longer reports, so the list cannot go stale.
 
   python3 scripts/test_only_scan.py [--build-dir DIR] [--jobs N]
 
@@ -74,7 +81,7 @@ def build(build_dir, jobs):
     main_dir = os.path.join(build_dir, "main")
     perf_dir = os.path.join(build_dir, "perfbench")
     for source, out, extra in (
-            (REPO, main_dir, ["-DGRIDSUB_BUILD_TESTS=OFF"]),
+            (REPO, main_dir, ["-DGRIDSUB_BUILD_TESTS=ON"]),
             (os.path.join(REPO, "perfbench"), perf_dir, [])):
         log(f"configure {os.path.relpath(out, REPO)}")
         run(["cmake", "-S", source, "-B", out, *SCAN_FLAGS, *extra],
@@ -119,9 +126,15 @@ def library_functions(archive):
     return functions
 
 
-def defined_symbols(binary):
-    out = run(["nm", "--defined-only", binary], capture_output=True).stdout
-    return {line.split()[-1] for line in out.splitlines() if line.strip()}
+def defined_symbols(binaries):
+    """Union of the symbols that `binaries` define."""
+    symbols = set()
+    for binary in binaries:
+        out = run(["nm", "--defined-only", binary],
+                  capture_output=True).stdout
+        symbols.update(line.split()[-1] for line in out.splitlines()
+                       if line.strip())
+    return symbols
 
 
 def demangle(names):
@@ -160,38 +173,44 @@ def main():
     main_dir, perf_dir = build(os.path.abspath(args.build_dir), args.jobs)
     archive = os.path.join(main_dir, "src", "libgridsub.a")
     functions = library_functions(archive)
+    tests_dir = os.path.join(main_dir, "tests") + os.sep
     binaries = executables(main_dir, perf_dir)
-    reached = set()
-    for binary in binaries:
-        reached |= defined_symbols(binary)
-    log(f"{len(functions)} library functions, {len(binaries)} executables")
+    tests = [b for b in binaries if b.startswith(tests_dir)]
+    shipped = [b for b in binaries if not b.startswith(tests_dir)]
+    reached = defined_symbols(shipped)
+    tested = defined_symbols(tests)
+    log(f"{len(functions)} library functions, {len(shipped)} shipped "
+        f"and {len(tests)} test executables")
 
     names = demangle(sorted(functions))
     by_function = {}
     for mangled, pretty in names.items():
         by_function.setdefault(pretty, []).append(mangled)
-    unreached = {
-        pretty: functions[mangled[0]]
-        for pretty, mangled in by_function.items()
-        if not any(m in reached for m in mangled)}
+    test_only, dead = {}, {}
+    for pretty, mangled in by_function.items():
+        if any(m in reached for m in mangled):
+            continue
+        where = test_only if any(m in tested for m in mangled) else dead
+        where[pretty] = functions[mangled[0]]
 
     allowed = read_allowlist()
-    errors = []
-    for pretty in sorted(unreached, key=lambda p: (unreached[p], p)):
+    errors = [f"linked by nothing, tests included: {pretty} ({dead[pretty]})"
+              for pretty in sorted(dead, key=lambda p: (dead[p], p))]
+    for pretty in sorted(test_only, key=lambda p: (test_only[p], p)):
         if pretty in allowed:
-            print(f"{allowed[pretty][0]:9}  {pretty}  ({unreached[pretty]})")
+            print(f"{allowed[pretty][0]:9}  {pretty}  ({test_only[pretty]})")
         else:
             errors.append(f"not on the allowlist: {pretty} "
-                          f"({unreached[pretty]})")
+                          f"({test_only[pretty]})")
     for pretty, (_, lineno) in sorted(allowed.items(), key=lambda e: e[1][1]):
-        if pretty not in unreached:
+        if pretty not in test_only and pretty not in dead:
             errors.append(f"{os.path.relpath(ALLOWLIST, REPO)}:{lineno}: "
                           f"stale, a shipped binary reaches it or it is "
                           f"gone: {pretty}")
     for error in errors:
         log(error)
-    log(f"{len(unreached)} function(s) only tests reach, "
-        f"{len(errors)} problem(s)")
+    log(f"{len(test_only)} function(s) only tests reach, {len(dead)} "
+        f"nothing reaches, {len(errors)} problem(s)")
     return 1 if errors else 0
 
 

@@ -12,7 +12,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
 CostModel::CostModel(const model::DiscretizedLatencyModel& m)
-    : model_(m), delayed_(m), baseline_(SingleResubmission(m).optimize()) {
+    : model_(m), delayed_(m), baseline_(MultipleSubmission(m, 1).optimize()) {
   if (!std::isfinite(baseline_.metrics.expectation) ||
       !(baseline_.metrics.expectation > 0.0)) {
     throw std::runtime_error(

@@ -15,7 +15,6 @@
 
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "core/strategy.hpp"
 #include "model/discretized.hpp"
 

@@ -24,11 +24,6 @@ double bisect_survival(Fn&& fn, double lo, double hi, double target) {
 
 }  // namespace
 
-TotalLatencyDistribution TotalLatencyDistribution::single(
-    const model::DiscretizedLatencyModel& m, double t_inf) {
-  return multiple(m, 1, t_inf);
-}
-
 TotalLatencyDistribution TotalLatencyDistribution::multiple(
     const model::DiscretizedLatencyModel& m, int b, double t_inf) {
   if (b < 1) {

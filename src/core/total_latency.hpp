@@ -29,13 +29,10 @@ namespace gridsub::core {
 
 class TotalLatencyDistribution {
  public:
-  /// Single resubmission (§4) with timeout t∞. `m` must outlive this
-  /// object. Throws std::invalid_argument if no round can succeed
+  /// Multiple submission (§5): b parallel copies, collection timeout t∞;
+  /// b = 1 is single resubmission (§4). `m` must outlive this object.
+  /// Throws std::invalid_argument if b < 1, no round can succeed
   /// (F̃(t∞) == 0) or t∞ is out of (0, horizon].
-  static TotalLatencyDistribution single(
-      const model::DiscretizedLatencyModel& m, double t_inf);
-
-  /// Multiple submission (§5): b parallel copies, collection timeout t∞.
   static TotalLatencyDistribution multiple(
       const model::DiscretizedLatencyModel& m, int b, double t_inf);
 

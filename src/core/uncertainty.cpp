@@ -37,10 +37,6 @@ UncertaintyAnalysis::UncertaintyAnalysis(
       pessimistic_(shift_grid(m, -stats::dkw_epsilon(n_probes, alpha),
                               "dkw-lower")) {}
 
-ExpectationBand UncertaintyAnalysis::single(double t_inf) const {
-  return multiple(1, t_inf);
-}
-
 ExpectationBand UncertaintyAnalysis::multiple(int b, double t_inf) const {
   ExpectationBand band;
   band.lower = MultipleSubmission(optimistic_, b).expectation(t_inf);

@@ -45,10 +45,10 @@ class UncertaintyAnalysis {
     return pessimistic_;
   }
 
-  /// Bands on E_J for the three strategies at fixed parameters. The upper
-  /// edge is +inf when the pessimistic model cannot complete by t∞
-  /// (F̃(t∞) - eps <= 0): the campaign was too small to certify anything.
-  [[nodiscard]] ExpectationBand single(double t_inf) const;
+  /// Bands on E_J for the three strategies at fixed parameters (b = 1 is
+  /// single resubmission). The upper edge is +inf when the pessimistic
+  /// model cannot complete by t∞ (F̃(t∞) - eps <= 0): the campaign was
+  /// too small to certify anything.
   [[nodiscard]] ExpectationBand multiple(int b, double t_inf) const;
   [[nodiscard]] ExpectationBand delayed(double t0, double t_inf) const;
 

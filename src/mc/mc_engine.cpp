@@ -146,26 +146,6 @@ McResult run_blocks(const McOptions& options, RunFn&& run_one) {
 
 }  // namespace
 
-McResult simulate_single(const model::LatencyModel& m, double t_inf,
-                         const McOptions& options) {
-  if (!(t_inf > 0.0)) throw std::invalid_argument("simulate_single: t_inf");
-  return run_blocks(options, [&m, t_inf](stats::Rng& rng) {
-    RunOutcome out;
-    for (std::size_t round = 0; round < kMaxRounds; ++round) {
-      const double latency = m.sample(rng);
-      out.submissions += 1.0;
-      if (latency < t_inf) {
-        out.total_latency += latency;
-        out.job_seconds += latency;
-        return out;
-      }
-      out.total_latency += t_inf;
-      out.job_seconds += t_inf;
-    }
-    throw std::runtime_error("simulate_single: max_rounds exceeded");
-  });
-}
-
 McResult simulate_multiple(const model::LatencyModel& m, int b, double t_inf,
                            const McOptions& options) {
   if (b < 1) throw std::invalid_argument("simulate_multiple: b < 1");

@@ -36,11 +36,8 @@ struct McResult {
                                     ///< the fleet-level load measure)
 };
 
-/// Single resubmission (§4) with timeout t_inf.
-McResult simulate_single(const model::LatencyModel& m, double t_inf,
-                         const McOptions& options = {});
-
 /// Multiple submission (§5): b parallel copies, collection timeout t_inf.
+/// At b = 1 this is single resubmission (§4): one draw per round.
 McResult simulate_multiple(const model::LatencyModel& m, int b, double t_inf,
                            const McOptions& options = {});
 

@@ -88,8 +88,4 @@ std::string DiscretizedLatencyModel::name() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyModel> DiscretizedLatencyModel::clone() const {
-  return std::unique_ptr<LatencyModel>(new DiscretizedLatencyModel(*this));
-}
-
 }  // namespace gridsub::model

@@ -44,7 +44,6 @@ class DiscretizedLatencyModel final : public LatencyModel {
   /// Inverse-transform sampling of the discretized (piecewise-linear) law.
   [[nodiscard]] double sample(stats::Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<LatencyModel> clone() const override;
 
   // Grid access -------------------------------------------------------------
   [[nodiscard]] double step() const { return step_; }

@@ -56,8 +56,4 @@ std::string EmpiricalLatencyModel::name() const {
   return os.str();
 }
 
-std::unique_ptr<LatencyModel> EmpiricalLatencyModel::clone() const {
-  return std::make_unique<EmpiricalLatencyModel>(*this);
-}
-
 }  // namespace gridsub::model

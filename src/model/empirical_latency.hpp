@@ -28,7 +28,6 @@ class EmpiricalLatencyModel final : public LatencyModel {
   [[nodiscard]] double horizon() const override { return horizon_; }
   [[nodiscard]] double sample(stats::Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<LatencyModel> clone() const override;
 
   [[nodiscard]] std::size_t completed_count() const {
     return sorted_latencies_.size();

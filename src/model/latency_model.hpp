@@ -54,7 +54,6 @@ class LatencyModel {
   [[nodiscard]] double survival(double t) const { return 1.0 - ftilde(t); }
 
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<LatencyModel> clone() const = 0;
 };
 
 using LatencyModelPtr = std::unique_ptr<LatencyModel>;

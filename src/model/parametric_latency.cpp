@@ -20,23 +20,6 @@ ParametricLatencyModel::ParametricLatencyModel(stats::DistributionPtr bulk,
   bulk_cdf_at_horizon_ = bulk_->cdf(horizon_);
 }
 
-ParametricLatencyModel::ParametricLatencyModel(
-    const ParametricLatencyModel& other)
-    : bulk_(other.bulk_->clone()),
-      fault_ratio_(other.fault_ratio_),
-      horizon_(other.horizon_),
-      bulk_cdf_at_horizon_(other.bulk_cdf_at_horizon_) {}
-
-ParametricLatencyModel& ParametricLatencyModel::operator=(
-    const ParametricLatencyModel& other) {
-  if (this == &other) return *this;
-  bulk_ = other.bulk_->clone();
-  fault_ratio_ = other.fault_ratio_;
-  horizon_ = other.horizon_;
-  bulk_cdf_at_horizon_ = other.bulk_cdf_at_horizon_;
-  return *this;
-}
-
 double ParametricLatencyModel::ftilde(double t) const {
   if (t <= 0.0) return 0.0;
   if (t >= horizon_) return (1.0 - fault_ratio_) * bulk_cdf_at_horizon_;
@@ -64,10 +47,6 @@ std::string ParametricLatencyModel::name() const {
   std::ostringstream os;
   os << "Parametric(" << bulk_->name() << ",faults=" << fault_ratio_ << ")";
   return os.str();
-}
-
-std::unique_ptr<LatencyModel> ParametricLatencyModel::clone() const {
-  return std::make_unique<ParametricLatencyModel>(*this);
 }
 
 }  // namespace gridsub::model

@@ -20,8 +20,6 @@ class ParametricLatencyModel final : public LatencyModel {
   ParametricLatencyModel(stats::DistributionPtr bulk, double fault_ratio,
                          double horizon = 10000.0);
 
-  ParametricLatencyModel(const ParametricLatencyModel& other);
-  ParametricLatencyModel& operator=(const ParametricLatencyModel& other);
   ParametricLatencyModel(ParametricLatencyModel&&) noexcept = default;
   ParametricLatencyModel& operator=(ParametricLatencyModel&&) noexcept =
       default;
@@ -32,7 +30,6 @@ class ParametricLatencyModel final : public LatencyModel {
   [[nodiscard]] double horizon() const override { return horizon_; }
   [[nodiscard]] double sample(stats::Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<LatencyModel> clone() const override;
 
   [[nodiscard]] const stats::Distribution& bulk() const { return *bulk_; }
   [[nodiscard]] double fault_ratio() const { return fault_ratio_; }

@@ -90,21 +90,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::print_markdown(std::ostream& os) const {
-  os << "|";
-  for (const auto& h : headers_) os << " " << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << "\n";
-  for (const auto& row : rows_) {
-    os << "|";
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      os << " " << (c < row.size() ? row[c] : "") << " |";
-    }
-    os << "\n";
-  }
-}
-
 std::string seconds(double value) {
   if (!std::isfinite(value)) return "inf";
   char buf[64];

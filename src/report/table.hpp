@@ -3,8 +3,7 @@
 // Fixed-width console tables for the experiment harness.
 //
 // Every bench binary prints the same rows the paper's tables report;
-// this builder handles alignment, numeric formatting and an optional
-// markdown rendering for EXPERIMENTS.md.
+// this builder handles alignment and numeric formatting.
 
 #include <iosfwd>
 #include <string>
@@ -32,8 +31,6 @@ class Table {
 
   /// Renders with space padding and a header separator.
   void print(std::ostream& os) const;
-  /// Renders as a GitHub-flavoured markdown table.
-  void print_markdown(std::ostream& os) const;
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 

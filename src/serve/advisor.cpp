@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <climits>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <istream>
@@ -487,6 +489,15 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
     if (keys.kind != JsonValue::Kind::kArray) {
       throw RecoveryError(origin + ": key \"keys\" is not an array");
     }
+    // advise() serves the advice fields as they are, so each must be one
+    // the service could have published.
+    const auto require = [&origin](bool ok, const char* key,
+                                   const char* what) {
+      if (!ok) throw RecoveryError(origin + ": key \"" + key + "\" " + what);
+    };
+    const auto non_negative = [](double v) {
+      return std::isfinite(v) && v >= 0.0;
+    };
     parsed.reserve(keys.array.size());
     for (const JsonValue& k : keys.array) {
       if (k.kind != JsonValue::Kind::kObject) {
@@ -507,10 +518,30 @@ void AdvisorService::warm_start(std::istream& is, const std::string& origin) {
         throw RecoveryError(origin + ": unknown strategy kind");
       }
       e.advice.t0 = get_number(k, "t0", origin);
+      require(non_negative(e.advice.t0), "t0", "is not a finite number >= 0");
       e.advice.t_inf = get_number(k, "t_inf", origin);
-      e.advice.b = static_cast<int>(get_uint(k, "b", origin));
+      require(std::isfinite(e.advice.t_inf) && e.advice.t_inf > 0.0, "t_inf",
+              "is not a finite number > 0");
+      const std::uint64_t b = get_uint(k, "b", origin);
+      require(b >= 1 && b <= static_cast<std::uint64_t>(INT_MAX), "b",
+              "is outside [1, INT_MAX]");
+      e.advice.b = static_cast<int>(b);
       e.advice.expectation = get_number(k, "expectation", origin);
+      require(non_negative(e.advice.expectation), "expectation",
+              "is not a finite number >= 0");
       e.advice.delta_cost = get_number(k, "delta_cost", origin);
+      require(non_negative(e.advice.delta_cost), "delta_cost",
+              "is not a finite number >= 0");
+      // The kinds' own parameter ranges, as the strategies check them.
+      if (e.advice.kind == core::StrategyKind::kSingleResubmission) {
+        require(e.advice.b == 1, "b", "is not 1 for single resubmission");
+      } else if (e.advice.kind == core::StrategyKind::kDelayedResubmission) {
+        require(e.advice.t0 > 0.0, "t0",
+                "is not > 0 for delayed resubmission");
+        require(e.advice.t_inf > e.advice.t0 &&
+                    e.advice.t_inf <= 2.0 * e.advice.t0 * (1.0 + 1e-9),
+                "t_inf", "is not in (t0, 2*t0] for delayed resubmission");
+      }
       if (!parsed.empty() && !(parsed.back().key < e.key)) {
         throw RecoveryError(origin + ": entries not strictly key-sorted");
       }

@@ -22,13 +22,9 @@ BackgroundLoad::BackgroundLoad(Simulator& sim, WorkloadManager& wms,
   if (config.arrival_rate > 0.0) schedule_next();
 }
 
-void BackgroundLoad::stop() { stopped_ = true; }
-
 void BackgroundLoad::schedule_next() {
-  if (stopped_) return;
   const double gap = rng_.exponential(config_.arrival_rate);
   sim_.schedule_in(gap, [this]() {
-    if (stopped_) return;
     ++emitted_;
     wms_.submit(runtime_dist_->sample(rng_), nullptr);
     schedule_next();

@@ -29,9 +29,6 @@ class BackgroundLoad {
   BackgroundLoad(const BackgroundLoad&) = delete;
   BackgroundLoad& operator=(const BackgroundLoad&) = delete;
 
-  /// Stops scheduling further arrivals (pending ones still run).
-  void stop();
-
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
 
  private:
@@ -42,7 +39,6 @@ class BackgroundLoad {
   BackgroundLoadConfig config_;
   stats::Rng rng_;
   stats::DistributionPtr runtime_dist_;
-  bool stopped_ = false;
   std::uint64_t emitted_ = 0;
 };
 

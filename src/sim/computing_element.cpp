@@ -5,15 +5,6 @@
 
 namespace gridsub::sim {
 
-namespace {
-
-constexpr ComputingElement::JobHandle make_handle(std::uint32_t index,
-                                                  std::uint32_t generation) {
-  return (static_cast<ComputingElement::JobHandle>(generation) << 32) | index;
-}
-
-}  // namespace
-
 ComputingElement::ComputingElement(Simulator& sim, std::string name,
                                    int slots, double fault_prob,
                                    stats::Rng rng, GridMetrics* metrics)
@@ -34,30 +25,9 @@ double ComputingElement::load() const {
          static_cast<double>(slots_);
 }
 
-std::uint32_t ComputingElement::acquire_slot() {
-  if (free_head_ != kNilIndex) {
-    const std::uint32_t index = free_head_;
-    free_head_ = hot_[index].next;
-    hot_[index].next = kNilIndex;
-    return index;
-  }
-  const auto index = static_cast<std::uint32_t>(hot_.size());
-  hot_.emplace_back();
-  cold_.emplace_back();
-  return index;
-}
-
 void ComputingElement::release_slot(std::uint32_t index) {
-  JobCold& cold = cold_[index];
-  cold.on_start = nullptr;
-  cold.completion_event = 0;
-  JobHot& hot = hot_[index];
-  ++hot.generation;  // stale handles now fail the generation check
-  hot.state = JobState::kFree;
-  hot.prev = kNilIndex;
-  hot.ghosts_before = 0;
-  hot.next = free_head_;
-  free_head_ = index;
+  cold_[index].on_start = nullptr;  // drop what the callback captured
+  hot_.release(index);  // stale handles now fail the generation check
 }
 
 /// Unlinks a queued slot from its lane, leaving a counted ghost at its
@@ -96,7 +66,8 @@ ComputingElement::JobHandle ComputingElement::submit(double runtime,
     if (metrics_) ++metrics_->jobs_faulted;
     return make_handle(kNilIndex, fault_serial_++);
   }
-  const std::uint32_t index = acquire_slot();
+  const std::uint32_t index = hot_.acquire();
+  if (index == cold_.size()) cold_.emplace_back();
   JobCold& cold = cold_[index];
   cold.runtime = runtime;
   cold.enqueue_time = sim_.now();
@@ -104,7 +75,7 @@ ComputingElement::JobHandle ComputingElement::submit(double runtime,
   JobHot& hot = hot_[index];
   hot.state = JobState::kQueued;
   hot.lane = lane;
-  const JobHandle handle = make_handle(index, hot.generation);
+  const JobHandle handle = hot_.handle(index);
   LaneList& list = (lane == Lane::kLocal) ? local_ : remote_;
   if (list.tail == kNilIndex) {
     list.head = index;
@@ -122,11 +93,10 @@ ComputingElement::JobHandle ComputingElement::submit(double runtime,
 }
 
 bool ComputingElement::cancel(JobHandle handle) {
-  const auto index = static_cast<std::uint32_t>(handle & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(handle >> 32);
-  if (index >= hot_.size()) return false;  // faulted or malformed handle
+  const std::uint32_t index = hot_.find(handle);
+  // Finished, canceled, faulted at arrival or malformed.
+  if (index == kNilIndex) return false;
   JobHot& hot = hot_[index];
-  if (hot.generation != generation) return false;  // already finished
   switch (hot.state) {
     case JobState::kQueued:
       // O(1) unlink; the slot is reclaimed immediately and a counted
@@ -143,7 +113,6 @@ bool ComputingElement::cancel(JobHandle handle) {
       // Slot freed: pull the next queued job.
       try_start_next();
       return true;
-    case JobState::kFree:
     case JobState::kStarting:
       return false;
   }
@@ -183,7 +152,7 @@ void ComputingElement::try_start_next() {
     // references may be held across it. While kStarting, the handle
     // reports false to cancel(), as it did between the pending- and
     // running-map eras.
-    const std::uint32_t generation = hot_[index].generation;
+    const JobHandle handle = hot_.handle(index);
     hot_[index].state = JobState::kStarting;
     JobCold& cold = cold_[index];
     const double runtime = cold.runtime;
@@ -194,8 +163,8 @@ void ComputingElement::try_start_next() {
       metrics_->total_queue_wait += sim_.now() - cold.enqueue_time;
     }
     if (on_start) on_start();
-    const EventId done = sim_.schedule_in(
-        runtime, [this, index, generation] { finish_job(index, generation); });
+    const EventId done =
+        sim_.schedule_in(runtime, [this, handle] { finish_job(handle); });
     // Re-index (not re-use a reference): on_start may have grown the
     // arrays and moved them.
     cold_[index].completion_event = done;
@@ -203,12 +172,9 @@ void ComputingElement::try_start_next() {
   }
 }
 
-void ComputingElement::finish_job(std::uint32_t index,
-                                  std::uint32_t generation) {
-  JobHot& hot = hot_[index];
-  if (hot.state != JobState::kRunning || hot.generation != generation) {
-    return;  // already canceled
-  }
+void ComputingElement::finish_job(JobHandle handle) {
+  const std::uint32_t index = hot_.find(handle);
+  if (index == kNilIndex) return;  // already canceled
   release_slot(index);
   --running_;
   if (metrics_) ++metrics_->jobs_completed;

@@ -11,15 +11,14 @@
 // over the remote lane, so redundant copies shipped to foreign sites only
 // run when no local work waits. Regular traffic uses the local lane.
 //
-// Bookkeeping is a generation-checked slot map (same scheme as
-// sim::EventQueue): a JobHandle is (generation << 32) | slot index and the
-// FIFO lanes are intrusive doubly-linked lists threaded through the slots,
-// so submit/cancel never hashes and never allocates beyond amortized
-// slot-vector growth. Slot state is struct-of-arrays: the 20-byte hot
-// record (links, generation, state tag) the scheduler scan walks is a
-// separate array from the cold payload (runtime, enqueue time, start
-// callback, completion event), so draining a deep queue stays
-// cache-dense. Cancelling a queued job unlinks and reclaims its
+// Bookkeeping is the slot map of sim/slot_map.hpp: a JobHandle is a slot
+// handle and the FIFO lanes are intrusive doubly-linked lists threaded
+// through the slots, so submit/cancel never hashes and never allocates
+// beyond amortized slot-vector growth. Slot state is struct-of-arrays:
+// the 20-byte hot record (links, generation, state tag) the scheduler
+// scan walks is a separate array from the cold payload (runtime, enqueue
+// time, start callback, completion event), so draining a deep queue
+// stays cache-dense. Cancelling a queued job unlinks and reclaims its
 // slot in O(1), but leaves a counted "ghost" at its queue position: the
 // historical deque implementation only dropped canceled entries when they
 // reached the queue front with a worker free, so queue_length() — and the
@@ -27,7 +26,7 @@
 // whole-grid runs to stay byte-identical. Ghosts are just integers (a
 // per-entry predecessor count plus a lane tail count), so a saturated CE
 // accumulating canceled jobs costs words, not slots. Handles for jobs
-// silently faulted at arrival carry an out-of-range slot index, so they
+// silently faulted at arrival carry the slot index kNilIndex, so they
 // can never resolve; cancel() on them reports false, which is exactly the
 // real infrastructure's behaviour (nothing to cancel — the job vanished
 // in the submission chain).
@@ -38,6 +37,7 @@
 
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_map.hpp"
 #include "sim/small_fn.hpp"
 #include "stats/rng.hpp"
 
@@ -45,7 +45,7 @@ namespace gridsub::sim {
 
 class ComputingElement {
  public:
-  using JobHandle = std::uint64_t;
+  using JobHandle = SlotHandle;
   /// Called when the job begins execution (start time = sim.now()).
   using StartCallback = SmallFn;
 
@@ -87,10 +87,7 @@ class ComputingElement {
   [[nodiscard]] double load() const;
 
  private:
-  static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
-
   enum class JobState : std::uint8_t {
-    kFree,
     kQueued,
     kStarting,  ///< on_start in flight (handle momentarily unknown)
     kRunning
@@ -99,8 +96,7 @@ class ComputingElement {
   /// Hot half of a job slot — the 20 bytes the scheduler scan, lane
   /// drains, and cancel routing actually read, so a busy CE walks ~3
   /// slots per cache line instead of dragging callback payloads through.
-  /// Freed slots are chained through `next` and their generation is
-  /// bumped so outstanding handles go stale.
+  /// The slot map chains free slots through `next`.
   struct JobHot {
     std::uint32_t generation = 1;
     std::uint32_t prev = kNilIndex;  ///< lane FIFO back-link while queued
@@ -108,7 +104,7 @@ class ComputingElement {
     /// Canceled-but-undrained entries immediately ahead of this one in
     /// the lane (see the ghost-accounting note above).
     std::uint32_t ghosts_before = 0;
-    JobState state = JobState::kFree;
+    JobState state = JobState::kQueued;
     Lane lane = Lane::kLocal;  ///< valid while queued
   };
 
@@ -131,11 +127,10 @@ class ComputingElement {
     std::size_t count = 0;
   };
 
-  [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void lane_unlink_to_ghost(LaneList& list, std::uint32_t index);
   void try_start_next();
-  void finish_job(std::uint32_t index, std::uint32_t generation);
+  void finish_job(JobHandle handle);
 
   Simulator& sim_;
   std::string name_;
@@ -144,9 +139,8 @@ class ComputingElement {
   stats::Rng rng_;
   GridMetrics* metrics_;
 
-  std::vector<JobHot> hot_;    ///< struct-of-arrays job state...
-  std::vector<JobCold> cold_;  ///< ...same index = same job
-  std::uint32_t free_head_ = kNilIndex;
+  SlotMap<JobHot, &JobHot::next> hot_;  ///< struct-of-arrays job state...
+  std::vector<JobCold> cold_;           ///< ...same index = same job
   LaneList local_;   // local lane, FIFO
   LaneList remote_;  // remote lane, FIFO, lower priority
   /// Distinct never-resolving handles for silently dropped submissions.

@@ -9,10 +9,6 @@ namespace gridsub::sim {
 
 namespace {
 
-constexpr EventId make_id(std::uint32_t index, std::uint32_t generation) {
-  return (static_cast<EventId>(generation) << 32) | index;
-}
-
 constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
 /// A refill frees a bucket's buffer above this many entries (96 KiB):
@@ -57,23 +53,17 @@ EventId EventQueue::push(SimTime time, SmallFn fn, bool daemon) {
   // An empty queue starts over from origin 0, below every key, so its
   // pushes are appends however far the last run advanced the origin.
   if (alive_ == 0) origin_ = 0;
-  std::uint32_t index;
-  if (free_head_ != kNilIndex) {
-    index = free_head_;
-    free_head_ = slots_[index].next_free;
-    fns_[index] = std::move(fn);
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+  const std::uint32_t index = slots_.acquire();
+  if (index == fns_.size()) {
     fns_.push_back(std::move(fn));
+  } else {
+    fns_[index] = std::move(fn);
   }
-  SlotMeta& s = slots_[index];
-  s.live = true;
-  s.daemon = daemon;
+  slots_[index].daemon = daemon;
   file(Entry{time_key(time), next_seq_++, index});
   ++alive_;
   if (!daemon) ++live_count_;
-  return make_id(index, s.generation);
+  return slots_.handle(index);
 }
 
 void EventQueue::file(const Entry& e) {
@@ -87,7 +77,7 @@ void EventQueue::file(const Entry& e) {
   const auto b = static_cast<unsigned>(std::bit_width(e.key ^ origin_));
   std::vector<Entry>& bucket = buckets_[b - 1];
   s.bucket = static_cast<std::uint8_t>(b);
-  s.next_free = static_cast<std::uint32_t>(bucket.size());
+  s.pos = static_cast<std::uint32_t>(bucket.size());
   bucket.push_back(e);
   nonempty_ |= std::uint64_t{1} << (b - 1);
 }
@@ -109,7 +99,7 @@ void EventQueue::refill() {
 
 void EventQueue::place(std::size_t pos, const Entry& e) {
   heap_[pos] = e;
-  slots_[e.slot].next_free = static_cast<std::uint32_t>(pos);
+  slots_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
 void EventQueue::sift_up(std::size_t pos, const Entry& e) {
@@ -147,32 +137,26 @@ void EventQueue::remove_at(std::size_t pos) {
 }
 
 void EventQueue::release(std::uint32_t index) {
-  SlotMeta& s = slots_[index];
   fns_[index] = SmallFn{};  // drop any heap-held capture now, not at reuse
-  s.live = false;
-  ++s.generation;  // ids naming the old tenant go stale
-  s.next_free = free_head_;
-  free_head_ = index;
   --alive_;
-  if (!s.daemon) --live_count_;
+  if (!slots_[index].daemon) --live_count_;
+  slots_.release(index);  // ids naming the old tenant go stale
 }
 
 bool EventQueue::cancel(EventId id) {
-  const auto index = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (index >= slots_.size()) return false;
+  const std::uint32_t index = slots_.find(id);
+  if (index == kNilIndex) return false;  // ran, canceled or never issued
   const SlotMeta& s = slots_[index];
-  if (!s.live || s.generation != generation) return false;
   if (s.bucket == kFront) {
-    remove_at(s.next_free);
+    remove_at(s.pos);
   } else {
     // Buckets are unordered: the bucket's last entry fills the hole.
     std::vector<Entry>& bucket = buckets_[s.bucket - 1];
     const Entry last = bucket.back();
     bucket.pop_back();
-    if (s.next_free != bucket.size()) {
-      bucket[s.next_free] = last;
-      slots_[last.slot].next_free = s.next_free;
+    if (s.pos != bucket.size()) {
+      bucket[s.pos] = last;
+      slots_[last.slot].pos = s.pos;
     } else if (bucket.empty()) {
       nonempty_ &= ~(std::uint64_t{1} << (s.bucket - 1));
     }
@@ -196,8 +180,7 @@ EventQueue::Fired EventQueue::pop() {
   prefetch(&fns_[top.slot]);
   remove_at(0);
   if (!heap_.empty()) prefetch(&fns_[heap_.front().slot]);
-  Fired fired{key_time(top.key),
-              make_id(top.slot, slots_[top.slot].generation),
+  Fired fired{key_time(top.key), slots_.handle(top.slot),
               std::move(fns_[top.slot])};
   release(top.slot);
   return fired;

@@ -13,17 +13,14 @@
 // snapshot every two minutes) and do not: once only daemon events remain,
 // the simulation is considered finished.
 //
-// Storage is a generation-checked slot map, not a hash map: an EventId is
-// (generation << 32) | slot index, so push is a free-list pop + vector
-// write and cancel is a bounds check + generation compare — no hashing,
-// and (with SmallFn's inline buffer) no heap allocation for the common
-// events. Slot state is struct-of-arrays: the 12-byte metadata that
-// cancel() and the filing touch (generation, liveness, position) lives
-// apart from the 48-byte SmallFn payload (a 32-byte inline buffer plus
-// its dispatch pointer), which only pop() touches.
-// Freeing a slot bumps its generation, so a stale id whose slot was
-// recycled fails the generation check instead of cancelling a stranger's
-// event.
+// Storage is the slot map of sim/slot_map.hpp, not a hash map: an EventId
+// is a slot handle, so push is a free-list pop + vector write and cancel
+// is a bounds check + generation compare — no hashing, and (with
+// SmallFn's inline buffer) no heap allocation for the common events.
+// Slot state is struct-of-arrays: the 12-byte metadata that cancel() and
+// the filing touch (generation, position, bucket) lives apart from the
+// 48-byte SmallFn payload (a 32-byte inline buffer plus its dispatch
+// pointer), which only pop() touches.
 //
 // An entry is ordered by (key, seq): key is an order-preserving 64-bit
 // integer image of the time (the bits of a non-negative time with the
@@ -68,6 +65,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/slot_map.hpp"
 #include "sim/small_fn.hpp"
 
 namespace gridsub::sim {
@@ -75,10 +73,8 @@ namespace gridsub::sim {
 /// Simulation clock time (seconds).
 using SimTime = double;
 
-/// Handle to a scheduled event: (slot generation << 32) | slot index.
-/// Generations start at 1, so a valid id is never 0 and callers may keep
-/// using 0 as an "unset" sentinel.
-using EventId = std::uint64_t;
+/// Handle to a scheduled event (a SlotHandle, never 0).
+using EventId = SlotHandle;
 
 class EventQueue {
  public:
@@ -125,23 +121,18 @@ class EventQueue {
   Fired pop();
 
  private:
-  static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
   /// SlotMeta::bucket value of an entry in the front heap.
   static constexpr std::uint8_t kFront = 0;
 
-  /// Hot per-slot metadata. A free slot chains to the next free one
-  /// through `next_free`; a live slot stores its entry's position there:
-  /// a front index when `bucket` is kFront, else an index within
-  /// buckets_[bucket - 1]. The two uses never overlap (a slot is either
-  /// on the free list or queued), so one field serves both. The
-  /// generation is bumped on release so ids referring to the old tenant
-  /// go stale. The callback payload lives in the parallel `fns_` array
+  /// Hot per-slot metadata. A live slot stores its entry's position in
+  /// `pos`: a front index when `bucket` is kFront, else an index within
+  /// buckets_[bucket - 1]; a free slot chains the slot map's free list
+  /// through it. The callback payload lives in the parallel `fns_` array
   /// (cold: pop()-only).
   struct SlotMeta {
     std::uint32_t generation = 1;
-    std::uint32_t next_free = kNilIndex;
+    std::uint32_t pos = kNilIndex;
     std::uint8_t bucket = kFront;
-    bool live = false;
     bool daemon = false;
   };
   static_assert(sizeof(SlotMeta) == 12);
@@ -173,16 +164,15 @@ class EventQueue {
   /// Removes the front entry at `pos`: the last entry fills the hole and
   /// sifts whichever way restores the heap order.
   void remove_at(std::size_t pos);
-  /// Returns the slot to the free list and invalidates outstanding ids.
+  /// Frees the slot, its callback and its liveness count.
   void release(std::uint32_t index);
 
   std::vector<Entry> heap_;  ///< the front: binary min-heap under before()
   std::array<std::vector<Entry>, 64> buckets_;  ///< see the header comment
   std::uint64_t origin_ = 0;
   std::uint64_t nonempty_ = 0;  ///< bit b - 1 set iff bucket b holds entries
-  std::vector<SlotMeta> slots_;
+  SlotMap<SlotMeta, &SlotMeta::pos> slots_;
   std::vector<SmallFn> fns_;  ///< cold payloads, parallel to slots_
-  std::uint32_t free_head_ = kNilIndex;
   std::uint64_t next_seq_ = 1;
   std::size_t alive_ = 0;       ///< occupied slots (daemons included)
   std::size_t live_count_ = 0;  ///< occupied non-daemon slots

@@ -20,15 +20,6 @@ EventId Simulator::schedule_in(SimTime delay, SmallFn fn) {
   return queue_.push(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::schedule_daemon_at(SimTime time,
-                                      SmallFn fn) {
-  if (!(time >= now_)) {  // also rejects NaN
-    throw std::invalid_argument(
-        "Simulator::schedule_daemon_at: time in the past or NaN");
-  }
-  return queue_.push(time, std::move(fn), /*daemon=*/true);
-}
-
 EventId Simulator::schedule_daemon_in(SimTime delay,
                                       SmallFn fn) {
   if (!(delay >= 0.0)) {  // also rejects NaN

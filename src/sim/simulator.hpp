@@ -26,9 +26,8 @@ class Simulator {
   /// NaN is not).
   EventId schedule_in(SimTime delay, SmallFn fn);
 
-  /// Daemon variants: the event fires normally but does not keep run()
+  /// Daemon variant: the event fires normally but does not keep run()
   /// alive (use for self-rescheduling housekeeping).
-  EventId schedule_daemon_at(SimTime time, SmallFn fn);
   EventId schedule_daemon_in(SimTime delay, SmallFn fn);
 
   /// Cancels a pending event; false if it already fired or was canceled.

@@ -10,7 +10,7 @@
 // inline buffer sized for the largest hot capture set, the probe
 // client's (object pointer, shared state, submit time); the WMS
 // matchmaking hop (object pointer, ticket, runtime) and the CE
-// completion (object pointer, slot, generation) are smaller. Larger or
+// completion (object pointer, job handle) are smaller. Larger or
 // throwing-move callables fall back to the heap transparently, so
 // correctness never depends on the capture size.
 //

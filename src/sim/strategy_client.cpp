@@ -26,6 +26,7 @@ StrategyClient::StrategyClient(GridSimulation& grid, StrategySpec spec,
     throw std::invalid_argument(
         "StrategyClient: delayed requires 0 < t0 < t_inf <= 2*t0");
   }
+  if (spec.kind == core::StrategyKind::kSingleResubmission) spec_.b = 1;
   if (record_outcomes_) outcomes_.reserve(n_tasks);
 }
 
@@ -40,8 +41,6 @@ void StrategyClient::start_task() {
   live_.clear();
   switch (spec_.kind) {
     case core::StrategyKind::kSingleResubmission:
-      begin_single_round();
-      break;
     case core::StrategyKind::kMultipleSubmission:
       begin_multiple_round();
       break;
@@ -57,25 +56,6 @@ void StrategyClient::finish_task(double latency) {
   submissions_acc_.add(submissions_);
   if (record_outcomes_) outcomes_.push_back({latency, submissions_});
   start_task();
-}
-
-void StrategyClient::begin_single_round() {
-  ++round_;
-  const std::uint64_t round = round_;
-  ++submissions_;
-  auto& sim = grid_.simulator();
-  ticket_ = grid_.wms().submit(task_runtime_, [this, round]() {
-    if (round != round_) return;
-    ++round_;  // settled: the pending timeout is now stale
-    grid_.simulator().cancel(timeout_event_);
-    finish_task(grid_.simulator().now() - task_start_);
-  });
-  timeout_event_ = sim.schedule_in(spec_.t_inf, [this, round]() {
-    if (round != round_) return;
-    ++round_;  // a late start of this round must not double-settle
-    grid_.wms().cancel(ticket_);
-    begin_single_round();  // resubmit
-  });
 }
 
 void StrategyClient::begin_multiple_round() {

@@ -34,7 +34,7 @@ struct StrategySpec {
   core::StrategyKind kind = core::StrategyKind::kSingleResubmission;
   double t_inf = 900.0;  ///< timeout (all strategies)
   double t0 = 600.0;     ///< delayed only
-  int b = 1;             ///< multiple only
+  int b = 1;             ///< multiple only (single runs with b = 1)
 };
 
 /// Outcome of one task (one logical job pushed through the strategy).
@@ -83,7 +83,7 @@ class StrategyClient {
   };
 
   void start_task();
-  void begin_single_round();
+  /// One round of spec_.b copies; single resubmission is the b = 1 round.
   void begin_multiple_round();
   void delayed_submit_copy();
   /// Records the task (incremental Kahan fold, completion order) and
@@ -103,8 +103,7 @@ class StrategyClient {
   std::uint64_t round_ = 0;
   SimTime task_start_ = 0.0;
   int submissions_ = 0;  ///< copies submitted for the current task
-  WorkloadManager::TicketId ticket_ = 0;             // single
-  std::vector<WorkloadManager::TicketId> tickets_;   // multiple (reused)
+  std::vector<WorkloadManager::TicketId> tickets_;   // single & multiple
   EventId timeout_event_ = 0;                        // single & multiple
   std::vector<DelayedCopy> live_;                    // delayed (reused)
   EventId next_submit_event_ = 0;                    // delayed chain

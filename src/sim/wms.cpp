@@ -6,15 +6,6 @@
 
 namespace gridsub::sim {
 
-namespace {
-
-constexpr WorkloadManager::TicketId make_ticket(std::uint32_t index,
-                                                std::uint32_t generation) {
-  return (static_cast<WorkloadManager::TicketId>(generation) << 32) | index;
-}
-
-}  // namespace
-
 WorkloadManager::WorkloadManager(Simulator& sim,
                                  std::vector<ComputingElement*> ces,
                                  const WmsConfig& config, stats::Rng rng,
@@ -80,9 +71,9 @@ WorkloadManager::TicketId WorkloadManager::submit(double runtime,
         "WorkloadManager::submit: negative or NaN runtime");
   }
   if (metrics_) ++metrics_->jobs_submitted;
-  const std::uint32_t index = acquire_slot();
+  const std::uint32_t index = slots_.acquire();
   InFlight& job = slots_[index];
-  const TicketId ticket = make_ticket(index, job.generation);
+  const TicketId ticket = slots_.handle(index);
   if (config_.fault_prob > 0.0 && rng_.bernoulli(config_.fault_prob)) {
     // Lost in the submission chain; only the client timeout notices.
     job.where = InFlight::Where::kLost;
@@ -100,7 +91,7 @@ WorkloadManager::TicketId WorkloadManager::submit(double runtime,
 }
 
 void WorkloadManager::dispatch_job(TicketId ticket, double runtime) {
-  const std::uint32_t index = live_slot(ticket);
+  const std::uint32_t index = slots_.find(ticket);
   if (index == kNilIndex) return;  // canceled during matchmaking
   const std::size_t ce_index = choose_element();
   slots_[index].where = InFlight::Where::kComputingElement;
@@ -111,11 +102,11 @@ void WorkloadManager::dispatch_job(TicketId ticket, double runtime) {
   // ticket is still live.
   const auto handle = ces_[ce_index]->submit(
       runtime, [this, ticket] { start_job(ticket); });
-  if (live_slot(ticket) == index) slots_[index].handle = handle;
+  if (slots_.find(ticket) == index) slots_[index].handle = handle;
 }
 
 void WorkloadManager::start_job(TicketId ticket) {
-  const std::uint32_t index = live_slot(ticket);
+  const std::uint32_t index = slots_.find(ticket);
   if (index == kNilIndex) return;  // a canceled ticket's job never starts
   // Started: the ticket is finished from the WMS point of view. Free the
   // slot before the callback runs, since it may submit or cancel jobs.
@@ -125,7 +116,7 @@ void WorkloadManager::start_job(TicketId ticket) {
 }
 
 bool WorkloadManager::cancel(TicketId ticket) {
-  const std::uint32_t index = live_slot(ticket);
+  const std::uint32_t index = slots_.find(ticket);
   if (index == kNilIndex) return false;
   if (metrics_) ++metrics_->jobs_canceled;
   const InFlight::Where where = slots_[index].where;
@@ -140,42 +131,14 @@ bool WorkloadManager::cancel(TicketId ticket) {
       ces_[ce_index]->cancel(handle);
       break;
     case InFlight::Where::kLost:
-    case InFlight::Where::kFree:
       break;
   }
   return true;
 }
 
-std::uint32_t WorkloadManager::acquire_slot() {
-  if (free_head_ != kNilIndex) {
-    const std::uint32_t index = free_head_;
-    free_head_ = slots_[index].next_free;
-    slots_[index].next_free = kNilIndex;
-    return index;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
-
 void WorkloadManager::release_slot(std::uint32_t index) {
-  InFlight& job = slots_[index];
-  job.on_start = nullptr;
-  ++job.generation;  // tickets naming the old tenant go stale
-  job.where = InFlight::Where::kFree;
-  job.handle = 0;
-  job.next_free = free_head_;
-  free_head_ = index;
-}
-
-std::uint32_t WorkloadManager::live_slot(TicketId ticket) const {
-  const auto index = static_cast<std::uint32_t>(ticket & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(ticket >> 32);
-  if (index >= slots_.size()) return kNilIndex;
-  const InFlight& job = slots_[index];
-  if (job.generation != generation || job.where == InFlight::Where::kFree) {
-    return kNilIndex;
-  }
-  return index;
+  slots_[index].on_start = nullptr;  // drop what the callback captured
+  slots_.release(index);  // tickets naming the old tenant go stale
 }
 
 }  // namespace gridsub::sim

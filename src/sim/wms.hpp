@@ -9,20 +9,18 @@
 // observation that meta-schedulers act on partial information and local
 // policies interfere with global objectives.
 //
-// Tickets live in a generation-checked slot map (the scheme of
-// sim::EventQueue and sim::ComputingElement): a TicketId is
-// (generation << 32) | slot index into a free-list vector of InFlight
-// records, so submit, cancel and start never hash and never allocate
-// beyond amortized slot-vector growth. Generations start at 1, so a
-// ticket is never 0. A slot is freed when its job starts or is canceled,
-// and freeing bumps its generation: a stale or recycled ticket fails the
-// generation check, and cancel() on it returns false without moving a
-// counter. The client's start callback is moved into the ticket's slot
-// once, at submit. The matchmaking event and the CE job carry only
-// (this, ticket[, runtime]); at start the WMS moves the callback out,
-// frees the slot, then calls it. A job lost in the submission chain (or
-// silently dropped by its CE) keeps its slot until the client cancels
-// it, since only the client's timeout notices the loss.
+// Tickets live in the slot map of sim/slot_map.hpp: a TicketId is a slot
+// handle to an InFlight record, so submit, cancel and start never hash
+// and never allocate beyond amortized slot-vector growth, and a ticket is
+// never 0. A slot is freed when its job starts or is canceled: a stale or
+// recycled ticket fails the generation check, and cancel() on it returns
+// false without moving a counter. The client's start callback is moved
+// into the ticket's slot once, at submit. The matchmaking event and the
+// CE job carry only (this, ticket[, runtime]); at start the WMS moves the
+// callback out, frees the slot, then calls it. A job lost in the
+// submission chain (or silently dropped by its CE) keeps its slot until
+// the client cancels it, since only the client's timeout notices the
+// loss.
 
 #include <cstdint>
 #include <vector>
@@ -31,6 +29,7 @@
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "sim/slot_map.hpp"
 #include "sim/small_fn.hpp"
 #include "stats/rng.hpp"
 
@@ -50,7 +49,7 @@ struct WmsConfig {
 
 class WorkloadManager {
  public:
-  using TicketId = std::uint64_t;
+  using TicketId = SlotHandle;
   using StartCallback = SmallFn;
 
   /// `ces` must stay alive for the WMS lifetime; metrics may be nullptr.
@@ -77,21 +76,16 @@ class WorkloadManager {
   }
 
  private:
-  static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
-
-  /// One ticket slot. A free slot chains to the next free one through
-  /// `next_free`; its generation was bumped when it was freed, so tickets
-  /// naming the old tenant go stale.
+  /// One ticket slot; the slot map chains free slots through `next_free`.
   struct InFlight {
     enum class Where : std::uint8_t {
-      kFree,
       kMatchmaking,
       kComputingElement,
       kLost
     };
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNilIndex;
-    Where where = Where::kFree;
+    Where where = Where::kMatchmaking;
     std::uint32_t ce_index = 0;  ///< valid at a CE
     std::uint64_t handle = 0;    ///< matchmaking EventId or CE JobHandle
     StartCallback on_start;      ///< held until the job starts
@@ -101,10 +95,7 @@ class WorkloadManager {
   [[nodiscard]] std::size_t choose_element();
   void dispatch_job(TicketId ticket, double runtime);
   void start_job(TicketId ticket);
-  [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
-  /// Slot index of a live ticket, or kNilIndex if it is stale or unknown.
-  [[nodiscard]] std::uint32_t live_slot(TicketId ticket) const;
 
   Simulator& sim_;
   std::vector<ComputingElement*> ces_;
@@ -115,8 +106,7 @@ class WorkloadManager {
 
   std::vector<double> load_snapshot_;
   std::vector<std::size_t> ties_;  ///< reused least-loaded tie buffer
-  std::vector<InFlight> slots_;
-  std::uint32_t free_head_ = kNilIndex;
+  SlotMap<InFlight, &InFlight::next_free> slots_;
 };
 
 }  // namespace gridsub::sim

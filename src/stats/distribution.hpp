@@ -42,9 +42,6 @@ class Distribution {
 
   /// Human-readable name with parameters, e.g. "LogNormal(mu=6.1,sigma=0.9)".
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Deep copy (distributions are immutable value-like objects).
-  [[nodiscard]] virtual std::unique_ptr<Distribution> clone() const = 0;
 };
 
 using DistributionPtr = std::unique_ptr<Distribution>;

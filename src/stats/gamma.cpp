@@ -68,8 +68,4 @@ std::string GammaDist::name() const {
   return os.str();
 }
 
-std::unique_ptr<Distribution> GammaDist::clone() const {
-  return std::make_unique<GammaDist>(*this);
-}
-
 }  // namespace gridsub::stats

@@ -20,7 +20,6 @@ class GammaDist final : public Distribution {
   /// Marsaglia-Tsang squeeze sampler (exact, no inverse transform).
   [[nodiscard]] double sample(Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Distribution> clone() const override;
 
   [[nodiscard]] double shape() const { return shape_; }
   [[nodiscard]] double scale() const { return scale_; }

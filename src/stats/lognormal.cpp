@@ -59,10 +59,6 @@ std::string LogNormal::name() const {
   return os.str();
 }
 
-std::unique_ptr<Distribution> LogNormal::clone() const {
-  return std::make_unique<LogNormal>(*this);
-}
-
 double LogNormal::truncated_raw_moment(int k, double t) const {
   if (!(t > 0.0)) {
     throw std::invalid_argument("truncated_raw_moment: t must be > 0");

@@ -29,7 +29,6 @@ class LogNormal final : public Distribution {
   [[nodiscard]] double variance() const override;
   [[nodiscard]] double sample(Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Distribution> clone() const override;
 
   [[nodiscard]] double mu() const { return mu_; }
   [[nodiscard]] double sigma() const { return sigma_; }

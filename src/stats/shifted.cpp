@@ -10,9 +10,6 @@ Shifted::Shifted(DistributionPtr inner, double shift)
   if (!inner_) throw std::invalid_argument("Shifted: null inner");
 }
 
-Shifted::Shifted(const Shifted& other)
-    : inner_(other.inner_->clone()), shift_(other.shift_) {}
-
 double Shifted::pdf(double x) const { return inner_->pdf(x - shift_); }
 
 double Shifted::cdf(double x) const { return inner_->cdf(x - shift_); }
@@ -39,10 +36,6 @@ std::string Shifted::name() const {
   std::ostringstream os;
   os << "Shifted(" << inner_->name() << ",+" << shift_ << ")";
   return os.str();
-}
-
-std::unique_ptr<Distribution> Shifted::clone() const {
-  return std::make_unique<Shifted>(*this);
 }
 
 }  // namespace gridsub::stats

@@ -18,7 +18,6 @@ class Shifted final : public Distribution {
   /// Takes ownership of `inner`. Requires inner != nullptr.
   Shifted(DistributionPtr inner, double shift);
 
-  Shifted(const Shifted& other);
   Shifted(Shifted&&) noexcept = default;
   Shifted& operator=(Shifted&&) noexcept = default;
 
@@ -31,7 +30,6 @@ class Shifted final : public Distribution {
   [[nodiscard]] double support_lower() const override;
   [[nodiscard]] double support_upper() const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Distribution> clone() const override;
 
   [[nodiscard]] double shift() const { return shift_; }
   [[nodiscard]] const Distribution& inner() const { return *inner_; }

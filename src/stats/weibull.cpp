@@ -55,8 +55,4 @@ std::string Weibull::name() const {
   return os.str();
 }
 
-std::unique_ptr<Distribution> Weibull::clone() const {
-  return std::make_unique<Weibull>(*this);
-}
-
 }  // namespace gridsub::stats

@@ -20,7 +20,6 @@ class Weibull final : public Distribution {
   [[nodiscard]] double variance() const override;
   [[nodiscard]] double sample(Rng& rng) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Distribution> clone() const override;
 
   [[nodiscard]] double shape() const { return shape_; }
   [[nodiscard]] double scale() const { return scale_; }

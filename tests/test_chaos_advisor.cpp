@@ -11,11 +11,14 @@
 //   * a paused refresh delays publication only: ingestion and stats()
 //     carry on, and what they add stays pending for the next build;
 //   * crash-restart: dump -> warm_start -> dump is byte-identical, even
-//     for a state built under chaos, and a corrupt, truncated or
-//     hostilely nested dump fails with RecoveryError.
+//     for a state built under chaos; a corrupt, truncated or hostilely
+//     nested dump, or one holding advice the service could never have
+//     published, fails with RecoveryError; and every seeded mutant of a
+//     real dump either fails so or round-trips byte for byte.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -33,6 +36,7 @@
 #include "serve/advisor.hpp"
 #include "serve/replay_feed.hpp"
 #include "serve/request_loop.hpp"
+#include "stats/rng.hpp"
 #include "traces/scenarios.hpp"
 
 namespace gridsub::fault {
@@ -494,6 +498,165 @@ TEST(ChaosAdvisor, WarmStartRejectsMismatchedFallback) {
   AdvisorService fresh(chaos_config());
   std::istringstream dump(full);
   EXPECT_THROW(fresh.warm_start(dump, "mismatched"), serve::RecoveryError);
+}
+
+/// A one-key dump whose advice is of kind `kind`, with the fields
+/// `fields` (the text between "kind" and the entry's closing brace).
+std::string one_key_dump(const std::string& kind, const std::string& fields) {
+  return "{\"advisor\": {\"fallback_t_inf\": 900, \"observations\": 40, "
+         "\"keys\": [{\"vo\": \"vo0\", \"site\": \"lpc\", "
+         "\"user_class\": \"uc0\", \"ready\": true, \"drifted\": false, "
+         "\"observations\": 40, \"refits\": 1, \"drift_statistic\": 0, "
+         "\"outlier_ratio\": 0, \"kind\": \"" +
+         kind + "\", " + fields + "}]}}";
+}
+
+TEST(ChaosAdvisor, WarmStartRejectsAdviceTheServiceCouldNotPublish) {
+  // {kind, fields, b served}; the delayed entry sits on t_inf = 2*t0.
+  const std::array<std::string, 3> good[] = {
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 2, \"expectation\": 400, "
+       "\"delta_cost\": 1.5",
+       "2"},
+      {"single-resubmission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 1, \"expectation\": 400, "
+       "\"delta_cost\": 1",
+       "1"},
+      {"delayed-resubmission",
+       "\"t0\": 400, \"t_inf\": 800, \"b\": 1, \"expectation\": 400, "
+       "\"delta_cost\": 1.2",
+       "1"},
+  };
+  for (const auto& [kind, fields, b] : good) {
+    AdvisorService fresh(chaos_config());
+    std::istringstream dump(one_key_dump(kind, fields));
+    ASSERT_NO_THROW(fresh.warm_start(dump, "good")) << kind;
+    const Advice advice = AdvisorService::Reader(fresh).advise(key_a());
+    EXPECT_TRUE(advice.ready) << kind;
+    EXPECT_EQ(core::to_string(advice.kind), kind);
+    EXPECT_EQ(std::to_string(advice.b), b) << kind;
+  }
+  // {kind, fields, key the error must name}.
+  const std::array<std::string, 3> bad[] = {
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 4294967295, "
+       "\"expectation\": 400, \"delta_cost\": 1.5",
+       "b"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": null, \"b\": 0, \"expectation\": -3, "
+       "\"delta_cost\": 1.5",
+       "t_inf"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 0, \"expectation\": 400, "
+       "\"delta_cost\": 1.5",
+       "b"},
+      {"multiple-submission",
+       "\"t0\": -1, \"t_inf\": 600, \"b\": 2, \"expectation\": 400, "
+       "\"delta_cost\": 1.5",
+       "t0"},
+      {"multiple-submission",
+       "\"t0\": null, \"t_inf\": 600, \"b\": 2, \"expectation\": 400, "
+       "\"delta_cost\": 1.5",
+       "t0"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 0, \"b\": 2, \"expectation\": 400, "
+       "\"delta_cost\": 1.5",
+       "t_inf"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 2, \"expectation\": -3, "
+       "\"delta_cost\": 1.5",
+       "expectation"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 2, \"expectation\": null, "
+       "\"delta_cost\": 1.5",
+       "expectation"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 2, \"expectation\": 400, "
+       "\"delta_cost\": -0.5",
+       "delta_cost"},
+      {"multiple-submission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 2, \"expectation\": 400, "
+       "\"delta_cost\": null",
+       "delta_cost"},
+      {"single-resubmission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 7, \"expectation\": 400, "
+       "\"delta_cost\": 1",
+       "b"},
+      {"delayed-resubmission",
+       "\"t0\": 700, \"t_inf\": 600, \"b\": 1, \"expectation\": 400, "
+       "\"delta_cost\": 1.2",
+       "t_inf"},
+      {"delayed-resubmission",
+       "\"t0\": 0, \"t_inf\": 600, \"b\": 1, \"expectation\": 400, "
+       "\"delta_cost\": 1.2",
+       "t0"},
+  };
+  for (const auto& [kind, fields, key] : bad) {
+    AdvisorService fresh(chaos_config());
+    std::istringstream dump(one_key_dump(kind, fields));
+    try {
+      fresh.warm_start(dump, "hand-made");
+      ADD_FAILURE() << "warm_start accepted " << kind << ": " << fields;
+    } catch (const serve::RecoveryError& e) {
+      EXPECT_NE(std::string(e.what()).find("key \"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ChaosAdvisor, WarmStartSurvivesSeededMutations) {
+  // Byte flips, deletions, duplications and splices of a real dump, drawn
+  // from one SplitMix64 stream: each mutant either fails with
+  // RecoveryError, or is accepted and re-dumps to bytes that warm-start
+  // back to the same bytes.
+  AdvisorService source(chaos_config());
+  build_state(source);
+  const std::string dump = dump_of(source);
+  std::uint64_t state = 20090611;
+  const auto draw = [&state](std::size_t n) {
+    return static_cast<std::size_t>(stats::splitmix64(state) % n);
+  };
+  constexpr int kMutants = 2000;
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string text = dump;
+    for (std::size_t edits = 1 + draw(3); edits > 0 && !text.empty();
+         --edits) {
+      const std::size_t at = draw(text.size());
+      const std::size_t len = 1 + draw(16);
+      switch (draw(4)) {
+        case 0:  // flip one bit
+          text[at] = static_cast<char>(text[at] ^ (1 << draw(8)));
+          break;
+        case 1:  // delete a span
+          text.erase(at, len);
+          break;
+        case 2:  // duplicate a span in place
+          text.insert(at, text.substr(at, len));
+          break;
+        default:  // splice a span of the dump over another
+          text.replace(at, len, dump.substr(draw(dump.size()), len));
+          break;
+      }
+    }
+    AdvisorService first(chaos_config());
+    std::istringstream in(text);
+    try {
+      first.warm_start(in, "mutant");
+    } catch (const serve::RecoveryError&) {
+      continue;
+    }
+    ++accepted;
+    const std::string redump = dump_of(first);
+    AdvisorService second(chaos_config());
+    std::istringstream again(redump);
+    ASSERT_NO_THROW(second.warm_start(again, "re-dump")) << "mutant " << i;
+    ASSERT_EQ(dump_of(second), redump) << "mutant " << i;
+  }
+  // Both outcomes occur, so neither half of the invariant is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutants);
 }
 
 TEST(ChaosAdvisor, WarmStartRejectsNonVirginServices) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "core/single_resubmission.hpp"
+#include "core/multiple_submission.hpp"
 #include "numerics/optimize2d.hpp"
 #include "test_util.hpp"
 
@@ -46,7 +46,7 @@ TEST(DelayedResubmission, DegeneratesToSingleResubmissionAtT0EqualTinf) {
   // canceled: plain single resubmission.
   const auto m = shared_model();
   const DelayedResubmission d(m);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const double t_inf = 800.0;
   EXPECT_NEAR(d.expectation(t_inf - 1e-3, t_inf), s.expectation(t_inf),
               0.5);
@@ -69,7 +69,7 @@ TEST(DelayedResubmission, EarlierCopyNeverHurts) {
 TEST(DelayedResubmission, BeatsSingleAtItsOptimum) {
   const auto m = shared_model();
   const DelayedResubmission d(m);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const auto dopt = d.optimize();
   const auto sopt = s.optimize();
   EXPECT_LT(dopt.metrics.expectation, sopt.metrics.expectation);
@@ -404,7 +404,7 @@ TEST_P(DelayedSweep, InvariantsAcrossTheFeasibleTriangle) {
   EXPECT_GE(e2, ej * ej - 1e-6);
   // The delayed strategy at (t0, t_inf) is at least as good as single
   // resubmission at t_inf (the copy only adds chances).
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   EXPECT_LE(ej, s.expectation(t_inf) + 1e-6);
 }
 

@@ -73,16 +73,6 @@ TEST_P(DistributionProperties, SampleMomentsMatchTheory) {
   EXPECT_NEAR(var, d->variance(), 0.12 * d->variance() + 1e-9) << d->name();
 }
 
-TEST_P(DistributionProperties, CloneIsIndependentAndEquivalent) {
-  const auto d = GetParam().make();
-  const auto c = d->clone();
-  for (double x : {0.5, 10.0, 333.0}) {
-    EXPECT_DOUBLE_EQ(d->pdf(x), c->pdf(x));
-    EXPECT_DOUBLE_EQ(d->cdf(x), c->cdf(x));
-  }
-  EXPECT_EQ(d->name(), c->name());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Families, DistributionProperties,
     ::testing::Values(

@@ -157,14 +157,5 @@ TEST(DiscretizedModel, RejectsBadStep) {
   EXPECT_THROW(DiscretizedLatencyModel(src, 1e9), std::invalid_argument);
 }
 
-TEST(LatencyModels, CloneIsDeepAndEquivalent) {
-  const auto src = testutil::make_heavy_model();
-  const auto clone = src.clone();
-  EXPECT_DOUBLE_EQ(clone->ftilde(321.0), src.ftilde(321.0));
-  const DiscretizedLatencyModel d(src, 4.0);
-  const auto dclone = d.clone();
-  EXPECT_DOUBLE_EQ(dclone->ftilde(321.0), d.ftilde(321.0));
-}
-
 }  // namespace
 }  // namespace gridsub::model

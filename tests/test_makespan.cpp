@@ -21,7 +21,7 @@ const model::DiscretizedLatencyModel& test_model() {
 
 MakespanModel single_model(double t_inf = 596.0) {
   return MakespanModel(
-      core::TotalLatencyDistribution::single(test_model(), t_inf));
+      core::TotalLatencyDistribution::multiple(test_model(), 1, t_inf));
 }
 
 TEST(Makespan, SingleTaskReducesToExpectedLatency) {
@@ -102,7 +102,7 @@ TEST(Makespan, MultipleSubmissionShrinksTheTailFasterThanTheMean) {
   // E_J; at the bag level (n large) the gain is driven by the tail and is
   // at least as large.
   const auto& lm = test_model();
-  MakespanModel single(core::TotalLatencyDistribution::single(lm, 596.0));
+  MakespanModel single(core::TotalLatencyDistribution::multiple(lm, 1, 596.0));
   MakespanModel multi(core::TotalLatencyDistribution::multiple(lm, 5,
                                                                887.0));
   const double gain_1 = single.expected_max_latency(1) /

@@ -9,7 +9,6 @@
 
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "mc/mc_engine.hpp"
 #include "test_util.hpp"
 
@@ -31,8 +30,8 @@ McOptions fast_options() {
 
 TEST(McEngine, DeterministicAcrossRuns) {
   const auto& m = shared_model();
-  const auto a = simulate_single(m, 700.0, fast_options());
-  const auto b = simulate_single(m, 700.0, fast_options());
+  const auto a = simulate_multiple(m, 1, 700.0, fast_options());
+  const auto b = simulate_multiple(m, 1, 700.0, fast_options());
   EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency);
   EXPECT_DOUBLE_EQ(a.std_latency, b.std_latency);
 }
@@ -45,20 +44,20 @@ TEST(McEngine, DeterministicAcrossThreadCounts) {
   o1.pool = &pool1;
   auto o8 = fast_options();
   o8.pool = &pool8;
-  const auto a = simulate_single(m, 700.0, o1);
-  const auto b = simulate_single(m, 700.0, o8);
+  const auto a = simulate_multiple(m, 1, 700.0, o1);
+  const auto b = simulate_multiple(m, 1, 700.0, o8);
   EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency);
 }
 
 TEST(McEngine, RejectsBadArguments) {
   const auto& m = shared_model();
-  EXPECT_THROW(simulate_single(m, 0.0), std::invalid_argument);
+  EXPECT_THROW(simulate_multiple(m, 1, 0.0), std::invalid_argument);
   EXPECT_THROW(simulate_multiple(m, 0, 100.0), std::invalid_argument);
   EXPECT_THROW(simulate_delayed(m, 100.0, 50.0), std::invalid_argument);
   EXPECT_THROW(simulate_delayed(m, 100.0, 250.0), std::invalid_argument);
   McOptions o;
   o.replications = 0;
-  EXPECT_THROW(simulate_single(m, 100.0, o), std::invalid_argument);
+  EXPECT_THROW(simulate_multiple(m, 1, 100.0, o), std::invalid_argument);
 }
 
 class SingleAgreement : public ::testing::TestWithParam<double> {};
@@ -66,8 +65,8 @@ class SingleAgreement : public ::testing::TestWithParam<double> {};
 TEST_P(SingleAgreement, ExpectationSigmaAndSubmissions) {
   const double t_inf = GetParam();
   const auto& m = shared_model();
-  const core::SingleResubmission s(m);
-  const auto mc = simulate_single(m, t_inf, fast_options());
+  const core::MultipleSubmission s(m, 1);
+  const auto mc = simulate_multiple(m, 1, t_inf, fast_options());
   const double ej = s.expectation(t_inf);
   const double se = mc.std_latency / std::sqrt(mc.replications);
   EXPECT_NEAR(mc.mean_latency, ej, 6.0 * se + 0.01 * ej);
@@ -159,7 +158,7 @@ TEST(McEngine, ExponentialBaselineHasKnownMean) {
   // regardless of timeout.
   const auto src = testutil::make_exponential_model(300.0, 0.0, 20000.0);
   const auto m = testutil::discretize(src, 2.0);
-  const auto mc = simulate_single(m, 450.0, fast_options());
+  const auto mc = simulate_multiple(m, 1, 450.0, fast_options());
   EXPECT_NEAR(mc.mean_latency, 300.0, 3.0);
 }
 

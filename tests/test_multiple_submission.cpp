@@ -8,7 +8,6 @@
 #include <cmath>
 #include <string>
 
-#include "core/single_resubmission.hpp"
 #include "numerics/optimize1d.hpp"
 #include "test_util.hpp"
 
@@ -19,16 +18,6 @@ model::DiscretizedLatencyModel shared_model() {
   static const auto m =
       testutil::discretize(testutil::make_heavy_model(0.05, 4000.0), 1.0);
   return m;
-}
-
-TEST(MultipleSubmission, BEqualsOneMatchesSingleResubmission) {
-  const auto m = shared_model();
-  const MultipleSubmission multi(m, 1);
-  const SingleResubmission single(m);
-  for (double t : {200.0, 600.0, 1500.0}) {
-    EXPECT_DOUBLE_EQ(multi.expectation(t), single.expectation(t));
-    EXPECT_DOUBLE_EQ(multi.std_deviation(t), single.std_deviation(t));
-  }
 }
 
 TEST(MultipleSubmission, ExpectationDecreasesWithB) {
@@ -113,9 +102,6 @@ TEST(MultipleSubmission, CollectionCdfSubstitutionIsExact) {
       return best;
     }
     std::string name() const override { return "collection"; }
-    std::unique_ptr<LatencyModel> clone() const override {
-      return std::make_unique<CollectionModel>(base_, b_);
-    }
 
    private:
     const model::DiscretizedLatencyModel& base_;
@@ -124,7 +110,7 @@ TEST(MultipleSubmission, CollectionCdfSubstitutionIsExact) {
 
   const CollectionModel collection(m, b);
   const auto collection_disc = testutil::discretize(collection, 1.0);
-  const SingleResubmission as_single(collection_disc);
+  const MultipleSubmission as_single(collection_disc, 1);
   for (double t : {300.0, 800.0, 2000.0}) {
     EXPECT_NEAR(multi.expectation(t), as_single.expectation(t),
                 0.002 * multi.expectation(t));

@@ -48,7 +48,7 @@ TEST(Pipeline, SyntheticDatasetToValidatedOptimum) {
 
   // The single-resubmission baseline bills exactly its own latency.
   const auto base = cost.baseline();
-  const auto mc_base = mc::simulate_single(m, base.t_inf, mo);
+  const auto mc_base = mc::simulate_multiple(m, 1, base.t_inf, mo);
   const double single_job_seconds =
       mc_base.aggregate_parallel * mc_base.mean_latency;
   EXPECT_NEAR(single_job_seconds, base.metrics.expectation,
@@ -101,7 +101,7 @@ TEST(Pipeline, DesProbesFeedTheModelingChain) {
 
   const auto m =
       model::DiscretizedLatencyModel::from_trace(probe.trace(), 2.0);
-  const core::SingleResubmission single(m);
+  const core::MultipleSubmission single(m, 1);
   const auto opt = single.optimize();
   ASSERT_TRUE(std::isfinite(opt.metrics.expectation));
 
@@ -131,7 +131,7 @@ TEST(Pipeline, TraceCsvRoundTripPreservesModelDecisions) {
   const auto restored = traces::read_csv_file(path);
   const auto m1 = model::DiscretizedLatencyModel::from_trace(trace, 1.0);
   const auto m2 = model::DiscretizedLatencyModel::from_trace(restored, 1.0);
-  const core::SingleResubmission s1(m1), s2(m2);
+  const core::MultipleSubmission s1(m1, 1), s2(m2, 1);
   EXPECT_DOUBLE_EQ(s1.optimize().t_inf, s2.optimize().t_inf);
 }
 

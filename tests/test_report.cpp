@@ -21,15 +21,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(out.find("+0.1%"), std::string::npos);
 }
 
-TEST(Table, MarkdownRendering) {
-  Table t({"a", "b"});
-  t.row().cell(1LL).cell(2LL);
-  std::ostringstream os;
-  t.print_markdown(os);
-  EXPECT_NE(os.str().find("| a | b |"), std::string::npos);
-  EXPECT_NE(os.str().find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(Table, InfinityRendersAsInf) {
   Table t({"x"});
   t.row().cell(std::numeric_limits<double>::infinity(), 2);

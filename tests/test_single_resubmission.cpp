@@ -1,6 +1,7 @@
-// Single-resubmission strategy (paper §4, eqs. 1-2).
+// Single-resubmission strategy (paper §4, eqs. 1-2): multiple submission
+// (§5) at b = 1, MultipleSubmission(m, 1).
 
-#include "core/single_resubmission.hpp"
+#include "core/multiple_submission.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,7 @@ namespace {
 TEST(SingleResubmission, MatchesEquation1ByDirectQuadrature) {
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   for (double t_inf : {200.0, 500.0, 1000.0, 3000.0}) {
     const double direct =
         numerics::adaptive_simpson(
@@ -30,7 +31,7 @@ TEST(SingleResubmission, ExponentialLatencyIsTimeoutIndifferent) {
   // the sharp analytic sanity check — resubmission can't help (or hurt).
   const auto src = testutil::make_exponential_model(300.0, 0.0, 20000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   for (double t_inf : {50.0, 300.0, 1000.0, 5000.0}) {
     EXPECT_NEAR(s.expectation(t_inf), 300.0, 2.0) << "t_inf=" << t_inf;
   }
@@ -41,7 +42,7 @@ TEST(SingleResubmission, FaultsMakeLargeTimeoutsExpensive) {
   // optimum is interior.
   const auto src = testutil::make_exponential_model(300.0, 0.2, 20000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const auto opt = s.optimize();
   EXPECT_LT(opt.t_inf, 19000.0);
   EXPECT_LT(opt.metrics.expectation, s.expectation(19000.0));
@@ -51,7 +52,7 @@ TEST(SingleResubmission, FaultsMakeLargeTimeoutsExpensive) {
 TEST(SingleResubmission, ExpectationInfiniteWhenNoMassBeforeTimeout) {
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   // The latency floor is 60 s; F̃(10) == 0.
   EXPECT_TRUE(std::isinf(s.expectation(10.0)));
   EXPECT_TRUE(std::isinf(s.expectation(-5.0)));
@@ -60,7 +61,7 @@ TEST(SingleResubmission, ExpectationInfiniteWhenNoMassBeforeTimeout) {
 TEST(SingleResubmission, OptimumBeatsArbitraryTimeouts) {
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const auto opt = s.optimize();
   for (double t : {150.0, 400.0, 900.0, 2500.0, 3900.0}) {
     EXPECT_LE(opt.metrics.expectation, s.expectation(t) + 1e-6);
@@ -70,7 +71,7 @@ TEST(SingleResubmission, OptimumBeatsArbitraryTimeouts) {
 TEST(SingleResubmission, ExpectedSubmissionsIsInverseSuccessProbability) {
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const double t_inf = 800.0;
   EXPECT_NEAR(s.expected_submissions(t_inf), 1.0 / m.ftilde(t_inf), 1e-9);
   EXPECT_GT(s.expected_submissions(200.0), s.expected_submissions(2000.0));
@@ -81,7 +82,7 @@ TEST(SingleResubmission, StdDeviationMatchesEquation2) {
   // implementation.
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const double t_inf = 700.0;
   const double p = m.ftilde(t_inf);
   const auto surv = [&](double u) { return 1.0 - m.ftilde(u); };
@@ -99,7 +100,7 @@ TEST(SingleResubmission, Table1PatternSigmaJBelowSigmaR) {
   // than the raw latency sigma (outlier impact suppressed).
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const auto opt = s.optimize();
   // sigma of the conditioned latency: estimate from the model by sampling.
   stats::Rng rng(5);
@@ -123,7 +124,7 @@ class SingleTimeoutSweep : public ::testing::TestWithParam<double> {};
 TEST_P(SingleTimeoutSweep, EvaluateIsConsistentWithComponents) {
   const auto src = testutil::make_heavy_model(0.05, 4000.0);
   const auto m = testutil::discretize(src, 1.0);
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   const double t_inf = GetParam();
   const auto metrics = s.evaluate(t_inf);
   EXPECT_DOUBLE_EQ(metrics.expectation, s.expectation(t_inf));

@@ -9,7 +9,6 @@
 
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "core/total_latency.hpp"
 #include "model/discretized.hpp"
 #include "stats/rng.hpp"
@@ -64,7 +63,7 @@ TEST_P(AllDatasets, DelayedOptimumBeatsSingleOptimum) {
   // Paper Table 3: "All E_J values are below E_J from the single
   // resubmission strategy" — the delayed global optimum in particular.
   const double single =
-      SingleResubmission(model()).optimize().metrics.expectation;
+      MultipleSubmission(model(), 1).optimize().metrics.expectation;
   const auto delayed = DelayedResubmission(model()).optimize();
   EXPECT_LE(delayed.metrics.expectation, single * (1.0 + 1e-9));
 }
@@ -73,7 +72,7 @@ TEST_P(AllDatasets, DelayedSitsBetweenSingleAndDouble) {
   // Paper §6: delayed beats single but not multiple with b >= 2, at the
   // respective latency optima.
   const double single =
-      SingleResubmission(model()).optimize().metrics.expectation;
+      MultipleSubmission(model(), 1).optimize().metrics.expectation;
   const double twin =
       MultipleSubmission(model(), 2).optimize().metrics.expectation;
   const auto delayed = DelayedResubmission(model()).optimize();
@@ -95,7 +94,7 @@ TEST_P(AllDatasets, SigmaShrinksWithB) {
 TEST_P(AllDatasets, ExpectedSubmissionsMatchesRoundFailureGeometry) {
   // Single resubmission submits Geometric(F~(t_inf)) jobs: 1/F~(t_inf).
   const auto& m = model();
-  const SingleResubmission s(m);
+  const MultipleSubmission s(m, 1);
   for (const double t_inf : {500.0, 1000.0, 3000.0}) {
     const double f = m.ftilde(t_inf);
     if (f <= 0.0) continue;
@@ -165,7 +164,7 @@ TEST(TotalLatencyOrdering, DelayedDominatesSingleAtSameTimeout) {
   const auto m = model::DiscretizedLatencyModel::from_trace(
       traces::make_trace_by_name("2006-IX"), 2.0);
   const double t0 = 400.0, t_inf = 700.0;
-  const auto single = TotalLatencyDistribution::single(m, t_inf);
+  const auto single = TotalLatencyDistribution::multiple(m, 1, t_inf);
   const auto delayed = TotalLatencyDistribution::delayed(m, t0, t_inf);
   for (double t = 100.0; t <= 6000.0; t += 100.0) {
     EXPECT_LE(delayed.survival(t), single.survival(t) + 1e-9) << "t=" << t;

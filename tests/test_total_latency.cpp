@@ -9,7 +9,6 @@
 
 #include "core/delayed_resubmission.hpp"
 #include "core/multiple_submission.hpp"
-#include "core/single_resubmission.hpp"
 #include "mc/mc_engine.hpp"
 #include "model/discretized.hpp"
 #include "traces/datasets.hpp"
@@ -24,7 +23,7 @@ const model::DiscretizedLatencyModel& test_model() {
 }
 
 TEST(TotalLatency, SurvivalStartsAtOneAndDecreases) {
-  const auto d = TotalLatencyDistribution::single(test_model(), 600.0);
+  const auto d = TotalLatencyDistribution::multiple(test_model(), 1, 600.0);
   EXPECT_DOUBLE_EQ(d.survival(0.0), 1.0);
   EXPECT_DOUBLE_EQ(d.survival(-5.0), 1.0);
   double prev = 1.0;
@@ -48,7 +47,7 @@ TEST(TotalLatency, SurvivalIsContinuousAcrossRoundBoundaries) {
 
 TEST(TotalLatency, GeometricDecayPerRound) {
   const double t_inf = 600.0;
-  const auto d = TotalLatencyDistribution::single(test_model(), t_inf);
+  const auto d = TotalLatencyDistribution::multiple(test_model(), 1, t_inf);
   const double q = test_model().survival_at(t_inf);
   // S(k*t_inf) = q^k exactly.
   for (int k = 1; k <= 5; ++k) {
@@ -58,9 +57,9 @@ TEST(TotalLatency, GeometricDecayPerRound) {
 
 TEST(TotalLatency, ExpectationMatchesStrategyModels) {
   const auto& m = test_model();
-  const auto single = TotalLatencyDistribution::single(m, 596.0);
+  const auto single = TotalLatencyDistribution::multiple(m, 1, 596.0);
   EXPECT_NEAR(single.expectation(),
-              SingleResubmission(m).expectation(596.0), 1e-9);
+              MultipleSubmission(m, 1).expectation(596.0), 1e-9);
 
   const auto multi = TotalLatencyDistribution::multiple(m, 5, 887.0);
   EXPECT_NEAR(multi.expectation(),
@@ -105,7 +104,7 @@ TEST(TotalLatency, QuantileInvertsCdfForDelayed) {
 }
 
 TEST(TotalLatency, QuantileZeroIsZeroAndMonotone) {
-  const auto d = TotalLatencyDistribution::single(test_model(), 600.0);
+  const auto d = TotalLatencyDistribution::multiple(test_model(), 1, 600.0);
   EXPECT_DOUBLE_EQ(d.quantile(0.0), 0.0);
   double prev = 0.0;
   for (double p = 0.1; p < 1.0; p += 0.1) {
@@ -137,7 +136,7 @@ TEST(TotalLatency, SurvivalMatchesMcTailFrequencies) {
 
 TEST(TotalLatency, JobSecondsAccounting) {
   const auto& m = test_model();
-  const auto single = TotalLatencyDistribution::single(m, 596.0);
+  const auto single = TotalLatencyDistribution::multiple(m, 1, 596.0);
   EXPECT_DOUBLE_EQ(single.expected_job_seconds(), single.expectation());
   const auto multi = TotalLatencyDistribution::multiple(m, 4, 881.0);
   EXPECT_DOUBLE_EQ(multi.expected_job_seconds(), 4.0 * multi.expectation());
@@ -148,9 +147,9 @@ TEST(TotalLatency, JobSecondsAccounting) {
 
 TEST(TotalLatency, RejectsInvalidParameters) {
   const auto& m = test_model();
-  EXPECT_THROW(TotalLatencyDistribution::single(m, 0.0),
+  EXPECT_THROW(TotalLatencyDistribution::multiple(m, 1, 0.0),
                std::invalid_argument);
-  EXPECT_THROW(TotalLatencyDistribution::single(m, m.horizon() * 2.0),
+  EXPECT_THROW(TotalLatencyDistribution::multiple(m, 1, m.horizon() * 2.0),
                std::invalid_argument);
   EXPECT_THROW(TotalLatencyDistribution::multiple(m, 0, 500.0),
                std::invalid_argument);
@@ -158,19 +157,17 @@ TEST(TotalLatency, RejectsInvalidParameters) {
                std::invalid_argument);  // t_inf > 2*t0
   EXPECT_THROW(TotalLatencyDistribution::delayed(m, 300.0, 250.0),
                std::invalid_argument);  // t_inf < t0
-  const auto ok = TotalLatencyDistribution::single(m, 600.0);
+  const auto ok = TotalLatencyDistribution::multiple(m, 1, 600.0);
   EXPECT_THROW((void)ok.quantile(1.0), std::invalid_argument);
   EXPECT_THROW((void)ok.quantile(-0.1), std::invalid_argument);
 }
 
-TEST(TotalLatency, SingleEqualsMultipleWithBOne) {
+TEST(TotalLatency, BEqualsOneIsSingleResubmission) {
   const auto& m = test_model();
-  const auto a = TotalLatencyDistribution::single(m, 650.0);
-  const auto b = TotalLatencyDistribution::multiple(m, 1, 650.0);
-  for (double t = 100.0; t < 3000.0; t += 100.0) {
-    EXPECT_DOUBLE_EQ(a.survival(t), b.survival(t));
-  }
-  EXPECT_DOUBLE_EQ(a.expectation(), b.expectation());
+  EXPECT_EQ(TotalLatencyDistribution::multiple(m, 1, 650.0).kind(),
+            StrategyKind::kSingleResubmission);
+  EXPECT_EQ(TotalLatencyDistribution::multiple(m, 2, 650.0).kind(),
+            StrategyKind::kMultipleSubmission);
 }
 
 TEST(TotalLatency, MoreCopiesStochasticallyDominate) {

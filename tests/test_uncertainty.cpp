@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "core/single_resubmission.hpp"
+#include "core/multiple_submission.hpp"
 #include "model/discretized.hpp"
 #include "traces/datasets.hpp"
 #include "traces/generator.hpp"
@@ -22,7 +22,7 @@ const model::DiscretizedLatencyModel& base_model() {
 
 TEST(Uncertainty, BandsContainThePointEstimate) {
   const UncertaintyAnalysis ua(base_model(), 2005);
-  const auto s = ua.single(600.0);
+  const auto s = ua.multiple(1, 600.0);
   EXPECT_LE(s.lower, s.estimate);
   EXPECT_LE(s.estimate, s.upper);
   const auto m = ua.multiple(4, 881.0);
@@ -36,8 +36,8 @@ TEST(Uncertainty, BandsContainThePointEstimate) {
 TEST(Uncertainty, BandsShrinkWithCampaignSize) {
   const UncertaintyAnalysis small(base_model(), 100);
   const UncertaintyAnalysis large(base_model(), 10000);
-  const auto ws = small.single(600.0);
-  const auto wl = large.single(600.0);
+  const auto ws = small.multiple(1, 600.0);
+  const auto wl = large.multiple(1, 600.0);
   EXPECT_LT(wl.upper - wl.lower, ws.upper - ws.lower);
   // DKW epsilon scales as 1/sqrt(n): 10x the width ratio for 100x probes.
   EXPECT_NEAR(small.epsilon() / large.epsilon(), 10.0, 1e-9);
@@ -60,7 +60,7 @@ TEST(Uncertainty, TinyCampaignCannotCertifyShortTimeouts) {
   const UncertaintyAnalysis ua(base_model(), 20);
   const double t_small = 130.0;  // F~(130) is small on 2006-IX
   ASSERT_LT(base_model().ftilde(t_small), ua.epsilon());
-  const auto band = ua.single(t_small);
+  const auto band = ua.multiple(1, t_small);
   EXPECT_TRUE(std::isinf(band.upper));
   EXPECT_TRUE(std::isfinite(band.lower));
 }
@@ -69,7 +69,7 @@ TEST(Uncertainty, CoversTheTruthAcrossResamples) {
   // Generate campaigns from a known ground-truth model; the 95% band from
   // each campaign must almost always contain the truth's E_J.
   const auto& truth = base_model();
-  const SingleResubmission oracle(truth);
+  const MultipleSubmission oracle(truth, 1);
   const double t_inf = 800.0;
   const double true_ej = oracle.expectation(t_inf);
   int misses = 0;
@@ -93,7 +93,7 @@ TEST(Uncertainty, CoversTheTruthAcrossResamples) {
     }
     const auto est = model::DiscretizedLatencyModel::from_trace(t, 1.0);
     const UncertaintyAnalysis ua(est, gen.n_probes, 0.05);
-    const auto band = ua.single(t_inf);
+    const auto band = ua.multiple(1, t_inf);
     if (true_ej < band.lower || true_ej > band.upper) ++misses;
   }
   // 95% nominal coverage, DKW conservative: a couple of misses at most.

@@ -351,7 +351,7 @@ TEST(Wms, CallbacksAreReleasedExactlyOnce) {
     f.sim.schedule_in(1.0, probed(9));
     f.sim.schedule_at(f.sim.now() + 1.0, probed(10));
     f.sim.schedule_daemon_in(1e9, probed(11));  // pending at teardown
-    f.sim.schedule_daemon_at(1e9, probed(12));  // pending at teardown
+    f.sim.schedule_daemon_in(1e9, probed(12));  // pending at teardown
     f.sim.run_until(f.sim.now() + 1.0);
 
     auto lossy = reliable_config();

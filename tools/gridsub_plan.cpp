@@ -75,9 +75,7 @@ int main(int argc, char** argv) try {
   const core::UncertaintyAnalysis ua(model, trace.size());
   core::ExpectationBand band;
   switch (rec.choice.kind) {
-    case core::StrategyKind::kSingleResubmission:
-      band = ua.single(rec.choice.t_inf);
-      break;
+    case core::StrategyKind::kSingleResubmission:  // b == 1
     case core::StrategyKind::kMultipleSubmission:
       band = ua.multiple(rec.choice.b, rec.choice.t_inf);
       break;
