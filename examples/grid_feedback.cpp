@@ -5,6 +5,7 @@
 // vs experienced latency — including the perturbation the fleet itself
 // causes.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -28,7 +29,10 @@ int main() {
   pc.concurrent = 10;
   sim::ProbeClient probe(measured, pc, "des-week");
   probe.start();
-  measured.simulator().run_until(measured.simulator().now() + 1.5e7);
+  // The trace is all phase 1 reads, and it is final once every probe has
+  // settled, so stop there rather than at the horizon.
+  measured.simulator().run_until(measured.simulator().now() + 1.5e7,
+                                 [&probe] { return probe.done(); });
   const auto stats = probe.trace().stats();
   std::printf("probe campaign: %zu probes, mean latency %.0f s (sd %.0f), "
               "outliers %.1f%%\n",
@@ -62,7 +66,12 @@ int main() {
           std::make_unique<sim::StrategyClient>(grid, spec, 30));
     }
     for (auto& c : clients) c->start();
-    grid.simulator().run_until(grid.simulator().now() + 6e7);
+    // The outcomes and the cancel count are final once every client is
+    // done: a settled task has canceled all of its copies and timeouts.
+    grid.simulator().run_until(grid.simulator().now() + 6e7, [&clients] {
+      return std::all_of(clients.begin(), clients.end(),
+                         [](const auto& c) { return c->done(); });
+    });
 
     double mean_j = 0.0, mean_subs = 0.0;
     std::size_t done = 0;

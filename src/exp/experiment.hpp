@@ -43,7 +43,8 @@ struct ScenarioCase {
   /// Base grid; the cell seed overwrites `grid.seed` per cell.
   sim::GridConfig grid = sim::GridConfig::egee_like();
   /// Workload replayed as (part of) the background traffic; null keeps
-  /// only the grid's Poisson BackgroundLoad. Shared read-only by cells.
+  /// only the grid's Poisson BackgroundLoad. Shared read-only by cells,
+  /// whose grids read it in place, so it must be sorted by arrival.
   std::shared_ptr<const traces::Workload> workload;
   sim::ReplayLoadConfig replay;
 };

@@ -116,6 +116,7 @@ class ComputingElement {
     StartCallback on_start;
     EventId completion_event = 0;  ///< valid while running
   };
+  static_assert(sizeof(JobCold) == 56);
 
   /// Intrusive FIFO lane over the slot vector. `count` includes ghost
   /// entries not yet drained, matching the historical deque semantics

@@ -19,7 +19,7 @@
 // SmallFn's inline buffer) no heap allocation for the common events.
 // Slot state is struct-of-arrays: the 12-byte metadata that cancel() and
 // the filing touch (generation, position, bucket) lives apart from the
-// 48-byte SmallFn payload (a 32-byte inline buffer plus its dispatch
+// 32-byte SmallFn payload (a 24-byte inline buffer plus its dispatch
 // pointer), which only pop() touches.
 //
 // An entry is ordered by (key, seq): key is an order-preserving 64-bit

@@ -67,9 +67,15 @@ class GridSimulation {
   /// Attaches a trace-replay workload source feeding this grid's WMS,
   /// starting at the current simulation time. Typically paired with
   /// `config.background.arrival_rate = 0` so the recorded workload is the
-  /// only background traffic. The grid owns the returned source.
+  /// only background traffic. The grid owns the returned source, which
+  /// reads `workload` in place: the workload must be sorted by arrival
+  /// (Workload::sort_by_arrival(); an unsorted one throws
+  /// std::invalid_argument) and must outlive the grid. A temporary would
+  /// dangle, so the rvalue overload is deleted.
   ReplayLoad& attach_replay(const traces::Workload& workload,
                             const ReplayLoadConfig& config = {});
+  ReplayLoad& attach_replay(const traces::Workload&& workload,
+                            const ReplayLoadConfig& config = {}) = delete;
 
   /// Warms the system up: runs `duration` seconds of background-only
   /// traffic so queues reach steady state before measurement.

@@ -29,33 +29,34 @@ void ProbeClient::submit_probe() {
   if (submitted_ >= config_.n_probes) return;
   ++submitted_;
   auto& sim = grid_.simulator();
-  const SimTime submit_time = sim.now();
 
   // Shared one-shot state: whichever fires first (start vs timeout) wins.
+  // The submit time lives here, not in the captures, so each callback is
+  // (this, state) and stays in SmallFn's inline buffer.
   struct ProbeState {
     bool settled = false;
+    SimTime submit_time = 0.0;
     WorkloadManager::TicketId ticket = 0;
     EventId timeout_event = 0;
   };
   auto state = std::make_shared<ProbeState>();
+  state->submit_time = sim.now();
 
-  state->ticket = grid_.wms().submit(
-      kProbeRuntime, [this, state, submit_time]() {
-        if (state->settled) return;
-        state->settled = true;
-        grid_.simulator().cancel(state->timeout_event);
-        trace_.add_completed(submit_time,
-                             grid_.simulator().now() - submit_time);
-        submit_probe();  // keep the in-flight count constant
-      });
-  state->timeout_event =
-      sim.schedule_in(config_.timeout, [this, state, submit_time]() {
-        if (state->settled) return;
-        state->settled = true;
-        grid_.wms().cancel(state->ticket);
-        trace_.add_outlier(submit_time);
-        submit_probe();
-      });
+  state->ticket = grid_.wms().submit(kProbeRuntime, [this, state]() {
+    if (state->settled) return;
+    state->settled = true;
+    grid_.simulator().cancel(state->timeout_event);
+    trace_.add_completed(state->submit_time,
+                         grid_.simulator().now() - state->submit_time);
+    submit_probe();  // keep the in-flight count constant
+  });
+  state->timeout_event = sim.schedule_in(config_.timeout, [this, state]() {
+    if (state->settled) return;
+    state->settled = true;
+    grid_.wms().cancel(state->ticket);
+    trace_.add_outlier(state->submit_time);
+    submit_probe();
+  });
 }
 
 }  // namespace gridsub::sim

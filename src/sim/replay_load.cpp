@@ -1,5 +1,6 @@
 #include "sim/replay_load.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,26 +9,35 @@ namespace gridsub::sim {
 ReplayLoad::ReplayLoad(Simulator& sim, WorkloadManager& wms,
                        const traces::Workload& workload,
                        const ReplayLoadConfig& config, stats::Rng rng)
-    : sim_(sim), wms_(wms), workload_(workload), config_(config), rng_(rng) {
+    : sim_(sim), wms_(wms), workload_(&workload), config_(config), rng_(rng) {
   if (!(config.time_scale > 0.0)) {
     throw std::invalid_argument("ReplayLoad: time_scale must be > 0");
   }
   if (!(config.load_multiplier >= 0.0)) {
     throw std::invalid_argument("ReplayLoad: load_multiplier must be >= 0");
   }
-  if (workload_.empty()) {
+  if (workload.empty()) {
     throw std::invalid_argument("ReplayLoad: empty workload");
   }
-  workload_.sort_by_arrival();
+  const auto jobs = workload.jobs();
+  if (!std::is_sorted(jobs.begin(), jobs.end(),
+                      [](const traces::WorkloadJob& a,
+                         const traces::WorkloadJob& b) {
+                        return a.arrival < b.arrival;
+                      })) {
+    throw std::invalid_argument(
+        "ReplayLoad: workload not sorted by arrival; call "
+        "Workload::sort_by_arrival() first");
+  }
   start_time_ = sim_.now();
   // Splice looped passes with one mean inter-arrival gap so the seam does
   // not create a double arrival at the same instant. A degenerate workload
   // (every arrival at the same time, duration 0) gets a 1 s seam — without
   // it, looping would reschedule forever at one sim instant and run()
   // would never return.
-  const double duration = workload_.duration();
+  const double duration = workload.duration();
   loop_gap_ = duration > 0.0
-                  ? duration / static_cast<double>(workload_.size())
+                  ? duration / static_cast<double>(workload.size())
                   : 1.0;
   schedule_next();
 }
@@ -36,15 +46,15 @@ void ReplayLoad::stop() { stopped_ = true; }
 
 void ReplayLoad::schedule_next() {
   if (stopped_) return;
-  if (next_index_ >= workload_.size()) {
+  if (next_index_ >= workload_->size()) {
     if (!config_.loop) {
       exhausted_ = true;
       return;
     }
     next_index_ = 0;
-    loop_offset_ += workload_.duration() + loop_gap_;
+    loop_offset_ += workload_->duration() + loop_gap_;
   }
-  const auto& job = workload_.jobs()[next_index_];
+  const auto& job = workload_->jobs()[next_index_];
   const double at =
       start_time_ + (loop_offset_ + job.arrival) / config_.time_scale;
   sim_.schedule_at(std::max(at, sim_.now()), [this]() {
@@ -56,7 +66,7 @@ void ReplayLoad::schedule_next() {
 }
 
 void ReplayLoad::emit_current() {
-  const auto& job = workload_.jobs()[next_index_];
+  const auto& job = workload_->jobs()[next_index_];
   ++consumed_;
   // Expected copies == load_multiplier: always the integer part, plus one
   // more with the fractional probability (seed-deterministic).

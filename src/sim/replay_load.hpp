@@ -36,9 +36,10 @@ struct ReplayLoadConfig {
 
 class ReplayLoad {
  public:
-  /// Copies (and sorts) the workload; starts emitting at the simulator's
-  /// current time. Throws std::invalid_argument on bad knobs or an empty
-  /// workload.
+  /// Reads the workload in place, so it must outlive this source; starts
+  /// emitting at the simulator's current time. Throws
+  /// std::invalid_argument on bad knobs, an empty workload, or one not
+  /// sorted by arrival (see Workload::sort_by_arrival()).
   ReplayLoad(Simulator& sim, WorkloadManager& wms,
              const traces::Workload& workload, const ReplayLoadConfig& config,
              stats::Rng rng);
@@ -65,7 +66,7 @@ class ReplayLoad {
 
   Simulator& sim_;
   WorkloadManager& wms_;
-  traces::Workload workload_;
+  const traces::Workload* workload_;  ///< the caller's, sorted by arrival
   ReplayLoadConfig config_;
   stats::Rng rng_;
   double start_time_ = 0.0;   ///< sim time of the replay origin

@@ -6,13 +6,14 @@
 // simulated week: job starts, job completions, matchmaking hops, client
 // timeouts. The event queue, the computing elements and the WMS all
 // store them as SmallFn, so a callback is moved between them, never
-// copied or re-wrapped. SmallFn is a move-only callable with a 32-byte
-// inline buffer sized for the largest hot capture set, the probe
-// client's (object pointer, shared state, submit time); the WMS
-// matchmaking hop (object pointer, ticket, runtime) and the CE
-// completion (object pointer, job handle) are smaller. Larger or
-// throwing-move callables fall back to the heap transparently, so
-// correctness never depends on the capture size.
+// copied or re-wrapped. SmallFn is a move-only callable with a 24-byte,
+// pointer-aligned inline buffer: 32 bytes with its dispatch pointer. The
+// buffer fits the largest hot capture sets, three words: the WMS
+// matchmaking hop (object pointer, ticket, runtime) and the strategy
+// client's rounds and timeouts (object pointer, round, copy index). The
+// CE's, the probe client's and the delayed chain's captures are two
+// words. Larger, over-aligned or throwing-move callables fall back to the
+// heap transparently, so correctness never depends on the capture size.
 //
 // Dispatch is one table of three function pointers per callable type
 // (invoke / relocate / destroy), chosen at construction — no virtual
@@ -29,9 +30,9 @@ namespace gridsub::sim {
 
 class SmallFn {
  public:
-  /// Inline capacity: fits the simulation's biggest hot capture set
-  /// (pointer + 16-byte std::shared_ptr + double).
-  static constexpr std::size_t kInlineSize = 32;
+  /// Inline capacity: fits the simulation's biggest hot capture sets
+  /// (three pointer-sized words).
+  static constexpr std::size_t kInlineSize = 24;
 
   SmallFn() noexcept = default;
   SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
@@ -99,7 +100,7 @@ class SmallFn {
   template <typename Fn>
   [[nodiscard]] static constexpr bool fits_inline() {
     return sizeof(Fn) <= kInlineSize &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
+           alignof(Fn) <= alignof(void*) &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
@@ -132,8 +133,10 @@ class SmallFn {
         delete *std::launder(reinterpret_cast<Fn**>(self));
       }};
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(void*) unsigned char buf_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(SmallFn) == 32);
 
 }  // namespace gridsub::sim

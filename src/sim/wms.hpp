@@ -15,7 +15,9 @@
 // never 0. A slot is freed when its job starts or is canceled: a stale or
 // recycled ticket fails the generation check, and cancel() on it returns
 // false without moving a counter. The client's start callback is moved
-// into the ticket's slot once, at submit. The matchmaking event and the
+// into the ticket's slot once, at submit, so a slot is 56 bytes: the
+// 16-byte head (generation, free link, CE index, state), the matchmaking
+// or CE handle, and the 32-byte SmallFn. The matchmaking event and the
 // CE job carry only (this, ticket[, runtime]); at start the WMS moves the
 // callback out, frees the slot, then calls it. A job lost in the
 // submission chain (or silently dropped by its CE) keeps its slot until
@@ -85,11 +87,12 @@ class WorkloadManager {
     };
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNilIndex;
-    Where where = Where::kMatchmaking;
     std::uint32_t ce_index = 0;  ///< valid at a CE
+    Where where = Where::kMatchmaking;
     std::uint64_t handle = 0;    ///< matchmaking EventId or CE JobHandle
     StartCallback on_start;      ///< held until the job starts
   };
+  static_assert(sizeof(InFlight) == 56);
 
   void refresh_load_snapshot();
   [[nodiscard]] std::size_t choose_element();

@@ -267,10 +267,9 @@ TEST(EventQueue, InlineCallbackBufferCoversHotCaptures) {
     void operator()() const {}
   };
   static_assert(SmallFn::stores_inline<HotCapture>());
-  struct HotSharedCapture {  // probe start: (this, state, submit time)
+  struct HotSharedCapture {  // probe start and timeout: (this, state)
     void* self;
     std::shared_ptr<int> state;
-    double submit_time;
     void operator()() const {}
   };
   static_assert(SmallFn::stores_inline<HotSharedCapture>());

@@ -27,9 +27,20 @@ traces::Workload even_workload(std::size_t n = 10, double gap = 100.0) {
   return w;
 }
 
+// The replay reads the caller's workload in place, so binding a temporary
+// (which would dangle once the statement ends) must not compile, while a
+// named workload still does.
+template <typename W>
+constexpr bool kAttachable = requires(GridSimulation& g, W&& w) {
+  g.attach_replay(static_cast<W&&>(w));
+};
+static_assert(!kAttachable<traces::Workload>);
+static_assert(kAttachable<const traces::Workload&>);
+
 TEST(ReplayLoad, EmitsEveryJobExactlyOnce) {
+  const auto workload = even_workload();
   GridSimulation grid(small_grid_config());
-  auto& replay = grid.attach_replay(even_workload());
+  auto& replay = grid.attach_replay(workload);
   grid.simulator().run();
   EXPECT_EQ(replay.emitted(), 10u);
   EXPECT_EQ(replay.consumed(), 10u);
@@ -61,24 +72,26 @@ TEST(ReplayLoad, DeterministicUnderFixedSeed) {
 
 TEST(ReplayLoad, TimeScaleCompressesTheTimeline) {
   // Jobs at 0,100,...,900. At time_scale 2 every arrival lands by t=450.
+  const auto workload = even_workload();
   GridSimulation fast_grid(small_grid_config());
   ReplayLoadConfig fast;
   fast.time_scale = 2.0;
-  auto& fast_replay = fast_grid.attach_replay(even_workload(), fast);
+  auto& fast_replay = fast_grid.attach_replay(workload, fast);
   fast_grid.simulator().run_until(460.0);
   EXPECT_EQ(fast_replay.emitted(), 10u);
 
   GridSimulation slow_grid(small_grid_config());
-  auto& slow_replay = slow_grid.attach_replay(even_workload());
+  auto& slow_replay = slow_grid.attach_replay(workload);
   slow_grid.simulator().run_until(460.0);
   EXPECT_EQ(slow_replay.emitted(), 5u);
 }
 
 TEST(ReplayLoad, LoadMultiplierScalesSubmissions) {
+  const auto workload = even_workload();
   GridSimulation doubled(small_grid_config());
   ReplayLoadConfig x2;
   x2.load_multiplier = 2.0;
-  auto& r2 = doubled.attach_replay(even_workload(), x2);
+  auto& r2 = doubled.attach_replay(workload, x2);
   doubled.simulator().run();
   EXPECT_EQ(r2.emitted(), 20u);
   EXPECT_EQ(r2.consumed(), 10u);
@@ -86,7 +99,8 @@ TEST(ReplayLoad, LoadMultiplierScalesSubmissions) {
   GridSimulation fractional(small_grid_config());
   ReplayLoadConfig x15;
   x15.load_multiplier = 1.5;
-  auto& r15 = fractional.attach_replay(even_workload(100), x15);
+  const auto hundred = even_workload(100);
+  auto& r15 = fractional.attach_replay(hundred, x15);
   fractional.simulator().run();
   EXPECT_GT(r15.emitted(), 100u);
   EXPECT_LT(r15.emitted(), 200u);
@@ -94,17 +108,18 @@ TEST(ReplayLoad, LoadMultiplierScalesSubmissions) {
   GridSimulation silent(small_grid_config());
   ReplayLoadConfig x0;
   x0.load_multiplier = 0.0;
-  auto& r0 = silent.attach_replay(even_workload(), x0);
+  auto& r0 = silent.attach_replay(workload, x0);
   silent.simulator().run();
   EXPECT_EQ(r0.emitted(), 0u);
   EXPECT_EQ(r0.consumed(), 10u);
 }
 
 TEST(ReplayLoad, LoopRestartsFromTheTop) {
+  const auto workload = even_workload();
   GridSimulation grid(small_grid_config());
   ReplayLoadConfig config;
   config.loop = true;
-  auto& replay = grid.attach_replay(even_workload(), config);
+  auto& replay = grid.attach_replay(workload, config);
   // Each pass spans 900 s + a 90 s seam; 3 passes fit in 3100 s.
   grid.simulator().run_until(3100.0);
   EXPECT_GT(replay.consumed(), 20u);
@@ -127,8 +142,9 @@ TEST(ReplayLoad, LoopingDegenerateWorkloadStillAdvancesTime) {
 }
 
 TEST(ReplayLoad, StopHaltsEmission) {
+  const auto workload = even_workload();
   GridSimulation grid(small_grid_config());
-  auto& replay = grid.attach_replay(even_workload());
+  auto& replay = grid.attach_replay(workload);
   grid.simulator().run_until(250.0);
   const auto before = replay.emitted();
   EXPECT_EQ(before, 3u);
@@ -139,25 +155,31 @@ TEST(ReplayLoad, StopHaltsEmission) {
 }
 
 TEST(ReplayLoad, RejectsBadConfig) {
+  const auto workload = even_workload();
   GridSimulation grid(small_grid_config());
   ReplayLoadConfig bad_scale;
   bad_scale.time_scale = 0.0;
-  EXPECT_THROW(grid.attach_replay(even_workload(), bad_scale),
+  EXPECT_THROW(grid.attach_replay(workload, bad_scale),
                std::invalid_argument);
   ReplayLoadConfig bad_mult;
   bad_mult.load_multiplier = -1.0;
-  EXPECT_THROW(grid.attach_replay(even_workload(), bad_mult),
+  EXPECT_THROW(grid.attach_replay(workload, bad_mult),
                std::invalid_argument);
-  EXPECT_THROW(grid.attach_replay(traces::Workload("empty")),
-               std::invalid_argument);
+  const traces::Workload empty("empty");
+  EXPECT_THROW(grid.attach_replay(empty), std::invalid_argument);
 }
 
 TEST(ReplayLoad, UnsortedWorkloadIsReplayedInTimeOrder) {
+  // The replay reads the workload in place, so an unsorted one is
+  // rejected; once sorted it is replayed in time order.
   traces::Workload w("shuffled");
   w.add_job(500.0, 1.0);
   w.add_job(0.0, 1.0);
   w.add_job(250.0, 1.0);
   GridSimulation grid(small_grid_config());
+  EXPECT_THROW(grid.attach_replay(w), std::invalid_argument);
+  EXPECT_EQ(grid.metrics().jobs_submitted, 0u);
+  w.sort_by_arrival();
   auto& replay = grid.attach_replay(w);
   grid.simulator().run_until(300.0);
   EXPECT_EQ(replay.emitted(), 2u);
@@ -167,8 +189,8 @@ TEST(ReplayLoad, UnsortedWorkloadIsReplayedInTimeOrder) {
 
 TEST(ReplayLoad, TiedArrivalsKeepTheirInputOrder) {
   // Jobs with the same arrival reach the WMS in input order, whether the
-  // workload comes sorted (replayed as given) or not (stable-sorted). The
-  // WMS draws matchmaking delays in submission order, so on a one-slot
+  // workload comes sorted or is stable-sorted by sort_by_arrival() first.
+  // The WMS draws matchmaking delays in submission order, so on a one-slot
   // element the total queue wait tells which runtime was submitted first.
   const auto queue_wait = [](const traces::Workload& w) {
     GridConfig config = small_grid_config();
@@ -191,6 +213,7 @@ TEST(ReplayLoad, TiedArrivalsKeepTheirInputOrder) {
   long_first.add_job(0.0, 1000.0);
   long_first.add_job(0.0, 10.0);
   long_first.add_job(500.0, 1.0);
+  shuffled.sort_by_arrival();
   EXPECT_EQ(queue_wait(shuffled), queue_wait(short_first));
   EXPECT_NE(queue_wait(long_first), queue_wait(short_first));
 }
