@@ -87,7 +87,15 @@ CostEvaluation CostModel::optimize_delayed_cost(
   DelayedResubmission::Row row(delayed_);
   const bool fleet = definition == CostDefinition::kFleet;
   double best_t0 = 0.0, best_tinf = 0.0, best = kInf;
+  // Δcost >= delta_cost(1, E_J) and E_J is at least the floor of its row
+  // and of its column (see "Floors" in delayed_resubmission.hpp), so a
+  // floor whose bound is not below `best` covers no point that could
+  // replace it.
+  const auto cannot_win = [&](double floor) {
+    return delta_cost(1.0, floor * (1.0 - kFloorSlack)) >= best;
+  };
   const auto visit = [&](double t_inf) {
+    if (cannot_win(row.expectation_floor(t_inf))) return;
     const double ej = row.expectation(t_inf);
     if (!std::isfinite(ej)) return;
     const double n_par =
@@ -100,18 +108,11 @@ CostEvaluation CostModel::optimize_delayed_cost(
       best_tinf = t_inf;
     }
   };
-  // Δcost >= delta_cost(1, ∫₀^t0 s) on the whole row (see "Floors" in
-  // delayed_resubmission.hpp), so a row whose bound is not below `best`
-  // holds no point that could replace it.
-  const auto row_cannot_win = [&] {
-    return delta_cost(1.0, row.expectation_floor() * (1.0 - kFloorSlack)) >=
-           best;
-  };
   // Coarse integer scan (8 s lattice).
   constexpr double kCoarse = 8.0;
   for (double t0 = std::ceil(lo); t0 <= hi; t0 += kCoarse) {
     row.reset(t0);
-    if (row_cannot_win()) continue;
+    if (cannot_win(row.expectation_floor())) continue;
     const double tinf_hi = std::min(2.0 * t0, model_.horizon());
     for (double t_inf = t0 + 1.0; t_inf <= tinf_hi; t_inf += kCoarse) {
       visit(t_inf);
@@ -129,7 +130,7 @@ CostEvaluation CostModel::optimize_delayed_cost(
   for (double t0 = std::max(std::ceil(lo), best_t0 - r);
        t0 <= std::min(hi, best_t0 + r); t0 += 1.0) {
     row.reset(t0);
-    if (row_cannot_win()) continue;
+    if (cannot_win(row.expectation_floor())) continue;
     for (double t_inf = std::max(t0 + 1.0, best_tinf - r);
          t_inf <= std::min({2.0 * t0, model_.horizon(), best_tinf + r});
          t_inf += 1.0) {

@@ -78,8 +78,10 @@ class CostModel {
   /// 8 s lattice scan, then a ±10 s integer refinement window that follows
   /// the running best; one DelayedResubmission::Row per t0. Both passes
   /// skip a row whose floor delta_cost(1, Row::expectation_floor()) is not
-  /// below the running best (see "Floors" in delayed_resubmission.hpp), so
-  /// the optimum is the unpruned scan's bit for bit. Bounds default to t0
+  /// below the running best, and within a row each column t∞ whose floor
+  /// delta_cost(1, Row::expectation_floor(t∞)) is not (see "Floors" in
+  /// delayed_resubmission.hpp), so the optimum is the unpruned scan's bit
+  /// for bit. Bounds default to t0
   /// in [16 s, min(horizon/2, 4 × baseline E_J)]. `definition` selects
   /// which Δcost accounting is minimized.
   [[nodiscard]] CostEvaluation optimize_delayed_cost(

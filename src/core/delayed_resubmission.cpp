@@ -115,30 +115,32 @@ double DelayedResubmission::overlap(double t0, double length, double q,
 
 template <class Overlap>
 double DelayedResubmission::expectation_with(double t0, double t_inf,
+                                             double area, double q,
                                              Overlap&& overlap) const {
-  if (!feasible(t0, t_inf)) return kInf;
-  const double q = model_.survival_at(t_inf);
   const double p = 1.0 - q;
   if (!(p > 0.0)) return kInf;
   const double length = t_inf - t0;
   const double h_total =
-      overlap(length, q) + q * (integral_s(t0) - integral_s(length));
-  return integral_s(t0) + h_total / p;
+      overlap(length, q) + q * (area - integral_s(length));
+  return area + h_total / p;
 }
 
 template <class Overlap>
 double DelayedResubmission::job_seconds_with(double t0, double t_inf,
+                                             double area, double q,
                                              Overlap&& overlap) const {
-  const double ej = expectation_with(t0, t_inf, overlap);
+  const double ej = expectation_with(t0, t_inf, area, q, overlap);
   if (!std::isfinite(ej)) return kInf;
-  const double q = model_.survival_at(t_inf);
   return ej + overlap(t_inf - t0, q) / (1.0 - q);
 }
 
 double DelayedResubmission::expectation(double t0, double t_inf) const {
-  return expectation_with(t0, t_inf, [&](double length, double q) {
-    return overlap(t0, length, q);
-  });
+  if (!feasible(t0, t_inf)) return kInf;
+  return expectation_with(t0, t_inf, integral_s(t0),
+                          model_.survival_at(t_inf),
+                          [&](double length, double q) {
+                            return overlap(t0, length, q);
+                          });
 }
 
 double DelayedResubmission::second_moment(double t0, double t_inf) const {
@@ -157,8 +159,24 @@ double DelayedResubmission::second_moment(double t0, double t_inf) const {
 
 void DelayedResubmission::Row::reset(double t0) {
   t0_ = t0;
-  floor_ = d_.integral_s(t0);
+  area_ = d_.integral_s(t0);
+  const double t_max =
+      std::min(2.0 * t0 * (1.0 + kBoundaryEps), d_.model_.horizon());
+  floor_ = area_ / (1.0 - d_.model_.survival_at(t_max));
+  column_ = std::numeric_limits<double>::quiet_NaN();
   nodes_.clear();
+}
+
+double DelayedResubmission::Row::survival(double t_inf) {
+  if (t_inf != column_) {
+    column_ = t_inf;
+    column_q_ = d_.feasible(t0_, t_inf) ? d_.model_.survival_at(t_inf) : 1.0;
+  }
+  return column_q_;
+}
+
+double DelayedResubmission::Row::expectation_floor(double t_inf) {
+  return area_ / (1.0 - survival(t_inf));
 }
 
 double DelayedResubmission::Row::overlap(double length, double q) {
@@ -185,15 +203,17 @@ double DelayedResubmission::Row::overlap(double length, double q) {
 }
 
 double DelayedResubmission::Row::expectation(double t_inf) {
-  return d_.expectation_with(t0_, t_inf, [this](double length, double q) {
-    return overlap(length, q);
-  });
+  return d_.expectation_with(t0_, t_inf, area_, survival(t_inf),
+                             [this](double length, double q) {
+                               return overlap(length, q);
+                             });
 }
 
 double DelayedResubmission::Row::expected_job_seconds(double t_inf) {
-  return d_.job_seconds_with(t0_, t_inf, [this](double length, double q) {
-    return overlap(length, q);
-  });
+  return d_.job_seconds_with(t0_, t_inf, area_, survival(t_inf),
+                             [this](double length, double q) {
+                               return overlap(length, q);
+                             });
 }
 
 double DelayedResubmission::std_deviation(double t0, double t_inf) const {
@@ -304,9 +324,12 @@ double DelayedResubmission::expected_parallel_jobs(double t0,
 
 double DelayedResubmission::expected_job_seconds(double t0,
                                                  double t_inf) const {
-  return job_seconds_with(t0, t_inf, [&](double length, double q) {
-    return overlap(t0, length, q);
-  });
+  if (!feasible(t0, t_inf)) return kInf;
+  return job_seconds_with(t0, t_inf, integral_s(t0),
+                          model_.survival_at(t_inf),
+                          [&](double length, double q) {
+                            return overlap(t0, length, q);
+                          });
 }
 
 double DelayedResubmission::fleet_parallel_jobs(double t0,
@@ -360,14 +383,21 @@ DelayedOptimum DelayedResubmission::optimize(double t0_max) const {
   const double h_ratio =
       (kRatioHi - kRatioLo) / static_cast<double>(kRatioPoints - 1);
   double best = kInf, best_t0 = 0.0, best_ratio = 0.0;
+  // A row or column whose floor is not below `best` holds no cell that
+  // could replace it (see "Floors" in the header).
+  const auto cannot_win = [&best](double floor) {
+    return floor * (1.0 - kFloorSlack) >= best;
+  };
   Row row(*this);
   for (std::size_t i = 0; i < kT0Points; ++i) {
     const double t0 = lo + static_cast<double>(i) * h_t0;
     row.reset(t0);
-    if (row.expectation_floor() * (1.0 - kFloorSlack) >= best) continue;
+    if (cannot_win(row.expectation_floor())) continue;
     for (std::size_t j = 0; j < kRatioPoints; ++j) {
       const double ratio = kRatioLo + static_cast<double>(j) * h_ratio;
-      const double v = row.expectation(ratio * t0);
+      const double t_inf = ratio * t0;
+      if (cannot_win(row.expectation_floor(t_inf))) continue;
+      const double v = row.expectation(t_inf);
       if (v < best) {
         best = v;
         best_t0 = t0;

@@ -42,16 +42,24 @@
 //   paper evaluates N∥ at l = E_J (parallel_jobs()); the distribution-
 //   averaged E[N∥(J)] is provided as expected_parallel_jobs().
 //
-// * Floors. For a fixed t0, H >= 0 gives E_J >= ∫₀^{t0} s at every t∞ of
-//   the row (Row::expectation_floor()), and N∥ >= 1 under both cost
-//   accountings, so Δcost >= CostModel::delta_cost(1, ∫₀^{t0} s). The grid
-//   scan of optimize() and both Δcost scans of CostModel skip a row whose
-//   floor, shrunk by kFloorSlack, is not below their running best. Ties are
-//   safe: the scans replace the best only on a strict <, so a skipped point
-//   could at most have equalled it, and every optimum is the full scan's
-//   bit for bit.
+// * Floors. Let A = ∫₀^{t0} s, q = S(t∞) and L = t∞ - t0. On [0, L],
+//   u + t0 <= t∞, so Φ(u) = S(u + t0)·S(u) >= q·S(u) and H >= q·A, which
+//   gives E_J = A + H/(1-q) >= A/(1-q): the column floor
+//   Row::expectation_floor(t∞). S never increases, so the row floor
+//   Row::expectation_floor() = A/(1 - S(t_max)), with t_max the row's
+//   largest feasible t∞, bounds every column of the row. The computed
+//   quantities obey the same inequalities node by node: the lerp of F̃ is
+//   monotone, and the partial cell's end q·S(L) is at least q·s(u_{m+1}),
+//   the node that ∫₀^L s interpolates towards. N∥ >= 1 under both cost
+//   accountings, so Δcost >= CostModel::delta_cost(1, floor). The grid
+//   scan of optimize() and both Δcost scans of CostModel skip a row, and
+//   then a column, whose floor, shrunk by kFloorSlack, is not below their
+//   running best. Ties are safe: the scans replace the best only on a
+//   strict <, so a skipped point could at most have equalled it, and every
+//   optimum is the full scan's bit for bit.
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -74,13 +82,18 @@ class DelayedResubmission {
     /// Keeps a reference to `d` (must outlive this row).
     explicit Row(const DelayedResubmission& d) : d_(d) {}
 
-    /// Starts the row of `t0`, discarding the previous sweep; the new
+    /// Starts the row of `t0` > 0, discarding the previous sweep; the new
     /// sweep begins at the first feasible read.
     void reset(double t0);
     [[nodiscard]] double t0() const { return t0_; }
-    /// ∫₀^{t0} s: no expectation(t∞) of the row is below it, up to the
+    /// A/(1 - S(t_max)) with A = ∫₀^{t0} s and t_max the row's largest
+    /// feasible t∞ (2·t0 plus the feasibility check's tolerance, at most
+    /// the horizon): no expectation(t∞) of the row is below it, up to the
     /// roundings kFloorSlack covers (see "Floors" above).
     [[nodiscard]] double expectation_floor() const { return floor_; }
+    /// A/(1 - S(t∞)): the same bound for the one column t∞, and at least
+    /// the row floor; +inf when (t0(), t∞) is infeasible.
+    [[nodiscard]] double expectation_floor(double t_inf);
 
     /// Equals d.expectation(t0(), t_inf) bit for bit.
     [[nodiscard]] double expectation(double t_inf);
@@ -91,6 +104,11 @@ class DelayedResubmission {
     /// ∫₀^length Φ given q = S(t0 + length), extending the sweep to node
     /// ⌊length/step⌋ first.
     [[nodiscard]] double overlap(double length, double q);
+    /// S(t∞) of a feasible column and 1 of an infeasible one, so that
+    /// every read of an infeasible column is +inf. The last column's value
+    /// is kept: the column floor and the reads after it read the model
+    /// once.
+    [[nodiscard]] double survival(double t_inf);
 
     struct Node {
       double phi;     ///< Φ(u_k)
@@ -99,7 +117,10 @@ class DelayedResubmission {
 
     const DelayedResubmission& d_;
     double t0_ = 0.0;
-    double floor_ = 0.0;       ///< ∫₀^{t0} s
+    double area_ = 0.0;        ///< A = ∫₀^{t0} s
+    double floor_ = 0.0;       ///< A/(1 - S(t_max))
+    double column_ = std::numeric_limits<double>::quiet_NaN();  ///< kept t∞
+    double column_q_ = 1.0;    ///< survival(column_)
     std::size_t shift_ = 0;    ///< j = ⌊t0/step⌋
     double shift_frac_ = 0.0;  ///< φ = t0/step - j
     numerics::KahanAccumulator acc_;
@@ -156,9 +177,9 @@ class DelayedResubmission {
 
   /// Global minimization of E_J over the feasible triangle, parameterized
   /// as (t0, ratio = t∞/t0) with ratio in (1, 2]: a 96 × 40 grid scan, one
-  /// Row per t0, then Nelder–Mead from the best cell. The scan skips a row
-  /// whose floor is not below the best cell so far (see "Floors"), which
-  /// leaves the best cell and the optimum unchanged. `t0_max` < 0 selects
+  /// Row per t0, then Nelder–Mead from the best cell. The scan skips a row,
+  /// and then a column, whose floor is not below the best cell so far (see
+  /// "Floors"), which leaves the best cell and the optimum unchanged. `t0_max` < 0 selects
   /// horizon/2.
   [[nodiscard]] DelayedOptimum optimize(double t0_max = -1.0) const;
 
@@ -178,15 +199,16 @@ class DelayedResubmission {
   /// ∫₀^L u·Φ(u) du stored in `*weighted` when it is non-null.
   [[nodiscard]] double overlap(double t0, double length, double q,
                                double* weighted = nullptr) const;
-  /// E_J and E[W] at (t0, t∞) from `overlap(L, q)` = ∫₀^L Φ. The one-shot
-  /// calls and the Row reads both go through these, so they share every
-  /// operation but the overlap source.
+  /// E_J and E[W] at a feasible (t0, t∞) from A = ∫₀^{t0} s, q = S(t∞)
+  /// and `overlap(L, q)` = ∫₀^L Φ; +inf when q == 1. The one-shot calls
+  /// and the Row reads both go through these, so they share every
+  /// operation but the sources of A, q and the overlap.
   template <class Overlap>
-  [[nodiscard]] double expectation_with(double t0, double t_inf,
-                                        Overlap&& overlap) const;
+  [[nodiscard]] double expectation_with(double t0, double t_inf, double area,
+                                        double q, Overlap&& overlap) const;
   template <class Overlap>
-  [[nodiscard]] double job_seconds_with(double t0, double t_inf,
-                                        Overlap&& overlap) const;
+  [[nodiscard]] double job_seconds_with(double t0, double t_inf, double area,
+                                        double q, Overlap&& overlap) const;
   [[nodiscard]] DelayedOptimum pack_optimum(double t0, double t_inf) const;
 
   const model::DiscretizedLatencyModel& model_;

@@ -31,6 +31,14 @@ void WorkloadManager::refresh_load_snapshot() {
   for (std::size_t i = 0; i < ces_.size(); ++i) {
     load_snapshot_[i] = ces_[i]->load();
   }
+  // The least-loaded CEs change only here, so each dispatch draws from
+  // this set instead of scanning the loads again.
+  const double best =
+      *std::min_element(load_snapshot_.begin(), load_snapshot_.end());
+  ties_.clear();
+  for (std::size_t i = 0; i < ces_.size(); ++i) {
+    if (load_snapshot_[i] <= best) ties_.push_back(i);
+  }
   sim_.schedule_daemon_in(config_.info_refresh_period,
                           [this]() { refresh_load_snapshot(); });
 }
@@ -53,12 +61,6 @@ std::size_t WorkloadManager::choose_element() {
     case WmsConfig::Dispatch::kLeastLoaded:
     default: {
       // Ties broken randomly so one CE does not absorb all bursts.
-      double best = load_snapshot_[0];
-      for (const double l : load_snapshot_) best = std::min(best, l);
-      ties_.clear();
-      for (std::size_t i = 0; i < ces_.size(); ++i) {
-        if (load_snapshot_[i] <= best) ties_.push_back(i);
-      }
       return ties_[static_cast<std::size_t>(rng_.uniform_int(ties_.size()))];
     }
   }

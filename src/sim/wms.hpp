@@ -108,7 +108,7 @@ class WorkloadManager {
   GridMetrics* metrics_;
 
   std::vector<double> load_snapshot_;
-  std::vector<std::size_t> ties_;  ///< reused least-loaded tie buffer
+  std::vector<std::size_t> ties_;  ///< least-loaded CEs of the snapshot
   SlotMap<InFlight, &InFlight::next_free> slots_;
 };
 

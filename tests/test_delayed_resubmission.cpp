@@ -364,8 +364,9 @@ TEST(DelayedResubmission, RowFloorsLeaveTheOptimumBitIdentical) {
 
 TEST(DelayedResubmission, RowFloorBoundsEveryReadOfItsRow) {
   // The floors' premise, read on a lattice of every net model: E_J, and
-  // with it E[W], is at least the row's floor shrunk by kFloorSlack, and
-  // N∥ at l = E_J is at least 1 up to the same slack.
+  // with it E[W], is at least the column floor A/(1 - S(t∞)) shrunk by
+  // kFloorSlack, the column floor is at least the row floor, and N∥ at
+  // l = E_J is at least 1 up to the same slack.
   for (const auto& [label, m] : testutil::floor_net_models()) {
     const DelayedResubmission d(m);
     DelayedResubmission::Row row(d);
@@ -375,14 +376,23 @@ TEST(DelayedResubmission, RowFloorBoundsEveryReadOfItsRow) {
       const double floor = row.expectation_floor() * (1.0 - kFloorSlack);
       for (double t_inf = t0 + 0.5 * m.step(); t_inf <= 2.0 * t0;
            t_inf += 0.37 * h) {
+        const auto where = [&] {
+          return label + " t0 " + std::to_string(t0) + " t_inf " +
+                 std::to_string(t_inf);
+        };
+        const double column_floor = row.expectation_floor(t_inf);
+        EXPECT_GE(column_floor, row.expectation_floor()) << where();
+        const double column = column_floor * (1.0 - kFloorSlack);
         const double ej = row.expectation(t_inf);
         if (!std::isfinite(ej)) continue;
-        EXPECT_GE(ej, floor) << label << " t0 " << t0 << " t_inf " << t_inf;
-        EXPECT_GE(row.expected_job_seconds(t_inf), ej)
-            << label << " t0 " << t0 << " t_inf " << t_inf;
+        EXPECT_GE(ej, floor) << where();
+        EXPECT_GE(ej, column) << where();
+        const double w = row.expected_job_seconds(t_inf);
+        EXPECT_GE(w, ej) << where();
+        EXPECT_GE(w, column) << where();
         EXPECT_GE(DelayedResubmission::parallel_jobs_at(ej, t0, t_inf),
                   1.0 - kFloorSlack)
-            << label << " t0 " << t0 << " t_inf " << t_inf;
+            << where();
       }
     }
   }
